@@ -1,11 +1,11 @@
 # CI entry points for the strippack reproduction. `make ci` is what a
 # pipeline should run; the individual targets mirror the tier-1 check
-# (`go build ./... && go test ./...`) plus vet, a race pass over the
-# concurrent packages and a benchmark smoke pass.
+# (`go build ./... && go test ./...`) plus a gofmt check, vet, a race pass
+# over the concurrent packages and a benchmark smoke pass.
 
 GO ?= go
 
-.PHONY: all build test vet race ci bench-smoke bench-record fuzz determinism
+.PHONY: all fmt build test vet race ci bench-smoke bench-record fuzz determinism
 
 all: ci
 
@@ -17,6 +17,12 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Fails when gofmt would reformat any tracked Go file. Listing tracked
+# files keeps build output such as .bench_build/ out of the scan.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')) && \
+	if [ -n "$$out" ]; then echo "gofmt would reformat:"; echo "$$out"; exit 1; fi
 
 # The online scheduler, fault harness, fleet router, placement service,
 # the placementd daemon's checkpoint wiring and the release package (its
@@ -32,7 +38,7 @@ vet:
 race:
 	$(GO) test -race ./internal/fpga ./internal/faultinject ./internal/fleet ./internal/service ./internal/experiments ./internal/core/release ./cmd/placementd
 
-ci: build vet test race determinism
+ci: fmt build vet test race determinism
 
 # One iteration of every benchmark: catches bit-rot in the bench harness
 # without the cost of a full measurement run.

@@ -56,6 +56,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"strippack/internal/fpga"
 	"strippack/internal/workload"
@@ -281,7 +282,7 @@ type lane struct {
 	rngDraws   uint64     // Intn calls consumed, for LaneState replay
 	meter      Meter
 
-	score    []float64         // per-lane-shard drain-time estimate, indexed s-first
+	load     loadTree          // per-lane-shard drain-time estimates, indexed s-first
 	subs     [][]fpga.TaskSpec // per-lane-shard sub-batch scratch, indexed s-first
 	placedBy [][]fpga.Task     // per-lane-shard placement scratch, indexed s-first
 }
@@ -374,7 +375,7 @@ func New(cfg Config) (*Fleet, error) {
 			name: t.Name, first: first, count: t.Shards, route: t.Route,
 			maxBacklog: t.MaxBacklog, maxTaskCols: t.MaxTaskCols,
 			needScores: t.Route != RouteRR,
-			score:      make([]float64, t.Shards),
+			load:       loadTree{score: make([]float64, t.Shards)},
 			subs:       make([][]fpga.TaskSpec, t.Shards),
 			placedBy:   make([][]fpga.Task, t.Shards),
 		}
@@ -623,17 +624,6 @@ func (f *Fleet) RestoredCounts() []int {
 // it touches is lane-owned.
 func (f *Fleet) route(t *lane, sp *fpga.TaskSpec) (int, error) {
 	fits := func(s int) bool { return sp.Cols <= f.cols[s] }
-	// leastIn is the shared load-aware argmin over the tenant's eligible
-	// shards: smallest drain-time score, ties to the lowest shard index.
-	leastIn := func() int {
-		best := -1
-		for s := t.first; s < t.first+t.count; s++ {
-			if fits(s) && (best < 0 || t.score[s-t.first] < t.score[best-t.first]) {
-				best = s
-			}
-		}
-		return best
-	}
 	s := -1
 	switch t.route {
 	case RouteRR:
@@ -646,17 +636,20 @@ func (f *Fleet) route(t *lane, sp *fpga.TaskSpec) (int, error) {
 			}
 		}
 	case RouteLeast:
-		s = leastIn()
+		if j := t.load.least(sp.Cols); j >= 0 {
+			s = t.first + j
+		}
 	case RouteP2C:
 		// The rng is always consumed exactly twice per spec, so the draw
 		// sequence is independent of task widths.
 		a := t.first + t.rng.Intn(t.count)
 		b := t.first + t.rng.Intn(t.count)
 		t.rngDraws += 2
+		score := t.load.score
 		switch {
 		case fits(a) && fits(b):
 			s = a
-			if t.score[b-t.first] < t.score[a-t.first] || (t.score[b-t.first] == t.score[a-t.first] && b < a) {
+			if score[b-t.first] < score[a-t.first] || (score[b-t.first] == score[a-t.first] && b < a) {
 				s = b
 			}
 		case fits(a):
@@ -664,14 +657,52 @@ func (f *Fleet) route(t *lane, sp *fpga.TaskSpec) (int, error) {
 		case fits(b):
 			s = b
 		default:
-			s = leastIn()
+			if j := t.load.least(sp.Cols); j >= 0 {
+				s = t.first + j
+			}
 		}
 	}
 	if s < 0 {
 		return 0, fmt.Errorf("fleet: task %d needs %d columns, wider than every shard of tenant %q", sp.ID, sp.Cols, t.name)
 	}
-	t.score[s-t.first] += float64(sp.Cols) * sp.Duration / float64(f.cols[s])
+	if t.needScores {
+		t.load.add(s-t.first, float64(sp.Cols)*sp.Duration/float64(f.cols[s]))
+	}
 	return s, nil
+}
+
+// refresh is the batch barrier: every lane shard is quiescent, so its
+// committed column-time is exact. It resets the lane's drain-time scores
+// to it (load-aware routes only) and returns the lane's total waiting
+// backlog for the quota check.
+func (f *Fleet) refresh(t *lane) (waiting int) {
+	for j := 0; j < t.count; j++ {
+		ld := f.shards[t.first+j].Load()
+		if t.needScores {
+			t.load.score[j] = ld.CommittedColTime / float64(f.cols[t.first+j])
+		}
+		waiting += ld.Waiting
+	}
+	if t.needScores {
+		t.load.rebuild(f.cols[t.first : t.first+t.count])
+	}
+	return waiting
+}
+
+// routeBatch routes every spec in input order into the lane's per-shard
+// sub-batches, on top of the scores of the last refresh.
+func (f *Fleet) routeBatch(t *lane, specs []fpga.TaskSpec) error {
+	for j := range t.subs {
+		t.subs[j] = t.subs[j][:0]
+	}
+	for i := range specs {
+		s, err := f.route(t, &specs[i])
+		if err != nil {
+			return err
+		}
+		t.subs[s-t.first] = append(t.subs[s-t.first], specs[i])
+	}
+	return nil
 }
 
 // SubmitBatch submits the batch to tenant 0 — the whole fleet when no
@@ -714,38 +745,24 @@ func (f *Fleet) SubmitBatchTenant(ti int, specs []fpga.TaskSpec) ([]Placement, e
 			}
 		}
 	}
-	// Barrier refresh: every lane shard is quiescent here, so its
-	// committed column-time is exact; in-batch routing then works from
-	// this base plus the normalized cols×duration estimates route()
-	// accrues. The same pass sums the waiting backlog for the quota.
+	// Barrier refresh; in-batch routing then works from this base plus the
+	// normalized cols×duration estimates route() accrues. The same pass
+	// sums the waiting backlog for the quota.
 	if t.needScores || t.maxBacklog > 0 {
-		waiting := 0
-		for j := 0; j < t.count; j++ {
-			ld := f.shards[t.first+j].Load()
-			t.score[j] = ld.CommittedColTime / float64(f.cols[t.first+j])
-			waiting += ld.Waiting
-		}
-		if t.maxBacklog > 0 && waiting >= t.maxBacklog {
+		if waiting := f.refresh(t); t.maxBacklog > 0 && waiting >= t.maxBacklog {
 			t.meter.Refused += len(specs)
 			return nil, fmt.Errorf("%w: tenant %q has %d waiting, quota %d",
 				ErrQuotaBacklog, t.name, waiting, t.maxBacklog)
 		}
 	}
-	for j := range t.subs {
-		t.subs[j] = t.subs[j][:0]
-	}
-	for i := range specs {
-		s, err := f.route(t, &specs[i])
-		if err != nil {
-			t.meter.Refused += len(specs)
-			return nil, err
-		}
-		t.subs[s-t.first] = append(t.subs[s-t.first], specs[i])
+	if err := f.routeBatch(t, specs); err != nil {
+		t.meter.Refused += len(specs)
+		return nil, err
 	}
 	for j := range t.placedBy {
 		t.placedBy[j] = nil
 	}
-	err := f.runLane(t, func(j int) error {
+	err := fanOut(t.count, f.cfg.Workers, func(j int) error {
 		if len(t.subs[j]) == 0 {
 			return nil
 		}
@@ -756,7 +773,14 @@ func (f *Fleet) SubmitBatchTenant(ti int, specs []fpga.TaskSpec) ([]Placement, e
 		}
 		return nil
 	})
+	total := 0
+	for _, tasks := range t.placedBy {
+		total += len(tasks)
+	}
 	var placed []Placement
+	if total > 0 {
+		placed = make([]Placement, 0, total)
+	}
 	for j, tasks := range t.placedBy {
 		for _, pt := range tasks {
 			placed = append(placed, Placement{Shard: t.first + j, Task: pt})
@@ -785,7 +809,7 @@ func (f *Fleet) DrainTenant(ti int) error {
 		return fmt.Errorf("fleet: tenant %d out of range [0, %d)", ti, len(f.lanes))
 	}
 	t := &f.lanes[ti]
-	return f.runLane(t, func(j int) error {
+	return fanOut(t.count, f.cfg.Workers, func(j int) error {
 		if err := f.shards[t.first+j].Drain(); err != nil {
 			return fmt.Errorf("fleet: shard %d: %w", t.first+j, err)
 		}
@@ -809,86 +833,46 @@ func (f *Fleet) TenantLoads(ti int) ([]fpga.LoadStats, error) {
 	return out, nil
 }
 
-// runLane runs fn(j) for each of lane t's shards (j is lane-local, shard
-// t.first+j) on up to cfg.Workers goroutines and returns the error of
-// the lowest-index failing shard — the same min-index rule the
-// experiment runner uses, so the surfaced error never depends on
-// goroutine interleaving.
-func (f *Fleet) runLane(t *lane, fn func(j int) error) error {
-	n := t.count
-	workers := f.cfg.Workers
-	if workers > n {
-		workers = n
-	}
-	errs := make([]error, n)
-	if workers <= 1 {
-		for j := 0; j < n; j++ {
-			errs[j] = fn(j)
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := range next {
-					errs[j] = fn(j)
+// fanOut runs fn(j) for every j in [0, n) on up to workers goroutines,
+// the caller's included, and returns the error of the lowest failing j —
+// the same min-index rule the experiment runner uses, so the surfaced
+// error never depends on goroutine interleaving. Every fn(j) runs even
+// when an earlier one fails. Workers claim indices from a shared atomic
+// counter, so a call costs one goroutine spawn per extra worker and no
+// per-index channel handoff.
+func fanOut(n, workers int, fn func(j int) error) error {
+	var (
+		next  atomic.Int64
+		mu    sync.Mutex
+		errAt = n
+		first error
+	)
+	work := func() {
+		for {
+			j := int(next.Add(1) - 1)
+			if j >= n {
+				return
+			}
+			if err := fn(j); err != nil {
+				mu.Lock()
+				if j < errAt {
+					errAt, first = j, err
 				}
-			}()
-		}
-		for j := 0; j < n; j++ {
-			next <- j
-		}
-		close(next)
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
+				mu.Unlock()
+			}
 		}
 	}
-	return nil
-}
-
-// runShards runs fn(i) for every shard on up to cfg.Workers goroutines
-// with the same min-index error rule as runLane. Fleet-wide: requires
-// exclusive access.
-func (f *Fleet) runShards(fn func(i int) error) error {
-	n := len(f.shards)
-	workers := f.cfg.Workers
-	if workers > n {
-		workers = n
+	var wg sync.WaitGroup
+	for w := 1; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
 	}
-	errs := make([]error, n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			errs[i] = fn(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					errs[i] = fn(i)
-				}
-			}()
-		}
-		for i := 0; i < n; i++ {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	work()
+	wg.Wait()
+	return first
 }
 
 // Stats aggregates a fleet churn run. PerShard is indexed by shard.
@@ -919,7 +903,7 @@ func (f *Fleet) Finish() (*Stats, error) {
 		return nil, err
 	}
 	per := make([]fpga.ChurnStats, len(f.shards))
-	err := f.runShards(func(i int) error {
+	err := fanOut(len(f.shards), f.cfg.Workers, func(i int) error {
 		o := f.shards[i]
 		sched := o.Schedule()
 		sim, simErr := sched.Simulate()

@@ -2,8 +2,10 @@ package fleet
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"strippack/internal/fpga"
@@ -227,5 +229,35 @@ func TestPerShardAdmission(t *testing.T) {
 	}
 	if got := f.Shard(1).Load().Rejected; got != 4 {
 		t.Fatalf("bounded shard rejected %d, want 4", got)
+	}
+}
+
+// TestFanOutLowestError: for any worker count, every index runs exactly
+// once and the error of the lowest failing index is the one returned.
+func TestFanOutLowestError(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 8, 100} {
+		for n := 1; n <= 40; n += 3 {
+			calls := make([]atomic.Int32, n)
+			fails := func(j int) bool { return j%7 == 5 || j == n-1 }
+			err := fanOut(n, workers, func(j int) error {
+				calls[j].Add(1)
+				if fails(j) {
+					return fmt.Errorf("index %d", j)
+				}
+				return nil
+			})
+			for j := range calls {
+				if c := calls[j].Load(); c != 1 {
+					t.Fatalf("workers %d, n %d: index %d ran %d times", workers, n, j, c)
+				}
+			}
+			want := n - 1
+			if n > 5 {
+				want = 5
+			}
+			if err == nil || err.Error() != fmt.Sprintf("index %d", want) {
+				t.Fatalf("workers %d, n %d: error %v, want index %d", workers, n, err, want)
+			}
+		}
 	}
 }

@@ -44,13 +44,16 @@ import "strippack/internal/geom"
 
 // colIndex is an arena of intrusive doubly-linked list nodes, one list per
 // device column, holding the waiting tasks that occupy the column in
-// increasing start order. Node ids are recycled through a free list, so a
-// long churn run allocates O(max backlog x cols) nodes total.
+// increasing start order. A waiting task of width w owns one block of w
+// consecutive nodes — node base+j sits in column FirstCol+j's list — so
+// the block base is all the task needs to keep. Freed blocks are recycled
+// through per-width free lists, so a long churn run allocates nodes only
+// while the backlog of some width is above its earlier peak.
 type colIndex struct {
-	head, tail []int32 // per column, -1 = empty
-	next, prev []int32 // per node, -1 = none
-	task       []int32 // per node: task index
-	free       []int32 // recycled node ids
+	head, tail []int32   // per column, -1 = empty
+	next, prev []int32   // per node, -1 = none
+	task       []int32   // per node: task index
+	free       [][]int32 // per width: recycled block bases (grown on demand)
 }
 
 func newColIndex(cols int) *colIndex {
@@ -61,22 +64,36 @@ func newColIndex(cols int) *colIndex {
 	return x
 }
 
-func (x *colIndex) alloc(taskIdx int) int32 {
-	if n := len(x.free); n > 0 {
-		id := x.free[n-1]
-		x.free = x.free[:n-1]
-		x.task[id] = int32(taskIdx)
-		return id
+// alloc returns the base of a block of w nodes owned by taskIdx, reusing
+// a freed block of the same width when there is one.
+func (x *colIndex) alloc(w, taskIdx int) int32 {
+	var base int32
+	if w < len(x.free) && len(x.free[w]) > 0 {
+		f := x.free[w]
+		base, x.free[w] = f[len(f)-1], f[:len(f)-1]
+	} else {
+		base = int32(len(x.task))
+		x.task = append(x.task, make([]int32, w)...)
+		x.next = append(x.next, make([]int32, w)...)
+		x.prev = append(x.prev, make([]int32, w)...)
 	}
-	x.task = append(x.task, int32(taskIdx))
-	x.next = append(x.next, -1)
-	x.prev = append(x.prev, -1)
-	return int32(len(x.task) - 1)
+	for id := base; id < base+int32(w); id++ {
+		x.task[id] = int32(taskIdx)
+	}
+	return base
 }
 
-// pushTail appends a node for taskIdx to column c's list.
-func (x *colIndex) pushTail(c int, taskIdx int) int32 {
-	id := x.alloc(taskIdx)
+// release recycles the block of w nodes at base; its nodes must already
+// be unlinked.
+func (x *colIndex) release(base int32, w int) {
+	if w >= len(x.free) {
+		x.free = append(x.free, make([][]int32, w+1-len(x.free))...)
+	}
+	x.free[w] = append(x.free[w], base)
+}
+
+// pushTail appends node id to column c's list.
+func (x *colIndex) pushTail(c int, id int32) {
 	x.next[id] = -1
 	x.prev[id] = x.tail[c]
 	if x.tail[c] >= 0 {
@@ -85,10 +102,9 @@ func (x *colIndex) pushTail(c int, taskIdx int) int32 {
 		x.head[c] = id
 	}
 	x.tail[c] = id
-	return id
 }
 
-// remove unlinks node id from column c's list and recycles it.
+// remove unlinks node id from column c's list.
 func (x *colIndex) remove(c int, id int32) {
 	p, n := x.prev[id], x.next[id]
 	if p >= 0 {
@@ -101,7 +117,6 @@ func (x *colIndex) remove(c int, id int32) {
 	} else {
 		x.tail[c] = p
 	}
-	x.free = append(x.free, id)
 }
 
 // linkWaiting inserts a newly placed waiting task at the tail of its
@@ -127,25 +142,32 @@ func (o *OnlineScheduler) linkWaiting(idx int) {
 	if floor+o.device.ReconfigDelay < t.Start-geom.Eps {
 		o.slackQ = append(o.slackQ, idx)
 	}
-	nodes := make([]int32, t.Cols)
-	for j := range nodes {
-		nodes[j] = o.cidx.pushTail(t.FirstCol+j, idx)
+	o.link(idx)
+}
+
+// link appends a waiting task to the tail of its columns' lists.
+func (o *OnlineScheduler) link(idx int) {
+	t := &o.tasks[idx]
+	base := o.cidx.alloc(t.Cols, idx)
+	for j := 0; j < t.Cols; j++ {
+		o.cidx.pushTail(t.FirstCol+j, base+int32(j))
 	}
-	o.taskNodes[idx] = nodes
+	o.taskNodes[idx] = base
 }
 
 // unlinkWaiting removes a task (promoted to started, or shed) from the
 // per-column lists.
 func (o *OnlineScheduler) unlinkWaiting(idx int) {
-	nodes := o.taskNodes[idx]
-	if nodes == nil {
+	base := o.taskNodes[idx]
+	if base < 0 {
 		return
 	}
-	t := o.tasks[idx]
-	for j, n := range nodes {
-		o.cidx.remove(t.FirstCol+j, n)
+	t := &o.tasks[idx]
+	for j := 0; j < t.Cols; j++ {
+		o.cidx.remove(t.FirstCol+j, base+int32(j))
 	}
-	o.taskNodes[idx] = nil
+	o.cidx.release(base, t.Cols)
+	o.taskNodes[idx] = -1
 }
 
 // pushCand queues a waiting task for re-evaluation by the running
@@ -209,10 +231,10 @@ func (o *OnlineScheduler) runCompact() {
 		if floor < o.now {
 			floor = o.now
 		}
-		nodes := o.taskNodes[idx]
-		for j, n := range nodes {
+		base := o.taskNodes[idx]
+		for j := 0; j < t.Cols; j++ {
 			p := o.fixedEnd[t.FirstCol+j]
-			if pv := o.cidx.prev[n]; pv >= 0 {
+			if pv := o.cidx.prev[base+int32(j)]; pv >= 0 {
 				p = o.tasks[o.cidx.task[pv]].End()
 			}
 			if p > floor {
@@ -230,7 +252,7 @@ func (o *OnlineScheduler) runCompact() {
 		if a := o.actual[idx]; a == a { // registered lifetime (not NaN)
 			o.compQ.push(s+a, idx)
 		}
-		for _, n := range nodes {
+		for n := base; n < base+int32(t.Cols); n++ {
 			if nx := o.cidx.next[n]; nx >= 0 {
 				o.pushCand(int(o.cidx.task[nx]))
 			}

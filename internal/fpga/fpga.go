@@ -122,7 +122,7 @@ func (s *Schedule) Simulate() (*Stats, error) {
 		start bool
 		idx   int
 	}
-	var evs []event
+	evs := make([]event, 0, 2*len(s.Tasks))
 	for idx, task := range s.Tasks {
 		if task.FirstCol < 0 || task.FirstCol+task.Cols > d.Columns {
 			return nil, fmt.Errorf("fpga: task %d columns [%d,%d) outside device of %d columns",

@@ -126,7 +126,7 @@ type OnlineScheduler struct {
 	// Compaction state, maintained only when policy == ReclaimCompact.
 	fixedEnd  []float64 // per column: latest end among started/completed tasks
 	cidx      *colIndex // per-column waiting lists in start order
-	taskNodes [][]int32 // per waiting task: its colIndex nodes (nil otherwise)
+	taskNodes []int32   // per task: its colIndex block base (-1 unless waiting)
 	candQ     taskHeap  // compaction worklist, keyed by Start
 	inCand    []bool    // per task: queued in candQ
 	slackQ    []int     // waiting tasks placed above the compacted profile
@@ -290,7 +290,7 @@ func (o *OnlineScheduler) submit(id int, name string, cols int, duration, actual
 	o.started = append(o.started, false)
 	o.actual = append(o.actual, actual)
 	if o.policy == ReclaimCompact {
-		o.taskNodes = append(o.taskNodes, nil)
+		o.taskNodes = append(o.taskNodes, -1)
 		o.inCand = append(o.inCand, false)
 	}
 	if occupancy <= o.now+geom.Eps {
@@ -398,7 +398,8 @@ func (o *OnlineScheduler) shedTask(idx int) {
 	case NoReclaim, Reclaim:
 		o.horizon.free(t.FirstCol, t.FirstCol+t.Cols, t.End(), t.Start-o.device.ReconfigDelay)
 	case ReclaimCompact:
-		for _, n := range o.taskNodes[idx] {
+		base := o.taskNodes[idx]
+		for n := base; n < base+int32(t.Cols); n++ {
 			if nx := o.cidx.next[n]; nx >= 0 {
 				o.pushCand(int(o.cidx.task[nx]))
 			}

@@ -167,7 +167,7 @@ func RestoreScheduler(s *Snapshot) (*OnlineScheduler, error) {
 	}
 	if o.policy == ReclaimCompact {
 		o.fixedEnd = slices.Clone(s.FixedEnd)
-		o.taskNodes = make([][]int32, len(o.tasks))
+		o.taskNodes = slices.Repeat([]int32{-1}, len(o.tasks))
 		o.inCand = make([]bool, len(o.tasks))
 		o.slackQ = slices.Clone(s.Slack)
 		// Rebuild the per-column lists in increasing start order (ties by
@@ -183,12 +183,7 @@ func RestoreScheduler(s *Snapshot) (*OnlineScheduler, error) {
 			}
 		})
 		for _, idx := range waiting {
-			t := o.tasks[idx]
-			nodes := make([]int32, t.Cols)
-			for j := range nodes {
-				nodes[j] = o.cidx.pushTail(t.FirstCol+j, idx)
-			}
-			o.taskNodes[idx] = nodes
+			o.link(idx)
 		}
 	}
 	return o, nil

@@ -160,9 +160,9 @@ func TestCheckpointCorruption(t *testing.T) {
 
 	cases := []struct {
 		name string
-		data []byte         // file contents; nil = missing file
-		cfg  fleet.Config   // fleet to recover into
-		min  uint64         // minEpoch
+		data []byte       // file contents; nil = missing file
+		cfg  fleet.Config // fleet to recover into
+		min  uint64       // minEpoch
 		want error
 	}{
 		{"missing file", nil, cfg, 1, ErrBadCheckpoint},

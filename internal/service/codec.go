@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"strippack/internal/fleet"
 	"strippack/internal/fpga"
@@ -53,8 +54,31 @@ const (
 
 // maxFrame bounds a frame payload (1 GiB): large enough for a snapshot
 // of a multi-million-task shard, small enough to fail fast on a
-// corrupted length prefix instead of attempting an absurd allocation.
+// corrupted length prefix. The length prefix is untrusted, so readFrame
+// never allocates for it up front: storage grows with the bytes that
+// actually arrive.
 const maxFrame = 1 << 30
+
+// frameChunk is the most storage readFrame adds ahead of the bytes
+// received so far: a frame's first allocation is at most this, and each
+// later one at most doubles what has already arrived.
+const frameChunk = 64 << 10
+
+// maxKeptBuf caps, in bytes, each buffer a connection (server or client
+// side) keeps between frames. A frame or encoding that outgrew it, such
+// as a large snapshot, is served from buffers that are dropped
+// afterwards, so one large message does not pin its memory for the
+// connection's life. A 1,024-task submit frame, its decoded specs and its
+// response are each about 30-60 KB, well inside it.
+const maxKeptBuf = 256 << 10
+
+// keep returns b emptied for reuse, or nil when it outgrew maxKeptBuf.
+func keep(b []byte) []byte {
+	if cap(b) > maxKeptBuf {
+		return nil
+	}
+	return b[:0]
+}
 
 var (
 	// ErrMalformed marks a frame or body that does not decode.
@@ -75,36 +99,48 @@ func writeFrame(w io.Writer, payload []byte) error {
 }
 
 // readFrame reads one length-prefixed frame from a ByteReader that is
-// also an io.Reader (e.g. *bufio.Reader).
+// also an io.Reader (e.g. *bufio.Reader) into buf's storage and returns
+// the payload, which aliases buf unless it had to grow. Growth is bounded
+// by what arrives (see frameChunk), so a header claiming maxFrame
+// followed by a closed connection costs one chunk, not 1 GiB.
 func readFrame(r interface {
 	io.Reader
 	io.ByteReader
-}) ([]byte, error) {
+}, buf []byte) ([]byte, error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
-		return nil, err
+		return buf[:0], err
 	}
 	if n > maxFrame {
-		return nil, fmt.Errorf("%w: %d-byte frame exceeds limit", ErrMalformed, n)
+		return buf[:0], fmt.Errorf("%w: %d-byte frame exceeds limit", ErrMalformed, n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	size := int(n)
+	buf = buf[:0]
+	for len(buf) < size {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(size-len(buf), max(len(buf), frameChunk)))
 		}
-		return nil, err
+		end := min(size, cap(buf))
+		k, err := io.ReadFull(r, buf[len(buf):end])
+		buf = buf[:len(buf)+k]
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return buf, err
+		}
 	}
-	return payload, nil
+	return buf, nil
 }
 
 // enc appends primitives to a buffer.
 type enc struct{ b []byte }
 
-func (e *enc) op(v byte)      { e.b = append(e.b, v) }
-func (e *enc) uint(v uint64)  { e.b = binary.AppendUvarint(e.b, v) }
-func (e *enc) int(v int)      { e.b = binary.AppendVarint(e.b, int64(v)) }
-func (e *enc) i64(v int64)    { e.b = binary.AppendVarint(e.b, v) }
-func (e *enc) f64(v float64)  { e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v)) }
+func (e *enc) op(v byte)     { e.b = append(e.b, v) }
+func (e *enc) uint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
+func (e *enc) int(v int)     { e.b = binary.AppendVarint(e.b, int64(v)) }
+func (e *enc) i64(v int64)   { e.b = binary.AppendVarint(e.b, v) }
+func (e *enc) f64(v float64) { e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v)) }
 func (e *enc) bool(v bool) {
 	var x byte
 	if v {
@@ -112,8 +148,8 @@ func (e *enc) bool(v bool) {
 	}
 	e.b = append(e.b, x)
 }
-func (e *enc) str(s string)   { e.uint(uint64(len(s))); e.b = append(e.b, s...) }
-func (e *enc) count(n int)    { e.uint(uint64(n)) }
+func (e *enc) str(s string) { e.uint(uint64(len(s))); e.b = append(e.b, s...) }
+func (e *enc) count(n int)  { e.uint(uint64(n)) }
 
 // dec consumes primitives from a buffer with a sticky error: after the
 // first failure every getter returns the zero value, so decoders can be
@@ -227,6 +263,10 @@ func (d *dec) done() error {
 }
 
 // ---- composite encodings ----
+
+// minSpecBytes is the shortest encoding of a TaskSpec: one byte each for
+// the ID, the name's length and the column count, and 8 per float.
+const minSpecBytes = 3 + 3*8
 
 func (e *enc) taskSpec(sp *fpga.TaskSpec) {
 	e.int(sp.ID)

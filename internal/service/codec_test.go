@@ -3,9 +3,15 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"math"
+	"net"
 	"reflect"
+	"runtime"
 	"testing"
+	"testing/iotest"
 
 	"strippack/internal/fleet"
 	"strippack/internal/fpga"
@@ -20,8 +26,10 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 	}
 	r := bufio.NewReader(&buf)
+	var storage []byte // reused across frames, as a connection does
 	for _, want := range payloads {
-		got, err := readFrame(r)
+		got, err := readFrame(r, storage)
+		storage = got
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,8 +40,77 @@ func TestFrameRoundTrip(t *testing.T) {
 	// A length prefix beyond maxFrame must fail before allocating.
 	var e enc
 	e.uint(maxFrame + 1)
-	if _, err := readFrame(bufio.NewReader(bytes.NewReader(e.b))); err == nil {
+	if _, err := readFrame(bufio.NewReader(bytes.NewReader(e.b)), nil); err == nil {
 		t.Fatal("oversized frame accepted")
+	}
+}
+
+// TestReadFrameBoundedAllocation: the length prefix is untrusted, so a
+// header claiming a maxFrame payload that never arrives must fail with
+// io.ErrUnexpectedEOF after allocating well under 1 MiB, and a payload
+// that does arrive in full is read whole however it is chunked. Server
+// and client keep no buffer past maxKeptBuf bytes between frames.
+func TestReadFrameBoundedAllocation(t *testing.T) {
+	var hdr enc
+	hdr.uint(maxFrame)
+	var ms0, ms1 runtime.MemStats
+	const runs = 8
+	runtime.ReadMemStats(&ms0)
+	for i := 0; i < runs; i++ {
+		_, err := readFrame(bufio.NewReader(bytes.NewReader(hdr.b)), nil)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("truncated maxFrame header: err = %v, want io.ErrUnexpectedEOF", err)
+		}
+	}
+	runtime.ReadMemStats(&ms1)
+	if per := (ms1.TotalAlloc - ms0.TotalAlloc) / runs; per >= 1<<20 {
+		t.Fatalf("a 5-byte header claiming %d bytes allocated %d bytes", maxFrame, per)
+	}
+	// A payload several chunks long, delivered one byte per Read, arrives
+	// intact; storage that outgrew maxKeptBuf is not kept.
+	big := bytes.Repeat([]byte{0x5a}, 3*maxKeptBuf/2)
+	var frame bytes.Buffer
+	if err := writeFrame(&frame, big); err != nil {
+		t.Fatal(err)
+	}
+	got, err := readFrame(bufio.NewReader(iotest.OneByteReader(&frame)), make([]byte, 0, 10))
+	if err != nil || !bytes.Equal(got, big) {
+		t.Fatalf("chunked read: %d bytes, err %v", len(got), err)
+	}
+	if keep(got) != nil {
+		t.Fatal("a buffer past maxKeptBuf was kept")
+	}
+	if b := keep(make([]byte, 7, 64)); b == nil || len(b) != 0 || cap(b) != 64 {
+		t.Fatal("a small buffer was not kept for reuse")
+	}
+	// A served connection drops a spec buffer past maxKeptBuf bytes even
+	// when the payload it was decoded from is small enough to keep.
+	var cb connBuf
+	srv := NewServer(stubPlacer{})
+	for _, n := range []int{1024, maxKeptSpecs + 1} {
+		payload := submitPayload(0, make([]fpga.TaskSpec, n))
+		if resp := srv.handle(&cb, payload); resp[0] != opPlacements {
+			t.Fatalf("%d-spec submit: opcode %d", n, resp[0])
+		}
+		cb.reset(payload)
+		if kept := cap(cb.specs) > 0; kept != (n <= maxKeptSpecs) || cap(cb.frame) == 0 {
+			t.Fatalf("%d-spec submit: kept %d specs and %d payload bytes", n, cap(cb.specs), cap(cb.frame))
+		}
+	}
+	// A Client's request encoding past maxKeptBuf is dropped once its call
+	// has returned; a small one is kept for the next request.
+	cc, sc := net.Pipe()
+	defer cc.Close()
+	go NewServer(stubPlacer{}).Serve(sc)
+	c := NewClient(cc)
+	if err := c.RestoreShard(0, &fpga.Snapshot{Horizon: make([]float64, maxKeptBuf/8)}); err != nil {
+		t.Fatal(err)
+	}
+	if c.req.b != nil {
+		t.Fatalf("a %d-byte restore request was kept after its call", cap(c.req.b))
+	}
+	if err := c.RestoreShard(0, &fpga.Snapshot{}); err != nil || cap(c.req.b) == 0 {
+		t.Fatalf("a small restore request was not kept for reuse (err %v)", err)
 	}
 }
 
@@ -102,6 +179,14 @@ func TestCountGuard(t *testing.T) {
 	if n := d.count(8); n != 0 || d.err == nil {
 		t.Fatalf("count guard: n=%d err=%v", n, d.err)
 	}
+	// A submit whose body cannot hold the specs it claims is malformed,
+	// and the connection's reused spec buffer is not grown for it.
+	body := binary.AppendUvarint([]byte{opSubmit, 0}, 1000)
+	body = append(body, make([]byte, 1000)...)
+	var cb connBuf
+	if resp := NewServer(stubPlacer{}).handle(&cb, body); resp[0] != opErr || cap(cb.specs) != 0 {
+		t.Fatalf("short submit body: opcode %d, spec buffer of %d", resp[0], cap(cb.specs))
+	}
 }
 
 func TestSnapshotCodecRoundTrip(t *testing.T) {
@@ -164,9 +249,9 @@ func TestStatsAndInfoCodecRoundTrip(t *testing.T) {
 
 	in := &Info{
 		Shards: 3, Cols: []int{4, 4, 8}, ReconfigDelay: 0.25,
-		Policy: fpga.ReclaimCompact,
+		Policy:    fpga.ReclaimCompact,
 		Admission: fpga.AdmissionConfig{Policy: fpga.AdmitShed, MaxBacklog: 16},
-		Route: fleet.RouteLeast, Seed: -9,
+		Route:     fleet.RouteLeast, Seed: -9,
 		Tenants: []TenantInfo{
 			{Name: "alpha", First: 0, Count: 2, Route: fleet.RouteRR},
 			{Name: "beta", First: 2, Count: 1, Route: fleet.RouteP2C},
@@ -212,7 +297,15 @@ func FuzzServiceCodec(f *testing.F) {
 	e.taskSpec(&fpga.TaskSpec{ID: 3, Name: "n", Cols: 2, Duration: 1.5, Release: 0.5})
 	f.Add(byte(3), e.b)
 	f.Add(byte(4), []byte{opSubmit, 2, 1})
+	f.Add(byte(4), submitPayload(0, []fpga.TaskSpec{{ID: 1, Cols: 2, Duration: 1}, {ID: 2, Name: "x", Cols: 1, Duration: 2}}))
+	f.Add(byte(4), []byte{opHello})
+	f.Add(byte(4), []byte{opEpoch})
 
+	// Every dispatched input is served from one connection's buffers, as
+	// a long-lived connection would; each response must still equal the
+	// one fresh buffers give.
+	srv := NewServer(stubPlacer{})
+	var conn connBuf
 	f.Fuzz(func(t *testing.T, which byte, data []byte) {
 		switch which % 5 {
 		case 0:
@@ -264,10 +357,12 @@ func FuzzServiceCodec(f *testing.F) {
 		case 4:
 			// The server request dispatcher itself must never panic on an
 			// arbitrary payload; errors come back as opErr frames.
-			srv := NewServer(stubPlacer{})
-			resp := srv.handle(data)
+			resp := srv.handle(&conn, data)
 			if len(resp) == 0 {
 				t.Fatal("handle returned an empty response")
+			}
+			if fresh := srv.handle(&connBuf{}, data); !bytes.Equal(resp, fresh) {
+				t.Fatalf("reused buffers answer % x, fresh buffers % x", resp, fresh)
 			}
 		}
 	})
@@ -281,8 +376,8 @@ func (stubPlacer) Info() (*Info, error) { return &Info{}, nil }
 func (stubPlacer) Submit(int, []fpga.TaskSpec) ([]fleet.Placement, error) {
 	return nil, nil
 }
-func (stubPlacer) Drain() error                            { return nil }
-func (stubPlacer) Loads() ([]fpga.LoadStats, error)        { return nil, nil }
+func (stubPlacer) Drain() error                     { return nil }
+func (stubPlacer) Loads() ([]fpga.LoadStats, error) { return nil, nil }
 func (stubPlacer) SnapshotShard(int) (*fpga.Snapshot, error) {
 	return &fpga.Snapshot{}, nil
 }

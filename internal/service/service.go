@@ -25,10 +25,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"strippack/internal/fleet"
 	"strippack/internal/fpga"
@@ -44,7 +46,9 @@ type Placer interface {
 	// meters.
 	Info() (*Info, error)
 	// Submit routes one batch within tenant ti and returns the
-	// placements in shard-index order.
+	// placements in shard-index order. Submit must not keep specs, or
+	// anything pointing into it, after it returns: Server decodes every
+	// frame into the same per-connection slice.
 	Submit(ti int, specs []fpga.TaskSpec) ([]fleet.Placement, error)
 	// Drain processes every registered completion on every shard.
 	Drain() error
@@ -214,6 +218,29 @@ func (s *Server) laneOfShard(i int) int {
 	return s.laneOf[i]
 }
 
+// connBuf is one served connection's reusable storage: the request
+// payload, the specs a submit decodes into, and the response encoding.
+// Every frame overwrites all three, which is why Placer.Submit must not
+// keep its specs.
+type connBuf struct {
+	frame []byte
+	specs []fpga.TaskSpec
+	out   enc
+}
+
+// maxKeptSpecs is the most specs whose storage fits in maxKeptBuf.
+const maxKeptSpecs = maxKeptBuf / int(unsafe.Sizeof(fpga.TaskSpec{}))
+
+// reset readies the buffers for the next frame after payload was served,
+// dropping any that outgrew maxKeptBuf bytes.
+func (cb *connBuf) reset(payload []byte) {
+	if cap(cb.specs) > maxKeptSpecs {
+		cb.specs = nil
+	}
+	cb.frame = keep(payload)
+	cb.out.b = keep(cb.out.b)
+}
+
 // Serve handles framed requests on one connection until EOF (clean
 // disconnect, returns nil) or a transport/framing error. Request
 // execution errors are returned to the client as opErr responses and do
@@ -221,31 +248,36 @@ func (s *Server) laneOfShard(i int) int {
 func (s *Server) Serve(conn io.ReadWriter) error {
 	r := bufio.NewReaderSize(conn, 1<<16)
 	w := bufio.NewWriterSize(conn, 1<<16)
+	var cb connBuf
 	for {
-		payload, err := readFrame(r)
+		payload, err := readFrame(r, cb.frame)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil
 			}
 			return err
 		}
-		resp := s.handle(payload)
+		resp := s.handle(&cb, payload)
 		if err := writeFrame(w, resp); err != nil {
 			return err
 		}
 		if err := w.Flush(); err != nil {
 			return err
 		}
+		cb.reset(payload)
 	}
 }
 
 // handle decodes one request, executes it under the owning lane lock (or
-// all lanes for fleet-wide ops) and encodes the response. Decoding runs
-// before any lock is taken — the lane is resolved from the decoded
-// request, and a malformed body never holds up the fleet.
-func (s *Server) handle(payload []byte) []byte {
+// all lanes for fleet-wide ops) and encodes the response into cb.out,
+// which the returned slice aliases. Decoding runs before any lock is
+// taken — the lane is resolved from the decoded request, and a malformed
+// body never holds up the fleet.
+func (s *Server) handle(cb *connBuf, payload []byte) []byte {
+	e := &cb.out
+	e.b = e.b[:0]
 	fail := func(err error) []byte {
-		var e enc
+		e.b = e.b[:0]
 		e.op(opErr)
 		e.str(err.Error())
 		return e.b
@@ -254,7 +286,6 @@ func (s *Server) handle(payload []byte) []byte {
 		return fail(fmt.Errorf("%w: empty request", ErrMalformed))
 	}
 	op, d := payload[0], &dec{b: payload[1:]}
-	var e enc
 	switch op {
 	case opHello:
 		if err := d.done(); err != nil {
@@ -271,11 +302,12 @@ func (s *Server) handle(payload []byte) []byte {
 		e.info(in)
 	case opSubmit:
 		ti := d.int()
-		n := d.count(1)
-		specs := make([]fpga.TaskSpec, n)
+		n := d.count(minSpecBytes)
+		specs := slices.Grow(cb.specs[:0], n)[:n]
 		for i := range specs {
 			specs[i] = d.taskSpec()
 		}
+		cb.specs = specs
 		if err := d.done(); err != nil {
 			return fail(err)
 		}
@@ -469,9 +501,11 @@ func (rc RetryConfig) backoff(n int) time.Duration {
 // ErrEpochChanged. Both mean: resynchronize from Info's meters, then
 // Rebase, then resubmit the unacknowledged tail.
 type Client struct {
-	r *bufio.Reader
-	w *bufio.Writer
-	c io.Closer // nil when conn does not implement io.Closer
+	r     *bufio.Reader
+	w     *bufio.Writer
+	c     io.Closer // nil when conn does not implement io.Closer
+	frame []byte    // response payload storage, reused across calls
+	req   enc       // request encoding, reused across calls
 
 	dial   func() (io.ReadWriter, error) // nil for NewClient clients
 	retry  RetryConfig
@@ -571,8 +605,18 @@ func (c *Client) reconnect() error {
 	return fmt.Errorf("service: reconnect failed after %d attempts: %w", c.retry.Attempts, err)
 }
 
+// request starts a request with opcode op in the client's reused
+// encoding buffer; do releases the buffer once the call has returned.
+func (c *Client) request(op byte) *enc {
+	c.req.b = c.req.b[:0]
+	c.req.op(op)
+	return &c.req
+}
+
 // call sends one request frame and decodes the response, mapping opErr
-// to ErrRemote and any other unexpected opcode to ErrProtocol.
+// to ErrRemote and any other unexpected opcode to ErrProtocol. The
+// returned decoder reads from the client's response storage, so it must
+// be consumed before the next call.
 func (c *Client) call(req []byte, want byte) (*dec, error) {
 	if err := writeFrame(c.w, req); err != nil {
 		return nil, err
@@ -580,7 +624,8 @@ func (c *Client) call(req []byte, want byte) (*dec, error) {
 	if err := c.w.Flush(); err != nil {
 		return nil, err
 	}
-	payload, err := readFrame(c.r)
+	payload, err := readFrame(c.r, c.frame)
+	c.frame = keep(payload)
 	if err != nil {
 		return nil, err
 	}
@@ -605,6 +650,9 @@ func (c *Client) call(req []byte, want byte) (*dec, error) {
 // resend transparently; non-idempotent ones (Submit) surface
 // ErrEpochChanged/ErrInterrupted per the Client contract.
 func (c *Client) do(req []byte, want byte, idempotent bool) (*dec, error) {
+	// A retry re-sends req, so the request buffer may only be released
+	// once the call has returned.
+	defer func() { c.req.b = keep(c.req.b) }()
 	if c.dial == nil {
 		return c.call(req, want)
 	}
@@ -691,8 +739,7 @@ func (c *Client) TriggerCheckpoint() (epoch, seq uint64, err error) {
 }
 
 func (c *Client) Submit(ti int, specs []fpga.TaskSpec) ([]fleet.Placement, error) {
-	var e enc
-	e.op(opSubmit)
+	e := c.request(opSubmit)
 	e.int(ti)
 	e.count(len(specs))
 	for i := range specs {
@@ -742,8 +789,7 @@ func (c *Client) Loads() ([]fpga.LoadStats, error) {
 }
 
 func (c *Client) SnapshotShard(i int) (*fpga.Snapshot, error) {
-	var e enc
-	e.op(opSnapshot)
+	e := c.request(opSnapshot)
 	e.int(i)
 	d, err := c.do(e.b, opSnapData, true)
 	if err != nil {
@@ -757,8 +803,7 @@ func (c *Client) SnapshotShard(i int) (*fpga.Snapshot, error) {
 }
 
 func (c *Client) RestoreShard(i int, s *fpga.Snapshot) error {
-	var e enc
-	e.op(opRestore)
+	e := c.request(opRestore)
 	e.int(i)
 	e.snapshot(s)
 	d, err := c.do(e.b, opOK, true)

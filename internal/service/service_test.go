@@ -1,6 +1,8 @@
 package service
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"math/rand"
 	"net"
@@ -313,6 +315,67 @@ func TestSplitAddr(t *testing.T) {
 	for _, bad := range []string{"", "unix", "udp:x", "tcp:", ":x"} {
 		if _, _, err := SplitAddr(bad); err == nil {
 			t.Fatalf("SplitAddr(%q) accepted", bad)
+		}
+	}
+}
+
+// TestServeBufferReuse: one connection reuses its payload, spec and
+// response buffers across frames, so a large submit followed by smaller
+// requests, a malformed frame and a refused submit must each be answered
+// byte-for-byte as a fresh Server on a fresh connection answers the same
+// request against an identical fleet.
+func TestServeBufferReuse(t *testing.T) {
+	cfg := fleet.Config{
+		Shards: 8, Columns: 16, Policy: fpga.ReclaimCompact,
+		Admission: fpga.AdmissionConfig{Policy: fpga.AdmitShed, MaxBacklog: 64},
+		Tenants:   []fleet.Tenant{{Name: "q", Shards: 8, Route: fleet.RouteLeast, MaxTaskCols: 12}},
+	}
+	specs := fleet.Specs(churnTrace(t, 17, 1024+3+16, 12, 0.8*8), 0)
+	three := submitPayload(0, specs[1024:1027])
+	wide := []fpga.TaskSpec{{ID: 5000, Cols: 14, Duration: 1}}
+	requests := [][]byte{
+		submitPayload(0, specs[:1024]),
+		three,
+		three[:len(three)-1], // truncated body: malformed
+		submitPayload(0, wide),
+		submitPayload(0, specs[1027:]),
+	}
+	roundTrip := func(conn net.Conn, r *bufio.Reader, req []byte) []byte {
+		if err := writeFrame(conn, req); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := readFrame(r, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	serve := func(f *fleet.Fleet) (net.Conn, *bufio.Reader) {
+		cc, sc := net.Pipe()
+		go NewServer(Local{Fleet: f}).Serve(sc)
+		return cc, bufio.NewReader(cc)
+	}
+	reused, err := fleet.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := fleet.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, r := serve(reused)
+	defer conn.Close()
+	wantOp := []byte{opPlacements, opPlacements, opErr, opErr, opPlacements}
+	for i, req := range requests {
+		got := roundTrip(conn, r, req)
+		fc, fr := serve(fresh)
+		want := roundTrip(fc, fr, req)
+		fc.Close()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("request %d: reused connection answers %d bytes, fresh server %d bytes", i, len(got), len(want))
+		}
+		if got[0] != wantOp[i] {
+			t.Fatalf("request %d: opcode %d, want %d", i, got[0], wantOp[i])
 		}
 	}
 }
