@@ -12,6 +12,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
@@ -767,21 +768,21 @@ func BenchmarkServiceTenantParallel(b *testing.B) {
 	b.ReportMetric(float64(runtime.NumCPU()), "num_cpu")
 }
 
-// BenchmarkCheckpoint64Shards measures one durable checkpoint — capture,
-// deterministic encode, sha256, atomic temp+rename write — of a 64-shard
-// fleet carrying a 100k-task churn history: the pause placementd's
-// periodic checkpoint inflicts at a batch barrier.
-func BenchmarkCheckpoint64Shards(b *testing.B) {
+// checkpointFleet64 builds the 64-shard fleet the checkpoint benchmarks
+// share: a 100k-task churn history under ReclaimCompact with a shed
+// backlog, so every shard carries waiting tasks and compaction state.
+func checkpointFleet64(b *testing.B) (fleet.Config, *fleet.Fleet) {
 	const (
 		K      = 16
 		shards = 64
 		n      = 100_000
 	)
-	f, err := fleet.New(fleet.Config{
+	cfg := fleet.Config{
 		Shards: shards, Columns: K, Policy: fpga.ReclaimCompact,
 		Admission: fpga.AdmissionConfig{Policy: fpga.AdmitShed, MaxBacklog: 64},
 		Route:     fleet.RouteLeast, Seed: 29,
-	})
+	}
+	f, err := fleet.New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -794,10 +795,19 @@ func BenchmarkCheckpoint64Shards(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	return cfg, f
+}
+
+// BenchmarkCheckpoint64Shards measures one durable checkpoint — capture,
+// deterministic encode, sha256, atomic temp+rename write — of a 64-shard
+// fleet carrying a 100k-task churn history: the pause placementd's
+// periodic checkpoint inflicts at a batch barrier. The reported size is
+// read from the written file after the timed loop.
+func BenchmarkCheckpoint64Shards(b *testing.B) {
+	_, f := checkpointFleet64(b)
 	path := filepath.Join(b.TempDir(), "checkpoint.ckpt")
 	b.ReportAllocs()
 	b.ResetTimer()
-	var bytes int
 	for i := 0; i < b.N; i++ {
 		ck, err := service.CaptureCheckpoint(f, 1, uint64(i+1))
 		if err != nil {
@@ -806,11 +816,38 @@ func BenchmarkCheckpoint64Shards(b *testing.B) {
 		if err := service.WriteCheckpoint(path, ck); err != nil {
 			b.Fatal(err)
 		}
-		bytes = len(service.EncodeCheckpoint(ck))
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(bytes), "bytes")
-	b.ReportMetric(shards, "shards")
+	fi, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(fi.Size()), "bytes")
+	b.ReportMetric(float64(f.Shards()), "shards")
+}
+
+// BenchmarkRecover64Shards measures placementd's -recover of
+// BenchmarkCheckpoint64Shards' file: read, checksum, decode, then restore
+// every shard and lane into a fresh fleet.
+func BenchmarkRecover64Shards(b *testing.B) {
+	cfg, f := checkpointFleet64(b)
+	ck, err := service.CaptureCheckpoint(f, 1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "checkpoint.ckpt")
+	if err := service.WriteCheckpoint(path, ck); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := service.Recover(path, cfg, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(f.Shards()), "shards")
 }
 
 // BenchmarkSnapshotRestore measures the crash-recovery round trip

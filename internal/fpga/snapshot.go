@@ -110,7 +110,8 @@ func (o *OnlineScheduler) Snapshot() *Snapshot {
 // engine that fails later in some far-away placement. The restored
 // scheduler continues byte-identically to the one that was snapshotted.
 func RestoreScheduler(s *Snapshot) (*OnlineScheduler, error) {
-	if err := s.validate(); err != nil {
+	byID, err := s.validate()
+	if err != nil {
 		return nil, err
 	}
 	d := &Device{Columns: s.Columns, ReconfigDelay: s.ReconfigDelay}
@@ -118,6 +119,7 @@ func RestoreScheduler(s *Snapshot) (*OnlineScheduler, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
+	o.byID = byID
 	o.now = s.Now
 	o.tasks = slices.Clone(s.Tasks)
 	o.done = slices.Clone(s.Done)
@@ -138,13 +140,13 @@ func RestoreScheduler(s *Snapshot) (*OnlineScheduler, error) {
 	o.maxWaiting = s.MaxWaiting
 	o.rejected = s.Rejected
 	o.shedIDs = slices.Clone(s.ShedIDs)
-	// Derived state: ID index, counters, event queues (live entries only —
-	// pop order is a pure function of the (key, index) set, so dropping
-	// the stale duplicates the original heaps may have held changes
-	// nothing), and the per-column waiting lists.
+	// Derived state (the ID index came from validate): counters, event
+	// queues (live entries only — pop order is a pure function of the
+	// (key, index) set, so dropping the stale duplicates the original
+	// heaps may have held changes nothing), and the per-column waiting
+	// lists.
 	waiting := make([]int, 0)
 	for i, t := range o.tasks {
-		o.byID[t.ID] = i
 		switch {
 		case o.shed[i]:
 			o.sheds++
@@ -189,9 +191,12 @@ func RestoreScheduler(s *Snapshot) (*OnlineScheduler, error) {
 	return o, nil
 }
 
-func (s *Snapshot) validate() error {
-	bad := func(format string, args ...any) error {
-		return fmt.Errorf("%w: %s", ErrBadSnapshot, fmt.Sprintf(format, args...))
+// validate checks every invariant RestoreScheduler relies on and returns
+// the task ID -> index map it builds while rejecting duplicate IDs, which
+// the restored scheduler adopts as its byID index.
+func (s *Snapshot) validate() (map[int]int, error) {
+	bad := func(format string, args ...any) (map[int]int, error) {
+		return nil, fmt.Errorf("%w: %s", ErrBadSnapshot, fmt.Sprintf(format, args...))
 	}
 	if s == nil {
 		return bad("nil snapshot")
@@ -229,12 +234,12 @@ func (s *Snapshot) validate() error {
 			return bad("horizon[%d] = %g", c, v)
 		}
 	}
-	seen := make(map[int]bool, n)
+	byID := make(map[int]int, n)
 	for i, t := range s.Tasks {
-		if seen[t.ID] {
+		if _, dup := byID[t.ID]; dup {
 			return bad("duplicate task ID %d", t.ID)
 		}
-		seen[t.ID] = true
+		byID[t.ID] = i
 		if t.Cols < 1 || t.FirstCol < 0 || t.FirstCol+t.Cols > s.Columns {
 			return bad("task %d columns [%d, %d) on %d-column device", t.ID, t.FirstCol, t.FirstCol+t.Cols, s.Columns)
 		}
@@ -271,7 +276,7 @@ func (s *Snapshot) validate() error {
 	} else if len(s.FixedEnd) != 0 || len(s.Slack) != 0 {
 		return bad("compaction state under policy %v", s.Policy)
 	}
-	return nil
+	return byID, nil
 }
 
 func finite(v float64) bool {

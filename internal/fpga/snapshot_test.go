@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"maps"
 	"math"
 	"math/rand"
 	"testing"
@@ -125,6 +126,12 @@ func TestSnapshotCanonical(t *testing.T) {
 	c, _ := json.Marshal(r.Snapshot())
 	if !bytes.Equal(a, c) {
 		t.Fatal("restored scheduler's snapshot differs from the original")
+	}
+	// The ID index is derived state the snapshot does not show: restore
+	// takes it from validate, and it must map every task as the
+	// original's does.
+	if !maps.Equal(r.byID, o.byID) {
+		t.Fatal("restored scheduler's ID index differs from the original's")
 	}
 }
 

@@ -28,14 +28,24 @@ package service
 // byte-identically: canonical snapshots restore shard state, LaneState
 // replays routing cursors/rngs/meters, and `make determinism` pins
 // kill+recover+replay against the uninterrupted run.
+//
+// The file is streamed, never built whole in memory: writeCheckpoint
+// encodes the shard snapshots on worker goroutines into a small pool of
+// reused buffers and hashes and writes them in shard order as they come
+// back, so at most 2 × GOMAXPROCS shard encodings are held at once.
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"strippack/internal/fleet"
 	"strippack/internal/fpga"
@@ -96,8 +106,100 @@ func CaptureCheckpoint(f *fleet.Fleet, epoch, seq uint64) (*Checkpoint, error) {
 }
 
 // EncodeCheckpoint returns the checkpoint file bytes: the codec payload
-// followed by its sha256.
+// followed by its sha256 — exactly what WriteCheckpoint writes.
 func EncodeCheckpoint(ck *Checkpoint) []byte {
+	var b bytes.Buffer
+	writeCheckpoint(&b, ck) // a bytes.Buffer never fails a write
+	return b.Bytes()
+}
+
+// encodeClaimed, when non-nil, runs on the encode worker right after it
+// claims shard i and before it encodes it. Tests set it to stall a worker
+// inside that window; it is nil otherwise.
+var encodeClaimed func(i int)
+
+// writeCheckpoint streams the checkpoint file to w: the manifest, every
+// shard's snapshot in shard order, then the sha256 of everything before
+// it. Up to GOMAXPROCS workers encode snapshots ahead of the caller. A
+// worker first takes a buffer from a pool of 2×workers, then claims the
+// next shard index from an atomic counter and hands the encoding back on
+// that shard's own channel, so a claimed shard always owns its buffer and
+// at most 2×workers encodings exist at once. The caller hashes and writes
+// each encoding in shard order and returns its buffer to the pool. On a
+// write error it stops the workers, waits for them and returns the error.
+func writeCheckpoint(w io.Writer, ck *Checkpoint) error {
+	h := sha256.New()
+	put := func(b []byte) error {
+		h.Write(b) // a hash.Hash never fails a write
+		_, err := w.Write(b)
+		return err
+	}
+	if err := put(checkpointManifest(ck)); err != nil {
+		return err
+	}
+
+	n := len(ck.Snaps)
+	workers := min(runtime.GOMAXPROCS(0), n)
+	depth := min(2*workers, n)
+	pool := make(chan []byte, depth)
+	for range depth {
+		pool <- nil
+	}
+	ready := make([]chan []byte, n)
+	for i := range ready {
+		ready[i] = make(chan []byte, 1)
+	}
+	stop := make(chan struct{})
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				var buf []byte
+				select {
+				case buf = <-pool:
+				case <-stop:
+					return
+				}
+				select {
+				case <-stop: // stop wins over a free buffer
+					return
+				default:
+				}
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				if encodeClaimed != nil {
+					encodeClaimed(i)
+				}
+				e := enc{b: buf[:0]}
+				e.snapshot(ck.Snaps[i])
+				ready[i] <- e.b // never blocks: shard i is claimed once
+			}
+		}()
+	}
+	for i := range n {
+		buf := <-ready[i]
+		if err := put(buf); err != nil {
+			close(stop)
+			wg.Wait()
+			return err
+		}
+		pool <- buf // never blocks: at most depth buffers exist
+	}
+	wg.Wait()
+	_, err := w.Write(h.Sum(nil))
+	return err
+}
+
+// checkpointManifest encodes the payload's head: version, epoch, seq,
+// shape, the lane states and the shard count.
+func checkpointManifest(ck *Checkpoint) []byte {
 	var e enc
 	e.uint(checkpointVersion)
 	e.uint(ck.Epoch)
@@ -108,11 +210,7 @@ func EncodeCheckpoint(ck *Checkpoint) []byte {
 		e.laneState(&ck.Lanes[i])
 	}
 	e.count(len(ck.Snaps))
-	for _, s := range ck.Snaps {
-		e.snapshot(s)
-	}
-	sum := sha256.Sum256(e.b)
-	return append(e.b, sum[:]...)
+	return e.b
 }
 
 // DecodeCheckpoint decodes EncodeCheckpoint's output, verifying the
@@ -154,30 +252,32 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	return ck, nil
 }
 
-// WriteCheckpoint atomically writes the checkpoint file: encode to a
-// temp file in the target directory, fsync-free rename over the final
-// path. A crash mid-write leaves the previous checkpoint intact.
+// WriteCheckpoint atomically writes the checkpoint file: stream it to a
+// temp file in the target directory, then an fsync-free rename over the
+// final path. A crash or error mid-write leaves the previous checkpoint
+// intact and no temp file behind.
 func WriteCheckpoint(path string, ck *Checkpoint) error {
-	b := EncodeCheckpoint(ck)
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".ckpt-*")
+	return writeFileAtomic(path, func(w io.Writer) error { return writeCheckpoint(w, ck) })
+}
+
+// writeFileAtomic runs write against a temp file in path's directory and
+// renames the result over path, removing the temp file on any error.
+func writeFileAtomic(path string, write func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".ckpt-*")
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
+	err = write(tmp)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err != nil {
 		os.Remove(tmp.Name())
-		return err
 	}
-	return nil
+	return err
 }
 
 // ReadCheckpoint reads and structurally decodes a checkpoint file.

@@ -1,13 +1,19 @@
 package service
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"strippack/internal/fleet"
 	"strippack/internal/fpga"
@@ -30,7 +36,7 @@ func ckptConfig() fleet.Config {
 }
 
 // churnFleet drives tenant ti with a deterministic stream window.
-func churnFleet(t *testing.T, f *fleet.Fleet, ti, from, to int) {
+func churnFleet(t testing.TB, f *fleet.Fleet, ti, from, to int) {
 	t.Helper()
 	tasks := churnTrace(t, 900+int64(ti), 3000, 8, 0.8*2)
 	for base := from; base < to; base += 150 {
@@ -40,6 +46,14 @@ func churnFleet(t *testing.T, f *fleet.Fleet, ti, from, to int) {
 		}
 	}
 }
+
+// goldenCkptSize and goldenCkptSHA256 pin TestCheckpointFileRoundTrip's
+// checkpoint file: ckptConfig() churned to cut 1500, captured at epoch 3,
+// seq 7.
+const (
+	goldenCkptSize   = 181039
+	goldenCkptSHA256 = "b8cc16cf98991b694c1e330e1dffa2a104a2916790533e3fc197fce0f0217bcf"
+)
 
 // TestCheckpointFileRoundTrip: capture -> encode -> file -> Recover
 // reproduces the fleet byte-identically, and the recovered fleet's tail
@@ -71,6 +85,17 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "checkpoint.ckpt")
 	if err := WriteCheckpoint(path, ck); err != nil {
 		t.Fatal(err)
+	}
+
+	// The file format is pinned: this fixture's file must not change by a
+	// byte unless the format is meant to (which needs a new version).
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := fmt.Sprintf("%x", sha256.Sum256(file)); len(file) != goldenCkptSize || sum != goldenCkptSHA256 {
+		t.Fatalf("checkpoint file is %d bytes with sha256 %s, want %d bytes with %s",
+			len(file), sum, goldenCkptSize, goldenCkptSHA256)
 	}
 
 	// The encoding is deterministic: a second capture of the same state
@@ -225,6 +250,31 @@ func TestCheckpointCorruption(t *testing.T) {
 		}
 	}
 
+	// With several bad shards the reported one is the lowest, whatever
+	// the fleet's worker count.
+	twoBad := remake(func(c *Checkpoint) {
+		for _, i := range []int{4, 1} {
+			s := *c.Snaps[i]
+			s.Done = s.Done[:0]
+			c.Snaps[i] = &s
+		}
+	})
+	twoBadPath := filepath.Join(dir, "shards 1 and 4 invalid")
+	if err := os.WriteFile(twoBadPath, twoBad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 8} {
+		c := cfg
+		c.Workers = workers
+		got, ckGot, err := Recover(twoBadPath, c, 1)
+		if !errors.Is(err, ErrBadCheckpoint) || !strings.Contains(err.Error(), "restore shard 1:") {
+			t.Errorf("shards 1 and 4 invalid, workers %d: err = %v, want shard 1's ErrBadCheckpoint", workers, err)
+		}
+		if got != nil || ckGot != nil {
+			t.Errorf("shards 1 and 4 invalid, workers %d: refused recovery returned state", workers)
+		}
+	}
+
 	// And the untouched original still recovers.
 	path := filepath.Join(dir, "good")
 	if err := os.WriteFile(path, good, 0o644); err != nil {
@@ -281,5 +331,284 @@ func TestWriteCheckpointAtomic(t *testing.T) {
 	}
 	if len(ents) != 1 {
 		t.Fatalf("checkpoint dir has %d entries, want 1", len(ents))
+	}
+}
+
+// wideCkptConfig is a 64-shard fleet: many more shards than the streamed
+// writer has encode buffers, so each buffer is reused many times.
+func wideCkptConfig() fleet.Config {
+	return fleet.Config{
+		Shards: 64, Columns: 8, Policy: fpga.ReclaimCompact,
+		Admission: fpga.AdmissionConfig{Policy: fpga.AdmitShed, MaxBacklog: 16},
+		Route:     fleet.RouteLeast, Seed: 3,
+	}
+}
+
+// wideCkptFleet is a wideCkptConfig fleet with some history on every shard.
+func wideCkptFleet(t *testing.T) *fleet.Fleet {
+	t.Helper()
+	f, err := fleet.New(wideCkptConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks := churnTrace(t, 41, 6400, 8, 0.85*64)
+	for base := 0; base < len(tasks); base += 640 {
+		if _, err := f.SubmitBatch(fleet.Specs(tasks[base:min(base+640, len(tasks))], base)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return f
+}
+
+// TestEncodeCheckpointMatchesWrite: EncodeCheckpoint and WriteCheckpoint
+// share one streamed encoder, so the file holds exactly EncodeCheckpoint's
+// bytes — with one encode worker or several, for one shard or 64.
+func TestEncodeCheckpointMatchesWrite(t *testing.T) {
+	one, err := fleet.New(fleet.Config{Shards: 1, Columns: 8, Policy: fpga.ReclaimCompact})
+	if err != nil {
+		t.Fatal(err)
+	}
+	churnFleet(t, one, 0, 0, 600)
+	fleets := map[string]*fleet.Fleet{"1 shard": one, "64 shards": wideCkptFleet(t)}
+	dir := t.TempDir()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, runtime.GOMAXPROCS(0)} {
+		runtime.GOMAXPROCS(procs)
+		for name, f := range fleets {
+			ck, err := CaptureCheckpoint(f, 2, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, "checkpoint.ckpt")
+			if err := WriteCheckpoint(path, ck); err != nil {
+				t.Fatal(err)
+			}
+			file, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(EncodeCheckpoint(ck), file) {
+				t.Errorf("GOMAXPROCS %d, %s: EncodeCheckpoint differs from the written file", procs, name)
+			}
+		}
+	}
+}
+
+// serialCheckpoint is the checkpoint file encoded on one goroutine, shard
+// after shard: the reference the streamed writer must reproduce.
+func serialCheckpoint(ck *Checkpoint) []byte {
+	b := checkpointManifest(ck)
+	for _, s := range ck.Snaps {
+		b = append(b, EncodeSnapshot(s)...)
+	}
+	sum := sha256.Sum256(b)
+	return append(b, sum[:]...)
+}
+
+// TestWriteCheckpointStalledWorker: an encode worker that stalls between
+// claiming a shard and encoding it, while the other workers run ahead and
+// reuse every other buffer, delays the stream but cannot move its shard.
+// Each run stalls the worker holding one shard at GOMAXPROCS 4 (4 workers,
+// 8 buffers) on 64 shards and compares the bytes with a serial encode.
+func TestWriteCheckpointStalledWorker(t *testing.T) {
+	ck, err := CaptureCheckpoint(wideCkptFleet(t), 2, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := serialCheckpoint(ck)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	defer func() { encodeClaimed = nil }()
+	for _, stalled := range []int{0, 3, 8, 30, 63} {
+		encodeClaimed = func(i int) {
+			if i == stalled {
+				time.Sleep(20 * time.Millisecond)
+			}
+		}
+		if !bytes.Equal(EncodeCheckpoint(ck), want) {
+			t.Errorf("shard %d's worker stalled: encoding differs from the serial encode", stalled)
+		}
+	}
+}
+
+// errInjected is the failure failWriter injects.
+var errInjected = errors.New("injected write failure")
+
+// failWriter passes the first n bytes through to w, then fails.
+type failWriter struct {
+	w io.Writer
+	n int
+}
+
+func (f *failWriter) Write(p []byte) (int, error) {
+	if len(p) <= f.n {
+		f.n -= len(p)
+		return f.w.Write(p)
+	}
+	k, _ := f.w.Write(p[:f.n])
+	f.n = 0
+	return k, errInjected
+}
+
+// settledGoroutines returns the goroutine count once it is at most want,
+// or after a second. A worker that has already signalled its WaitGroup
+// may still be exiting when the writer returns; a leaked one, blocked for
+// good, keeps the count up.
+func settledGoroutines(want int) int {
+	deadline := time.Now().Add(time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= want || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// failedWriteIntact checks what a failed checkpoint write must leave
+// behind in dir: no temp file, no encoder goroutine beyond the goroutines
+// counted before the write, and prevFile at prevPath, still recoverable
+// under cfg.
+func failedWriteIntact(t *testing.T, name, dir string, goroutines int, cfg fleet.Config, prevPath string, prevFile []byte) {
+	t.Helper()
+	if tmp, _ := filepath.Glob(filepath.Join(dir, ".ckpt-*")); len(tmp) != 0 {
+		t.Errorf("%s: temp files left behind: %v", name, tmp)
+	}
+	if n := settledGoroutines(goroutines); n > goroutines {
+		t.Errorf("%s: %d goroutines after the failed write, %d before", name, n, goroutines)
+	}
+	if b, err := os.ReadFile(prevPath); err != nil || !bytes.Equal(b, prevFile) {
+		t.Errorf("%s: previous checkpoint changed (read error %v)", name, err)
+	}
+	if _, _, err := Recover(prevPath, cfg, 1); err != nil {
+		t.Errorf("%s: previous checkpoint no longer recovers: %v", name, err)
+	}
+}
+
+// streamFaults fails WriteCheckpoint's stream of ck over the checkpoint
+// prev already written at path, at byte 0, inside the manifest, inside the
+// first, a middle and the last shard, and at the sha256 trailer.
+func streamFaults(t *testing.T, label string, cfg fleet.Config, path string, prev, ck *Checkpoint) {
+	t.Helper()
+	trailer := len(EncodeCheckpoint(ck)) - sha256.Size
+	shard := make([]int, len(ck.Snaps)+1) // shard i's bytes are [shard[i], shard[i+1])
+	shard[len(ck.Snaps)] = trailer
+	for i := len(ck.Snaps) - 1; i >= 0; i-- {
+		shard[i] = shard[i+1] - len(EncodeSnapshot(ck.Snaps[i]))
+	}
+	inside := func(i int) int { return (shard[i] + shard[i+1]) / 2 }
+	offsets := []struct {
+		name string
+		n    int // bytes written before the failure
+	}{
+		{"byte 0", 0},
+		{"inside the manifest", shard[0] / 2},
+		{"inside the first shard", inside(0)},
+		{"inside a middle shard", inside(len(ck.Snaps) / 2)},
+		{"inside the last shard", inside(len(ck.Snaps) - 1)},
+		{"at the trailer", trailer},
+	}
+	prevFile := EncodeCheckpoint(prev)
+	for _, o := range offsets {
+		name := fmt.Sprintf("%s, fail %s", label, o.name)
+		before := runtime.NumGoroutine()
+		err := writeFileAtomic(path, func(w io.Writer) error {
+			return writeCheckpoint(&failWriter{w: w, n: o.n}, ck)
+		})
+		if !errors.Is(err, errInjected) {
+			t.Errorf("%s: err = %v, want the injected failure", name, err)
+		}
+		failedWriteIntact(t, name, filepath.Dir(path), before, cfg, path, prevFile)
+	}
+}
+
+// TestWriteCheckpointFaults is the writer's disk-fault table: a write
+// that fails anywhere in the stream (through the io.Writer seam, under
+// WriteCheckpoint's own temp-file handling), a temp file that cannot be
+// created and a rename that cannot happen. Every failure returns its
+// error, leaves no temp file and no encoder goroutine behind, and leaves
+// the previous checkpoint byte-identical and recoverable. The stream
+// faults run on 6 shards at one and four encode workers, and on 64 shards
+// at four, where the workers outrun the writer and wait for buffers.
+func TestWriteCheckpointFaults(t *testing.T) {
+	cfg := ckptConfig()
+	f, err := fleet.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ti := 0; ti < f.Tenants(); ti++ {
+		churnFleet(t, f, ti, 0, 900)
+	}
+	prev, err := CaptureCheckpoint(f, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prevFile := EncodeCheckpoint(prev)
+	for ti := 0; ti < f.Tenants(); ti++ {
+		churnFleet(t, f, ti, 900, 1500)
+	}
+	ck, err := CaptureCheckpoint(f, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	path := filepath.Join(dir, "checkpoint.ckpt")
+	if err := WriteCheckpoint(path, prev); err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		streamFaults(t, fmt.Sprintf("6 shards, GOMAXPROCS %d", procs), cfg, path, prev, ck)
+	}
+
+	wide := wideCkptFleet(t)
+	wprev, err := CaptureCheckpoint(wide, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wck, err := CaptureCheckpoint(wide, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wpath := filepath.Join(t.TempDir(), "checkpoint.ckpt")
+	if err := WriteCheckpoint(wpath, wprev); err != nil {
+		t.Fatal(err)
+	}
+	streamFaults(t, "64 shards, GOMAXPROCS 4", wideCkptConfig(), wpath, wprev, wck)
+
+	// CreateTemp fails: the target directory does not exist.
+	before := runtime.NumGoroutine()
+	missing := filepath.Join(dir, "missing", "checkpoint.ckpt")
+	if err := WriteCheckpoint(missing, ck); err == nil {
+		t.Error("write into a missing directory succeeded")
+	}
+	failedWriteIntact(t, "missing directory", dir, before, cfg, path, prevFile)
+
+	// Rename fails: the target is a directory, holding the previous
+	// checkpoint so it is not empty.
+	taken := filepath.Join(dir, "taken")
+	if err := os.Mkdir(taken, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	inside := filepath.Join(taken, "checkpoint.ckpt")
+	if err := WriteCheckpoint(inside, prev); err != nil {
+		t.Fatal(err)
+	}
+	before = runtime.NumGoroutine()
+	if err := WriteCheckpoint(taken, ck); err == nil {
+		t.Error("rename over a non-empty directory succeeded")
+	}
+	failedWriteIntact(t, "rename onto a directory", dir, before, cfg, inside, prevFile)
+	if ents, err := os.ReadDir(taken); err != nil || len(ents) != 1 {
+		t.Errorf("target directory now holds %d entries (read error %v), want 1", len(ents), err)
+	}
+
+	// The fault-free write still lands afterwards.
+	if err := WriteCheckpoint(path, ck); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ReadCheckpoint(path); err != nil || got.Seq != 2 {
+		t.Fatalf("final write: seq %v, err %v", got, err)
 	}
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -278,7 +279,8 @@ func TestStatsAndInfoCodecRoundTrip(t *testing.T) {
 // arbitrary bytes. Two invariants: decoding never panics (the allocation
 // guard and sticky errors hold), and anything that decodes cleanly
 // re-encodes and re-decodes to an equal value (the codec is canonical on
-// its image).
+// its image). Values holding floats are compared by their encodings: a
+// NaN round-trips bit-exactly but is != itself.
 func FuzzServiceCodec(f *testing.F) {
 	o := fpga.NewOnlineSchedulerPolicy(fpga.NewDevice(4), fpga.Reclaim)
 	for i := 0; i < 6; i++ {
@@ -300,6 +302,23 @@ func FuzzServiceCodec(f *testing.F) {
 	f.Add(byte(4), submitPayload(0, []fpga.TaskSpec{{ID: 1, Cols: 2, Duration: 1}, {ID: 2, Name: "x", Cols: 1, Duration: 2}}))
 	f.Add(byte(4), []byte{opHello})
 	f.Add(byte(4), []byte{opEpoch})
+	// Checkpoint payloads (case 5 appends the sha256 trailer): an empty
+	// fleet's, and the one TestCheckpointFileRoundTrip pins.
+	fl, err := fleet.New(ckptConfig())
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, cut := range []int{0, 1500} {
+		for ti := 0; ti < fl.Tenants(); ti++ {
+			churnFleet(f, fl, ti, 0, cut)
+		}
+		ck, err := CaptureCheckpoint(fl, 3, 7)
+		if err != nil {
+			f.Fatal(err)
+		}
+		file := EncodeCheckpoint(ck)
+		f.Add(byte(5), file[:len(file)-sha256.Size])
+	}
 
 	// Every dispatched input is served from one connection's buffers, as
 	// a long-lived connection would; each response must still equal the
@@ -307,7 +326,7 @@ func FuzzServiceCodec(f *testing.F) {
 	srv := NewServer(stubPlacer{})
 	var conn connBuf
 	f.Fuzz(func(t *testing.T, which byte, data []byte) {
-		switch which % 5 {
+		switch which % 6 {
 		case 0:
 			s, err := DecodeSnapshot(data)
 			if err != nil {
@@ -327,7 +346,10 @@ func FuzzServiceCodec(f *testing.F) {
 			var e enc
 			e.stats(st)
 			d2 := &dec{b: e.b}
-			if st2 := d2.stats(); d2.done() != nil || !reflect.DeepEqual(st2, st) {
+			st2 := d2.stats()
+			var e2 enc
+			e2.stats(st2)
+			if d2.done() != nil || !bytes.Equal(e2.b, e.b) {
 				t.Fatal("stats re-decode diverges")
 			}
 		case 2:
@@ -339,7 +361,10 @@ func FuzzServiceCodec(f *testing.F) {
 			var e enc
 			e.info(in)
 			d2 := &dec{b: e.b}
-			if in2 := d2.info(); d2.done() != nil || !reflect.DeepEqual(in2, in) {
+			in2 := d2.info()
+			var e2 enc
+			e2.info(in2)
+			if d2.done() != nil || !bytes.Equal(e2.b, e.b) {
 				t.Fatal("info re-decode diverges")
 			}
 		case 3:
@@ -351,7 +376,10 @@ func FuzzServiceCodec(f *testing.F) {
 			var e enc
 			e.taskSpec(&sp)
 			d2 := &dec{b: e.b}
-			if sp2 := d2.taskSpec(); d2.done() != nil || sp2 != sp {
+			sp2 := d2.taskSpec()
+			var e2 enc
+			e2.taskSpec(&sp2)
+			if d2.done() != nil || !bytes.Equal(e2.b, e.b) {
 				t.Fatal("task spec re-decode diverges")
 			}
 		case 4:
@@ -363,6 +391,26 @@ func FuzzServiceCodec(f *testing.F) {
 			}
 			if fresh := srv.handle(&connBuf{}, data); !bytes.Equal(resp, fresh) {
 				t.Fatalf("reused buffers answer % x, fresh buffers % x", resp, fresh)
+			}
+		case 5:
+			// A checkpoint file comes from disk, so seal the input with
+			// its sha256 to get past the checksum. Whatever decodes must
+			// re-encode to bytes that decode and re-encode to themselves.
+			// (Equality with the input itself cannot hold: uvarints decode
+			// from overlong forms too. Decoded values are not compared:
+			// a NaN float round-trips bit-exactly but is != itself.)
+			sum := sha256.Sum256(data)
+			ck, err := DecodeCheckpoint(append(data[:len(data):len(data)], sum[:]...))
+			if err != nil {
+				return
+			}
+			b := EncodeCheckpoint(ck)
+			ck2, err := DecodeCheckpoint(b)
+			if err != nil {
+				t.Fatalf("checkpoint re-decode fails: %v", err)
+			}
+			if !bytes.Equal(EncodeCheckpoint(ck2), b) {
+				t.Fatal("checkpoint re-encode is not byte-stable")
 			}
 		}
 	})
