@@ -76,7 +76,10 @@ fuzz:
 # (-churn-workers), E14's per-admission-policy fan-out (-admission) and
 # E15's fleet shard-execution fan-out (-fleet-workers); the fleet load
 # harness must stream 1M tasks across 64 shards byte-identically at
-# -fleet-workers 1 vs 8, for both a load-blind and a load-aware -route;
+# -fleet-workers 1 vs 8, for both a load-blind and a load-aware -route,
+# and 300k tasks with a 0.05 reconfiguration delay under reclaim + shed
+# + p2c (the horizon's free path) and under compact (whose Finish
+# simulation caught the delay rounding defect);
 # and the same harness driving a loopback placementd daemon over its
 # unix socket (-connect) must reproduce the in-process output — summary
 # and canonical-snapshot hash — byte for byte, for both routes.
@@ -107,6 +110,14 @@ determinism:
 	$$dir/fleetload -n 1000000 -shards 64 -route least -fleet-workers 8 > $$dir/fleet-least-par.txt && \
 	cmp $$dir/fleet-rr-serial.txt $$dir/fleet-rr-par.txt && \
 	cmp $$dir/fleet-least-serial.txt $$dir/fleet-least-par.txt && \
+	DR="-n 300000 -shards 64 -policy reclaim -admission shed -route p2c -reconfig 0.05" && \
+	DC="-n 300000 -shards 64 -policy compact -reconfig 0.05" && \
+	$$dir/fleetload $$DR -fleet-workers 1 > $$dir/fleet-dr-serial.txt && \
+	$$dir/fleetload $$DR -fleet-workers 8 > $$dir/fleet-dr-par.txt && \
+	$$dir/fleetload $$DC -fleet-workers 1 > $$dir/fleet-dc-serial.txt && \
+	$$dir/fleetload $$DC -fleet-workers 8 > $$dir/fleet-dc-par.txt && \
+	cmp $$dir/fleet-dr-serial.txt $$dir/fleet-dr-par.txt && \
+	cmp $$dir/fleet-dc-serial.txt $$dir/fleet-dc-par.txt && \
 	$(GO) build -o $$dir/placementd ./cmd/placementd && \
 	for route in rr least; do \
 		$$dir/placementd -listen unix:$$dir/pd.sock -shards 64 -route $$route & pd=$$!; \

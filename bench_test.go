@@ -401,9 +401,8 @@ func BenchmarkAPTASEndToEnd(b *testing.B) {
 }
 
 // BenchmarkOnlineSubmit100k pushes 100k tasks through the online
-// scheduler on a 256-column device — the workload the segment-tree horizon
-// (O(log K)-ish submits instead of the old O(K·cols) window scan) exists
-// for.
+// scheduler on a 256-column device — the workload the run-list horizon
+// (O(runs) submits instead of the old O(K·cols) window scan) exists for.
 func BenchmarkOnlineSubmit100k(b *testing.B) {
 	const K = 256
 	const n = 100_000
@@ -432,10 +431,9 @@ func BenchmarkOnlineSubmit100k(b *testing.B) {
 
 // BenchmarkSubmitBatch100k pushes the identical 100k-task stream (same
 // seed, device and task mix as BenchmarkOnlineSubmit100k) through
-// SubmitBatch in chunks of 256. The ratio of the two benchmarks' ns/op is
-// the per-task amortization win of the batch path — one event-queue
-// advance per distinct release, the spliced run cache, the merged
-// candidate streams, and batched slice growth.
+// SubmitBatch in chunks of 256. Both go through the same placement path,
+// so the two benchmarks differ only by the batch's sort and its one-shot
+// slice growth.
 func BenchmarkSubmitBatch100k(b *testing.B) {
 	const K = 256
 	const n = 100_000

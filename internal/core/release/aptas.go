@@ -15,15 +15,7 @@ type Options struct {
 	Epsilon float64
 	// K is the column count: all widths must lie in [strip/K, strip].
 	K int
-	// MaxConfigs caps the configuration enumeration on the ExactLP path
-	// (0 = 1<<20). The default column-generation path never enumerates and
-	// ignores it.
-	MaxConfigs int
-	// ExactLP switches to the eager dense model solved in exact rational
-	// arithmetic (the reference oracle); the default is sparse column
-	// generation (SolveCG).
-	ExactLP bool
-	// CGWorkers is the pricing fan-out of the column-generation path
+	// CGWorkers is the pricing fan-out of the column-generation LP solve
 	// (0 = GOMAXPROCS; results are identical for any value).
 	CGWorkers int
 	// SkipRounding bypasses Lemmas 3.1/3.2 and builds the LP on the raw
@@ -91,30 +83,13 @@ func Pack(in *geom.Instance, opts Options) (*geom.Packing, *Report, error) {
 	}
 
 	rep.AdditiveBound = float64((W + 1) * (R + 1))
-	var fs *FractionalSolution
-	if opts.ExactLP {
-		m, err := BuildModel(reduced, opts.MaxConfigs)
-		if err != nil {
-			return nil, nil, err
-		}
-		rep.Configs = len(m.Configs)
-		rep.LPVars = m.Problem.NumVars
-		rep.LPRows = len(m.Problem.Constraints)
-		fs, err = SolveModel(m, true)
-		if err != nil {
-			return nil, nil, err
-		}
-	} else {
-		var st *CGStats
-		var err error
-		fs, st, err = SolveCG(reduced, CGOptions{Workers: opts.CGWorkers})
-		if err != nil {
-			return nil, nil, err
-		}
-		rep.Configs = len(fs.Model.Configs)
-		rep.LPVars = st.Columns
-		rep.LPRows = st.Rows
+	fs, st, err := SolveCG(reduced, CGOptions{Workers: opts.CGWorkers})
+	if err != nil {
+		return nil, nil, err
 	}
+	rep.Configs = len(fs.Model.Configs)
+	rep.LPVars = st.Columns
+	rep.LPRows = st.Rows
 	rep.DistinctWidths = len(fs.Model.Widths)
 	rep.DistinctReleases = len(fs.Model.Releases)
 	rep.FractionalHeight = fs.Height

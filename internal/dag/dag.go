@@ -322,38 +322,6 @@ func (g *Graph) Levels() ([]int, error) {
 	return lvl, nil
 }
 
-// InducedSubgraph returns the subgraph on the given vertex subset together
-// with the mapping newIndex -> oldIndex. Edges between retained vertices are
-// kept, all others dropped. The subset must not contain duplicates.
-//
-// This materializes a fresh graph and is the reference implementation the
-// SubgraphF property tests check against; hot paths should use SubgraphF,
-// which answers the longest-path question over a subset without allocating.
-func (g *Graph) InducedSubgraph(subset []int) (*Graph, []int, error) {
-	newIdx := make(map[int]int, len(subset))
-	for i, v := range subset {
-		if v < 0 || v >= g.n {
-			return nil, nil, fmt.Errorf("dag: subset vertex %d out of range", v)
-		}
-		if _, dup := newIdx[v]; dup {
-			return nil, nil, fmt.Errorf("dag: duplicate vertex %d in subset", v)
-		}
-		newIdx[v] = i
-	}
-	sub := New(len(subset))
-	for _, v := range subset {
-		for _, w := range g.Out(v) {
-			if j, ok := newIdx[int(w)]; ok {
-				if err := sub.AddEdge(newIdx[v], j); err != nil {
-					return nil, nil, err
-				}
-			}
-		}
-	}
-	old := append([]int(nil), subset...)
-	return sub, old, nil
-}
-
 // Reachable returns the set of vertices reachable from u (excluding u) as a
 // boolean slice.
 func (g *Graph) Reachable(u int) []bool {

@@ -1,11 +1,44 @@
 package dag
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 )
+
+// InducedSubgraph returns the subgraph on the given vertex subset together
+// with the mapping newIndex -> oldIndex. Edges between retained vertices are
+// kept, all others dropped. The subset must not contain duplicates.
+//
+// It materializes a fresh graph and is the reference implementation the
+// SubgraphF property tests check against; production code uses SubgraphF,
+// which answers the longest-path question over a subset without allocating.
+func (g *Graph) InducedSubgraph(subset []int) (*Graph, []int, error) {
+	newIdx := make(map[int]int, len(subset))
+	for i, v := range subset {
+		if v < 0 || v >= g.n {
+			return nil, nil, fmt.Errorf("dag: subset vertex %d out of range", v)
+		}
+		if _, dup := newIdx[v]; dup {
+			return nil, nil, fmt.Errorf("dag: duplicate vertex %d in subset", v)
+		}
+		newIdx[v] = i
+	}
+	sub := New(len(subset))
+	for _, v := range subset {
+		for _, w := range g.Out(v) {
+			if j, ok := newIdx[int(w)]; ok {
+				if err := sub.AddEdge(newIdx[v], j); err != nil {
+					return nil, nil, err
+				}
+			}
+		}
+	}
+	old := append([]int(nil), subset...)
+	return sub, old, nil
+}
 
 // TestSubgraphFMatchesInducedReference is the property test for the
 // allocation-free fast path: on random DAGs and random vertex subsets,

@@ -21,6 +21,22 @@ func churnTrace(t testing.TB, seed int64, n, K int, load float64) []workload.Chu
 	return tasks
 }
 
+// TestReconfigDelayFinish is the fleet-level regression test for the
+// reconfiguration-delay rounding defect: with a nonzero delay, a start
+// computed as occupancy + delay could land one ulp early after crossing a
+// power of two, and Finish's simulation then rejected the shard as
+// double-booked. This is the shape of `fleetload -n 5000 -shards 16 -k 32
+// -policy compact -admission unbounded -reconfig 0.05 -route rr`.
+func TestReconfigDelayFinish(t *testing.T) {
+	const K = 32
+	tasks := churnTrace(t, 1, 5000, K, 0.8*16)
+	cfg := Config{Shards: 16, Columns: K, ReconfigDelay: 0.05,
+		Policy: fpga.ReclaimCompact, Route: RouteRR, Workers: 2}
+	if _, err := RunChurn(tasks, cfg, 1024); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSingleShardMatchesScheduler is the reference-equivalence satellite:
 // a fleet of one K-column shard must reproduce the lone OnlineScheduler
 // byte-identically (canonical snapshot comparison), for every route —

@@ -26,7 +26,7 @@ const (
 	// (lowest submission index) to make room when the backlog is full.
 	// The shed task's reservation is cancelled: under NoReclaim/Reclaim
 	// its window is handed back to the placement horizon; under
-	// ReclaimCompact the placement tree stays pessimistic (the
+	// ReclaimCompact the placement horizon stays pessimistic (the
 	// anomaly-freedom invariant) and waiting tasks compact down onto the
 	// vacated time instead. If no waiting task is left to shed the
 	// submission is rejected with ErrBacklogFull.
@@ -81,7 +81,7 @@ func (c AdmissionConfig) validate() error {
 }
 
 // LoadStats is a point-in-time saturation picture of one scheduler, cheap
-// enough (O(runs) over the horizon tree) for callers to poll before every
+// enough (O(S) over the horizon's S runs) for callers to poll before every
 // submission. Load is the fraction of the promise window that is already
 // committed: committed column-time ahead of the clock divided by
 // Columns x (Horizon - Now). A Load near 1 with a growing Waiting count is

@@ -10,34 +10,17 @@ import (
 // Batched submission.
 //
 // A service shard draining a request queue submits tasks hundreds at a
-// time, and the sequential Submit path makes each one pay for a full run
-// extraction from the segment tree, a candidate sort, and O(log K) pushes
-// per range-max probe. SubmitBatch amortizes all three across the batch:
-//
-//   - The batch is sorted into (release, index) order once, so the event
-//     queue advances once per distinct release instead of once per task.
-//     Skipping the repeat advance is exact, not approximate: every compQ
-//     key pushed after an advance exceeds the clock (Start >= floor and
-//     actual > 0), so no completion can become due until the floor moves,
-//     and the one observable thing a same-floor AdvanceTo could still do —
-//     promote a task that a compaction slide parked exactly at the clock —
-//     is performed inline (see submit).
-//   - The horizon tree keeps its maximal-run decomposition cached across
-//     the batch's assigns (crunsAssign splices each placement into the run
-//     list in place) instead of re-walking the tree per submission, and
-//     bestWindowCached evaluates the identical candidate set with a merged
-//     two-stream generation (no sort) and a monotonic-deque sliding window
-//     maximum (no per-candidate tree query).
-//   - The per-task state slices grow once for the whole batch.
+// time. SubmitBatch sorts the batch into (release, index) order once,
+// grows the per-task state slices once, and then places every spec through
+// the same submit path as Submit and SubmitWithLifetime — one event-queue
+// advance and one run-list window search per task, no batch-only shortcut.
 //
 // Equivalence contract: SubmitBatch(specs) leaves the scheduler in a state
 // byte-identical (per Snapshot) to calling Submit/SubmitWithLifetime for
 // the same specs one at a time in (release, index) order, skipping
 // submissions refused by admission control — including every reject and
 // shed outcome along the way. TestSubmitBatchEquivalence and
-// FuzzSubmitBatch enforce this against the sequential path, which is why
-// the sequential path deliberately keeps its independent tree-walking
-// window search.
+// FuzzSubmitBatch enforce this.
 
 // TaskSpec describes one submission of a batch. Actual == 0 (the zero
 // value) submits by declared duration only, exactly like Submit; a
@@ -89,25 +72,15 @@ func (o *OnlineScheduler) SubmitBatch(specs []TaskSpec) ([]Task, error) {
 	o.batchOrder = order
 	o.grow(len(specs))
 	placed := make([]Task, 0, len(specs))
-	bs := &batchState{}
 	for _, oi := range order {
 		sp := &specs[oi]
-		// SubmitWithLifetime validates the lifetime in its wrapper rather
-		// than in submit, so the batch path must repeat it here — at the
-		// spec's sorted position, so the same spec's error surfaces first.
-		actual := math.NaN()
+		var t Task
+		var err error
 		if sp.Actual != 0 {
-			actual = sp.Actual
-			switch {
-			case math.IsNaN(actual) || math.IsInf(actual, 0):
-				return placed, fmt.Errorf("%w: task %d has non-finite actual lifetime %g", ErrNonFinite, sp.ID, actual)
-			case actual <= 0:
-				return placed, fmt.Errorf("%w: task %d has non-positive actual lifetime %g", ErrInvalidTask, sp.ID, actual)
-			case actual > sp.Duration:
-				return placed, fmt.Errorf("%w: task %d actual lifetime %g exceeds declared duration %g", ErrInvalidTask, sp.ID, actual, sp.Duration)
-			}
+			t, err = o.SubmitWithLifetime(sp.ID, sp.Name, sp.Cols, sp.Duration, sp.Actual, sp.Release)
+		} else {
+			t, err = o.Submit(sp.ID, sp.Name, sp.Cols, sp.Duration, sp.Release)
 		}
-		t, err := o.submit(sp.ID, sp.Name, sp.Cols, sp.Duration, actual, sp.Release, bs)
 		if err != nil {
 			if errors.Is(err, ErrRejected) {
 				continue

@@ -8,8 +8,8 @@ import (
 	"testing"
 )
 
-// randSpecs draws a batch of specs: clustered releases (so batches hit the
-// same-floor fast path), occasional duplicate IDs and invalid geometry (so
+// randSpecs draws a batch of specs: clustered releases (so batches hold
+// tied floors), occasional duplicate IDs and invalid geometry (so
 // the error paths are compared too), and a mix of plain and lifetime
 // submissions.
 func randSpecs(rng *rand.Rand, n, K, idBase int, relBase float64) []TaskSpec {
@@ -132,8 +132,7 @@ func TestSubmitBatchEquivalence(t *testing.T) {
 							policy, ac.Policy, trial, round, a, b)
 					}
 					// Interleave a manual completion so later rounds run over
-					// a reclaimed (non-monotone) horizon with an invalidated
-					// run cache.
+					// a reclaimed (non-monotone) horizon.
 					if len(gotTasks) > 0 && rng.Intn(2) == 0 {
 						ct := gotTasks[rng.Intn(len(gotTasks))]
 						if idx := batched.byID[ct.ID]; !batched.done[idx] && ct.Start+0.01 > batched.now {

@@ -11,7 +11,7 @@ import (
 
 // refEngine is a brute-force O(K·cols) re-implementation of the online
 // scheduler's full Submit/Complete semantics over flat arrays: window
-// scans instead of the segment tree, linear promotion scans instead of the
+// scans instead of the run list, linear promotion scans instead of the
 // start heap, and a full-array rebuild for compaction. The production
 // scheduler must reproduce its placements, truncations, slides and
 // horizons bit for bit.
@@ -62,7 +62,7 @@ func (e *refEngine) submit(id, cols int, duration, actual, release float64) (int
 			bestStart, bestCol = start, c
 		}
 	}
-	bestStart += e.delay
+	bestStart = startAfter(bestStart, e.delay)
 	t := refTask{id: id, firstCol: bestCol, cols: cols, start: bestStart,
 		duration: duration, release: release, actual: actual}
 	end := bestStart + duration
@@ -193,7 +193,7 @@ func (e *refEngine) compact() {
 				floor = cur[c]
 			}
 		}
-		if s := floor + e.delay; s < t.start-geom.Eps {
+		if s := startAfter(floor, e.delay); s < t.start-geom.Eps {
 			t.start = s
 		}
 		for c := t.firstCol; c < t.firstCol+t.cols; c++ {
@@ -203,7 +203,7 @@ func (e *refEngine) compact() {
 }
 
 // compareState asserts the production scheduler and the reference agree on
-// every task placement, every column horizon, the extracted runs and the
+// every task placement, every column horizon, the run list and the
 // makespan.
 func compareState(t *testing.T, trial, step int, o *OnlineScheduler, e *refEngine) {
 	t.Helper()
@@ -218,8 +218,8 @@ func compareState(t *testing.T, trial, step int, o *OnlineScheduler, e *refEngin
 				want.firstCol, want.start, want.duration)
 		}
 	}
-	for c := 0; c < e.K; c++ {
-		if got := o.horizon.maxRange(c, c+1); got != e.horizon[c] {
+	for c, got := range o.horizon.values(nil) {
+		if got != e.horizon[c] {
 			t.Fatalf("trial %d step %d: horizon[%d] = %g, want %g", trial, step, c, got, e.horizon[c])
 		}
 	}
@@ -238,7 +238,7 @@ func compareState(t *testing.T, trial, step int, o *OnlineScheduler, e *refEngin
 // TestChurnMatchesReference drives random Submit/Complete interleavings —
 // quantized times so exact ties (the Eps tie-break) occur, occasional
 // width == K tasks, reconfiguration delays, all three policies — through
-// the segment-tree scheduler and the brute-force reference, comparing the
+// the run-list scheduler and the brute-force reference, comparing the
 // complete state after every operation.
 func TestChurnMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))

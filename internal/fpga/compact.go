@@ -209,12 +209,13 @@ func (o *OnlineScheduler) compactRange(l, r int) {
 }
 
 // runCompact drains the candidate heap, sliding each task down onto
-// max(release, now, per-column predecessor end) + delay when that beats
-// its current start by more than Eps. A slide pushes fresh heap entries
-// for the task's start/completion events (the stale entries are skipped on
-// pop: the fresh key is strictly smaller, so the live entry always pops
-// first) and queues the task's list successors, whose floor just dropped.
-// The placement tree is NOT updated: submissions keep seeing the
+// startAfter(max(release, now, per-column predecessor end), delay) when
+// that beats its current start by more than Eps. A slide pushes fresh heap
+// entries for the task's start/completion events (the stale entries are
+// skipped on pop: the fresh key is strictly smaller, so the live entry
+// always pops first) and queues the task's list successors, whose floor
+// just dropped.
+// The placement horizon is NOT updated: submissions keep seeing the
 // pessimistic declared horizon, which is exactly what makes the mode
 // anomaly-free.
 func (o *OnlineScheduler) runCompact() {
@@ -241,7 +242,7 @@ func (o *OnlineScheduler) runCompact() {
 				floor = p
 			}
 		}
-		s := floor + delay
+		s := startAfter(floor, delay)
 		if s >= t.Start-geom.Eps {
 			continue
 		}

@@ -10,7 +10,7 @@ import (
 // TestFaultsAgainstReference is the brute-force half of the fault story
 // (the snapshot-based harness lives in internal/faultinject, which cannot
 // be imported here without a cycle): a random churn stream runs through
-// the segment-tree scheduler and the flat-array reference engine, and
+// the run-list scheduler and the flat-array reference engine, and
 // after every legitimate operation a malformed operation is fired at the
 // scheduler. Each must come back with its typed error, and compareState
 // then verifies the complete engine state — placements, horizons, runs,

@@ -16,9 +16,9 @@
 // columns of early-finishing tasks and compact waiting tasks onto the
 // reclaimed time (Policy). Completion events mean the per-column horizon
 // is no longer monotone — see DESIGN.md in this directory for the model,
-// the horizonTree free primitive that supports it, the audit of
-// bestWindow's assumptions, and why the compaction policy is anomaly-free
-// while opportunistic reclamation is not.
+// the run-list horizon and its free primitive that support it, the audit
+// of bestWindow's assumptions, and why the compaction policy is
+// anomaly-free while opportunistic reclamation is not.
 package fpga
 
 import (

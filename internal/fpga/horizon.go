@@ -6,50 +6,30 @@ import (
 	"strippack/internal/geom"
 )
 
-// horizonTree is a lazy segment tree over the device columns holding the
-// time each column becomes free. It supports the primitives the online
-// scheduler needs — range-assign (a placed task raises its columns to its
-// end time), free (a completed task lowers the columns it still owns back
-// to its completion time) and range-max (the earliest start of a column
-// window) — in O(log K), plus bestWindow, which finds the placement the
-// previous implementation found by scanning all K·cols cells: the leftmost
+// runHorizon holds the time each device column becomes free, stored as
+// the horizon's maximal constant runs in column order. It supports the
+// primitives the online scheduler needs — assign (a placed task raises its
+// columns to its end time), free (a completed or shed task lowers the
+// columns it still owns) — plus bestWindow, which finds the placement the
+// original implementation found by scanning all K·cols cells: the leftmost
 // window minimizing the window maximum.
 //
 // Since completion events were added the horizon is NOT monotone: free and
 // fill lower column values, so no operation may assume values only grow.
 // bestWindow was audited for this (see DESIGN.md): it relies only on the
-// horizon being piecewise constant and non-negative, both of which assign,
-// free and fill preserve.
+// run list being maximal and the horizon non-negative, both of which
+// assign, free and fill preserve.
 //
-// bestWindow exploits that assignments keep the horizon piecewise
-// constant: the tree is walked once to extract the maximal uniform runs
-// (a node with a pending assignment, or with max == min, is emitted
-// without descending), window maxima only change where a window edge
-// crosses a run boundary, and only those O(runs) candidate windows are
-// evaluated with range-max queries. A Submit therefore costs
-// O((S + log K)·log K) with S = current runs — S is bounded by the tasks
-// in flight, not by K, which is what unlocks large-K sweeps in E12.
-type horizonTree struct {
-	n    int // columns
-	size int // smallest power of two >= n
-	mx   []float64
-	mn   []float64
-	set  []float64 // pending assignment per node
-	has  []bool
-
-	runs []hrun // bestWindow scratch
-	cand []int
-
-	// Batched-submission run cache (see bestWindowCached): the maximal-run
-	// decomposition of horizon[0:n), maintained incrementally across the
-	// assigns of a SubmitBatch instead of re-extracted from the tree per
-	// submission. Invalidated by free and fill, rebuilt lazily. The
-	// tree-walking bestWindow below never reads it, so the sequential
-	// Submit path stays an independent reference for the equivalence
-	// property tests.
-	cruns  []hrun
-	cvalid bool
-	deq    []int32 // sliding-window-max scratch (run indices)
+// Every operation works on the runs, never on single columns, so its cost
+// is in S, the current run count, which is bounded by the tasks in flight
+// rather than by K: bestWindow is O(S), assign and free are O(log S + S)
+// (a binary search, then one splice), and the run list is what unlocks
+// large-K sweeps in E12.
+type runHorizon struct {
+	n    int    // columns
+	runs []hrun // maximal constant runs of horizon[0:n), in column order
+	deq  []int32
+	tmp  []hrun // free's replacement scratch
 }
 
 // hrun is a maximal constant run [start, end) of the horizon.
@@ -58,215 +38,30 @@ type hrun struct {
 	val        float64
 }
 
-func newHorizonTree(n int) *horizonTree {
-	size := 1
-	for size < n {
-		size <<= 1
-	}
-	return &horizonTree{
-		n: n, size: size,
-		mx:  make([]float64, 2*size),
-		mn:  make([]float64, 2*size),
-		set: make([]float64, 2*size),
-		has: make([]bool, 2*size),
-	}
+func newRunHorizon(n int) *runHorizon {
+	return &runHorizon{n: n, runs: []hrun{{start: 0, end: n}}}
 }
 
-// push propagates a pending assignment to the children of node i.
-func (t *horizonTree) push(i int) {
-	if !t.has[i] {
-		return
-	}
-	v := t.set[i]
-	for _, c := range [2]int{2 * i, 2*i + 1} {
-		t.set[c], t.has[c] = v, true
-		t.mx[c], t.mn[c] = v, v
-	}
-	t.has[i] = false
-}
-
-// assign sets horizon[l:r) = v.
-func (t *horizonTree) assign(l, r int, v float64) {
-	t.doAssign(1, 0, t.size, l, r, v)
-	if t.cvalid {
-		t.crunsAssign(l, r, v)
-	}
-}
-
-func (t *horizonTree) doAssign(i, lo, hi, l, r int, v float64) {
-	if r <= lo || hi <= l {
-		return
-	}
-	if l <= lo && hi <= r {
-		t.set[i], t.has[i] = v, true
-		t.mx[i], t.mn[i] = v, v
-		return
-	}
-	t.push(i)
-	mid := (lo + hi) / 2
-	t.doAssign(2*i, lo, mid, l, r, v)
-	t.doAssign(2*i+1, mid, hi, l, r, v)
-	t.mx[i] = max(t.mx[2*i], t.mx[2*i+1])
-	t.mn[i] = min(t.mn[2*i], t.mn[2*i+1])
-}
-
-// free lowers horizon[l:r) to `to` on exactly those columns still at
-// `from` — the columns whose last commitment is the task completing at
-// time `to`. Columns already re-promised to a later task (value > from)
-// are left alone: lowering them would let a new placement overlap the
-// later commitment. It reports whether any column changed.
-//
-// The caller guarantees from >= to and that every column in [l, r) holds
-// a value >= from (the completing task assigned `from` there and later
-// assignments only raised it), so value == from identifies the columns
-// the completing task still owns. Returns the number of columns lowered.
-func (t *horizonTree) free(l, r int, from, to float64) int {
-	if from == to {
-		return 0
-	}
-	// free can split runs in ways that depend on which columns still hold
-	// `from`; rebuilding the batch cache lazily is simpler than patching it.
-	t.cvalid = false
-	return t.doFree(1, 0, t.size, l, r, from, to)
-}
-
-func (t *horizonTree) doFree(i, lo, hi, l, r int, from, to float64) int {
-	if r <= lo || hi <= l || t.mx[i] < from || t.mn[i] > from {
-		// Disjoint, or no cell in this node still holds `from`.
-		return 0
-	}
-	if l <= lo && hi <= r && (t.has[i] || t.mx[i] == t.mn[i] || hi-lo == 1) {
-		// Uniform node fully inside: it survived the prune, so its value
-		// is exactly `from`.
-		t.set[i], t.has[i] = to, hi-lo > 1
-		t.mx[i], t.mn[i] = to, to
-		return hi - lo
-	}
-	t.push(i)
-	mid := (lo + hi) / 2
-	n := t.doFree(2*i, lo, mid, l, r, from, to)
-	n += t.doFree(2*i+1, mid, hi, l, r, from, to)
-	t.mx[i] = max(t.mx[2*i], t.mx[2*i+1])
-	t.mn[i] = min(t.mn[2*i], t.mn[2*i+1])
-	return n
-}
-
-// fill rebuilds the whole tree from a flat per-column horizon in O(K).
-// The scheduler itself does not call it — compaction deliberately leaves
-// the placement tree pessimistic (see compact in online.go) — but the
-// tests use it to cross-load reference states, and a future bounded
-// re-placement policy (ROADMAP) would need exactly this bulk primitive.
-// Columns beyond len(vals) reset to 0, matching the initial state.
-func (t *horizonTree) fill(vals []float64) {
-	t.cvalid = false
-	for i := 0; i < t.size; i++ {
-		v := 0.0
-		if i < len(vals) {
-			v = vals[i]
-		}
-		leaf := t.size + i
-		t.mx[leaf], t.mn[leaf] = v, v
-		t.has[leaf] = false
-	}
-	for i := t.size - 1; i >= 1; i-- {
-		t.mx[i] = max(t.mx[2*i], t.mx[2*i+1])
-		t.mn[i] = min(t.mn[2*i], t.mn[2*i+1])
-		t.has[i] = false
-	}
-}
-
-// maxRange returns max(horizon[l:r)).
-func (t *horizonTree) maxRange(l, r int) float64 {
-	return t.doMax(1, 0, t.size, l, r)
-}
-
-func (t *horizonTree) doMax(i, lo, hi, l, r int) float64 {
-	if r <= lo || hi <= l {
-		return 0
-	}
-	if l <= lo && hi <= r {
-		return t.mx[i]
-	}
-	t.push(i)
-	mid := (lo + hi) / 2
-	return max(t.doMax(2*i, lo, mid, l, r), t.doMax(2*i+1, mid, hi, l, r))
-}
-
-// maxAll is the horizon-wide maximum (the makespan).
-func (t *horizonTree) maxAll() float64 {
-	if t.n == t.size {
-		return t.mx[1]
-	}
-	return t.maxRange(0, t.n)
-}
-
-// appendRuns extracts the maximal constant runs of horizon[0:n) in order,
-// merging adjacent equal values across node boundaries.
-func (t *horizonTree) appendRuns(i, lo, hi int) {
-	if lo >= t.n {
-		return
-	}
-	if t.has[i] || t.mx[i] == t.mn[i] || hi-lo == 1 {
-		end := min(hi, t.n)
-		v := t.mx[i]
-		if k := len(t.runs) - 1; k >= 0 && t.runs[k].val == v && t.runs[k].end == lo {
-			t.runs[k].end = end
-			return
-		}
-		t.runs = append(t.runs, hrun{start: lo, end: end, val: v})
-		return
-	}
-	mid := (lo + hi) / 2
-	t.appendRuns(2*i, lo, mid)
-	t.appendRuns(2*i+1, mid, hi)
-}
-
-// committedAbove returns the committed column-time ahead of `now`:
-// sum over columns of max(horizon[c] - now, 0). O(runs) via the same run
-// extraction bestWindow uses, so it is cheap enough to poll per submission.
-func (t *horizonTree) committedAbove(now float64) float64 {
-	t.runs = t.runs[:0]
-	t.appendRuns(1, 0, t.size)
-	total := 0.0
-	for _, r := range t.runs {
-		if r.val > now {
-			total += (r.val - now) * float64(r.end-r.start)
-		}
-	}
-	return total
-}
-
-// values appends the per-column horizon values to out (the snapshot
-// serialization of the tree — fill is its inverse). O(K).
-func (t *horizonTree) values(out []float64) []float64 {
-	t.runs = t.runs[:0]
-	t.appendRuns(1, 0, t.size)
-	for _, r := range t.runs {
-		for c := r.start; c < r.end; c++ {
-			out = append(out, r.val)
-		}
-	}
-	return out
-}
-
-// crunsAssign splices horizon[l:r) = v into the cached run decomposition,
-// merging with equal-valued neighbors so the cache stays the maximal-run
-// form appendRuns would extract — bestWindowCached's candidate set (and
-// hence its placements) must match the tree walk exactly.
-func (t *horizonTree) crunsAssign(l, r int, v float64) {
-	runs := t.cruns
-	// First run overlapping [l, r): ends are strictly increasing, so binary
-	// search the first with end > l.
-	lo, hi := 0, len(runs)
+// find returns the index of the first run with end > c (run ends are
+// strictly increasing).
+func (h *runHorizon) find(c int) int {
+	lo, hi := 0, len(h.runs)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if runs[mid].end > l {
+		if h.runs[mid].end > c {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
-	i := lo
+	return lo
+}
+
+// assign sets horizon[l:r) = v, splicing the new run into the list and
+// merging it with equal-valued neighbours so the list stays maximal.
+func (h *runHorizon) assign(l, r int, v float64) {
+	runs := h.runs
+	i := h.find(l)
 	j := i
 	for j < len(runs) && runs[j].start < r {
 		j++
@@ -308,32 +103,136 @@ func (t *horizonTree) crunsAssign(l, r int, v float64) {
 		repl[nr] = right
 		nr++
 	}
-	t.cruns = slices.Replace(runs, i, j, repl[:nr]...)
+	h.runs = slices.Replace(runs, i, j, repl[:nr]...)
 }
 
-// bestWindowCached is bestWindow on the cached run decomposition: the same
-// candidate columns evaluated in the same order with the same window maxima
-// and the same Eps tie rule, so its placements are bit-identical to the
-// tree walk — but without touching the tree. Candidates come pre-sorted
-// from a two-stream merge (run starts, and run starts minus the width, are
-// each already ascending) instead of a sort, and window maxima come from a
-// monotonic-deque sliding maximum over the runs instead of per-candidate
-// O(log K) range queries, so a whole batch submission costs O(S) per task
-// with S the current run count.
-func (t *horizonTree) bestWindowCached(width int, floor float64) (start float64, col int) {
-	if !t.cvalid {
-		t.runs = t.runs[:0]
-		t.appendRuns(1, 0, t.size)
-		t.cruns = append(t.cruns[:0], t.runs...)
-		t.cvalid = true
+// free lowers horizon[l:r) to `to` on exactly those columns still at
+// `from` — the columns whose last commitment is the task completing at
+// time `to`. Columns already re-promised to a later task (value > from)
+// are left alone: lowering them would let a new placement overlap the
+// later commitment.
+//
+// The caller guarantees from >= to and that every column in [l, r) holds
+// a value >= from (the completing task assigned `from` there and later
+// assignments only raised it), so value == from identifies the columns
+// the completing task still owns. Returns the number of columns lowered.
+//
+// The runs overlapping [l, r), widened by one neighbour on each side so
+// lowered pieces can merge with them, are rebuilt in one pass and spliced
+// back in place.
+func (h *runHorizon) free(l, r int, from, to float64) int {
+	if from == to {
+		return 0
 	}
-	runs := t.cruns
-	last := t.n - width
+	i := h.find(l)
+	j, freed := i, 0
+	for ; j < len(h.runs) && h.runs[j].start < r; j++ {
+		if ru := h.runs[j]; ru.val == from {
+			freed += min(ru.end, r) - max(ru.start, l)
+		}
+	}
+	if freed == 0 {
+		return 0
+	}
+	lo, hi := max(i-1, 0), min(j+1, len(h.runs))
+	out := h.tmp[:0]
+	add := func(start, end int, v float64) {
+		if k := len(out) - 1; k >= 0 && out[k].val == v {
+			out[k].end = end
+			return
+		}
+		out = append(out, hrun{start: start, end: end, val: v})
+	}
+	for k := lo; k < hi; k++ {
+		ru := h.runs[k]
+		if k < i || k >= j || ru.val != from {
+			add(ru.start, ru.end, ru.val)
+			continue
+		}
+		if ru.start < l {
+			add(ru.start, l, from)
+		}
+		add(max(ru.start, l), min(ru.end, r), to)
+		if ru.end > r {
+			add(r, ru.end, from)
+		}
+	}
+	h.runs = slices.Replace(h.runs, lo, hi, out...)
+	h.tmp = out[:0]
+	return freed
+}
+
+// fill rebuilds the run list from a flat per-column horizon in O(K) —
+// the inverse of values, used by RestoreScheduler. Columns beyond
+// len(vals) reset to 0, matching the initial state.
+func (h *runHorizon) fill(vals []float64) {
+	h.runs = h.runs[:0]
+	for c := 0; c < h.n; c++ {
+		v := 0.0
+		if c < len(vals) {
+			v = vals[c]
+		}
+		if k := len(h.runs) - 1; k >= 0 && h.runs[k].val == v {
+			h.runs[k].end = c + 1
+			continue
+		}
+		h.runs = append(h.runs, hrun{start: c, end: c + 1, val: v})
+	}
+}
+
+// maxAll is the horizon-wide maximum (the makespan). O(S).
+func (h *runHorizon) maxAll() float64 {
+	m := 0.0
+	for _, r := range h.runs {
+		m = max(m, r.val)
+	}
+	return m
+}
+
+// committedAbove returns the committed column-time ahead of `now`:
+// sum over columns of max(horizon[c] - now, 0). O(S), so it is cheap
+// enough to poll per submission.
+func (h *runHorizon) committedAbove(now float64) float64 {
+	total := 0.0
+	for _, r := range h.runs {
+		if r.val > now {
+			total += (r.val - now) * float64(r.end-r.start)
+		}
+	}
+	return total
+}
+
+// values appends the per-column horizon values to out (the snapshot
+// serialization of the horizon — fill is its inverse). O(K).
+func (h *runHorizon) values(out []float64) []float64 {
+	for _, r := range h.runs {
+		for c := r.start; c < r.end; c++ {
+			out = append(out, r.val)
+		}
+	}
+	return out
+}
+
+// bestWindow returns the leftmost width-column window minimizing
+// max(floor, window max) — exactly the placement rule of the O(K·cols)
+// scan it replaces, including its Eps tie tolerance: a later window wins
+// only when it starts more than Eps earlier.
+//
+// Window maxima change only when a window edge crosses a run boundary, so
+// each piece of the window-max step function starts at a run start or at
+// (run start - width); evaluating those left endpoints, plus the last
+// window, in ascending order reproduces the full scan. The candidates come
+// pre-sorted from a two-stream merge (run starts, and run starts minus the
+// width, are each already ascending), and window maxima come from a
+// monotonic-deque sliding maximum over the runs, so a search costs O(S).
+func (h *runHorizon) bestWindow(width int, floor float64) (start float64, col int) {
+	runs := h.runs
+	last := h.n - width
 	// Sliding-window maximum over the candidate columns, which only move
 	// right: deq holds run indices with strictly decreasing values; run
 	// ends are strictly increasing, so expiring the front as the window
 	// passes a run is sound.
-	deq := t.deq[:0]
+	deq := h.deq[:0]
 	head, ri := 0, 0
 	bestCol := -1
 	evaluate := func(c int) {
@@ -358,8 +257,8 @@ func (t *horizonTree) bestWindowCached(width int, floor float64) (start float64,
 	}
 	// aEnd clips run starts to <= last; b starts at the first run whose
 	// start-width candidate is >= 0. Both streams ascend, so a plain merge
-	// (with dedup against the previous emission) yields exactly the sorted,
-	// deduplicated candidate set bestWindow builds and sorts.
+	// (with dedup against the previous emission) yields the sorted,
+	// deduplicated candidate set.
 	aEnd := len(runs)
 	for aEnd > 0 && runs[aEnd-1].start > last {
 		aEnd--
@@ -391,46 +290,6 @@ func (t *horizonTree) bestWindowCached(width int, floor float64) (start float64,
 	if last != prev {
 		evaluate(last)
 	}
-	t.deq = deq[:0]
-	return start, bestCol
-}
-
-// bestWindow returns the leftmost width-column window minimizing
-// max(floor, window max) — exactly the placement rule of the O(K·cols)
-// scan it replaces, including its Eps tie tolerance: a later window wins
-// only when it starts more than Eps earlier.
-func (t *horizonTree) bestWindow(width int, floor float64) (start float64, col int) {
-	t.runs = t.runs[:0]
-	t.appendRuns(1, 0, t.size)
-	last := t.n - width
-	// Window maxima change only when a window edge crosses a run boundary,
-	// so each piece of the window-max step function starts at a run start
-	// or at (run start - width); evaluating those left endpoints in order
-	// reproduces the full scan.
-	t.cand = t.cand[:0]
-	for _, r := range t.runs {
-		if r.start <= last {
-			t.cand = append(t.cand, r.start)
-		}
-		if c := r.start - width; c >= 0 {
-			t.cand = append(t.cand, c)
-		}
-	}
-	t.cand = append(t.cand, last)
-	slices.Sort(t.cand)
-	bestCol, prev := -1, -1
-	for _, c := range t.cand {
-		if c == prev {
-			continue // dedup after sort
-		}
-		prev = c
-		v := t.maxRange(c, c+width)
-		if v < floor {
-			v = floor
-		}
-		if bestCol == -1 || v < start-geom.Eps {
-			start, bestCol = v, c
-		}
-	}
+	h.deq = deq[:0]
 	return start, bestCol
 }

@@ -72,9 +72,10 @@ func ParsePolicy(s string) (Policy, error) {
 // windows wide enough, the one that lets the task start earliest, breaking
 // ties by the leftmost window.
 //
-// The horizon lives in a segment tree (range-max query + range assign), so
-// a Submit costs O((runs + log K)·log K) instead of the former O(K·cols)
-// full scan — see horizonTree. Placements are identical to the scan's.
+// The horizon is kept as its maximal constant runs, so a Submit costs O(S)
+// in the current run count S instead of the former O(K·cols) full scan —
+// see runHorizon. Placements are identical to the scan's. Submit,
+// SubmitWithLifetime and SubmitBatch share one placement path.
 //
 // Beyond Submit, the scheduler processes completion events: Complete (or a
 // lifetime registered via SubmitWithLifetime and driven by AdvanceTo)
@@ -99,7 +100,7 @@ func ParsePolicy(s string) (Policy, error) {
 type OnlineScheduler struct {
 	device *Device
 	// horizon holds, per column, the time it becomes free.
-	horizon   *horizonTree
+	horizon   *runHorizon
 	tasks     []Task
 	policy    Policy
 	admission AdmissionConfig
@@ -161,7 +162,7 @@ func NewOnlineSchedulerAdmission(d *Device, p Policy, ac AdmissionConfig) (*Onli
 	if err := ac.validate(); err != nil {
 		return nil, err
 	}
-	o := &OnlineScheduler{device: d, horizon: newHorizonTree(d.Columns),
+	o := &OnlineScheduler{device: d, horizon: newRunHorizon(d.Columns),
 		policy: p, admission: ac, byID: make(map[int]int)}
 	if p == ReclaimCompact {
 		o.fixedEnd = make([]float64, d.Columns)
@@ -178,7 +179,7 @@ func NewOnlineSchedulerAdmission(d *Device, p Policy, ac AdmissionConfig) (*Onli
 //
 // Durations and releases must be finite: NaN compares false against every
 // bound, so without explicit guards a NaN duration or release would slip
-// past the validation, poison the horizon tree and corrupt every later
+// past the validation, poison the horizon and corrupt every later
 // placement.
 //
 // Under a bounded admission policy a submission that would have to wait
@@ -186,7 +187,7 @@ func NewOnlineSchedulerAdmission(d *Device, p Policy, ac AdmissionConfig) (*Onli
 // ErrBacklogFull (and ErrRejected); AdmitShed instead evicts the oldest
 // waiting task to admit the new one.
 func (o *OnlineScheduler) Submit(id int, name string, cols int, duration, release float64) (Task, error) {
-	return o.submit(id, name, cols, duration, math.NaN(), release, nil)
+	return o.submit(id, name, cols, duration, math.NaN(), release)
 }
 
 // SubmitWithLifetime places a task by its declared duration and registers
@@ -205,19 +206,25 @@ func (o *OnlineScheduler) SubmitWithLifetime(id int, name string, cols int, dura
 	if actual > duration {
 		return Task{}, fmt.Errorf("%w: task %d actual lifetime %g exceeds declared duration %g", ErrInvalidTask, id, actual, duration)
 	}
-	return o.submit(id, name, cols, duration, actual, release, nil)
+	return o.submit(id, name, cols, duration, actual, release)
 }
 
-// batchState carries the per-batch bookkeeping of SubmitBatch through the
-// shared submit path: a non-nil pointer switches the window search to the
-// cached-run fast path and lets consecutive submissions at the same floor
-// skip the event-queue advance (see batch.go for the equivalence argument).
-type batchState struct {
-	floor    float64
-	advanced bool
+// startAfter returns the Start of a task whose occupancy (its
+// reconfiguration) begins at occupancy: the smallest float64 at or above
+// occupancy+delay whose difference with delay does not fall below
+// occupancy. The rounded sum alone can come back one ulp short when it
+// crosses a power of two, and Simulate, which recovers the occupancy as
+// Start-delay, would then see the task overlap its predecessor's column.
+// With no delay it returns occupancy.
+func startAfter(occupancy, delay float64) float64 {
+	s := occupancy + delay
+	for s-delay < occupancy {
+		s = math.Nextafter(s, math.Inf(1))
+	}
+	return s
 }
 
-func (o *OnlineScheduler) submit(id int, name string, cols int, duration, actual, release float64, bs *batchState) (Task, error) {
+func (o *OnlineScheduler) submit(id int, name string, cols int, duration, actual, release float64) (Task, error) {
 	if cols < 1 || cols > o.device.Columns {
 		return Task{}, fmt.Errorf("%w: task %d needs %d of %d columns", ErrInvalidTask, id, cols, o.device.Columns)
 	}
@@ -241,23 +248,10 @@ func (o *OnlineScheduler) submit(id int, name string, cols int, duration, actual
 	if floor < o.now {
 		floor = o.now
 	}
-	if bs == nil || !bs.advanced || floor != bs.floor {
-		if err := o.AdvanceTo(floor); err != nil {
-			return Task{}, err
-		}
-		if bs != nil {
-			bs.floor, bs.advanced = floor, true
-		}
-	} else if len(o.startQ) > 0 && o.startQ[0].key <= o.now+geom.Eps {
-		// Same floor as the previous batch submission: no completion can be
-		// due (every compQ key pushed since the last advance exceeds the
-		// clock), so AdvanceTo would only promote — and only a compaction
-		// slide landing exactly at the clock can have queued one. Running
-		// just that promotion keeps the waiting count (and therefore every
-		// admission decision) identical to the sequential path.
-		o.promote(o.now)
+	if err := o.AdvanceTo(floor); err != nil {
+		return Task{}, err
 	}
-	bestStart, bestCol := o.bestWindow(cols, floor, bs != nil)
+	bestStart, bestCol := o.horizon.bestWindow(cols, floor)
 	// Admission control: bestStart (pre-delay) is when occupancy would
 	// begin. A task that cannot begin now joins the backlog — refuse or
 	// make room per the admission policy. The clock advance above is not
@@ -272,13 +266,13 @@ func (o *OnlineScheduler) submit(id int, name string, cols int, duration, actual
 		}
 		// A task was shed. Under NoReclaim/Reclaim its window returned to
 		// the placement horizon, so re-evaluate the placement; under
-		// ReclaimCompact the placement tree is untouched by design.
+		// ReclaimCompact the placement horizon is untouched by design.
 		if o.policy != ReclaimCompact {
-			bestStart, bestCol = o.bestWindow(cols, floor, bs != nil)
+			bestStart, bestCol = o.horizon.bestWindow(cols, floor)
 		}
 	}
 	occupancy := bestStart // when the reconfiguration for this task begins
-	bestStart += o.device.ReconfigDelay
+	bestStart = startAfter(occupancy, o.device.ReconfigDelay)
 	t := Task{ID: id, Name: name, FirstCol: bestCol, Cols: cols,
 		Start: bestStart, Duration: duration, Release: release}
 	o.horizon.assign(bestCol, bestCol+cols, t.End())
@@ -312,17 +306,6 @@ func (o *OnlineScheduler) submit(id int, name string, cols int, duration, actual
 		o.compQ.push(t.Start+actual, idx)
 	}
 	return t, nil
-}
-
-// bestWindow dispatches the placement search: sequential submissions walk
-// the segment tree (the reference implementation), batched ones use the
-// incrementally maintained run cache. Both return bit-identical placements
-// — the contract the batch property tests enforce.
-func (o *OnlineScheduler) bestWindow(cols int, floor float64, batched bool) (float64, int) {
-	if batched {
-		return o.horizon.bestWindowCached(cols, floor)
-	}
-	return o.horizon.bestWindow(cols, floor)
 }
 
 // markStarted marks a task as started: its placement becomes irrevocable
@@ -385,7 +368,7 @@ func (o *OnlineScheduler) shedOldest() bool {
 // declared end identifies the columns the shed task still owns — the same
 // ownership argument as completion reclaim — and lowering them to the
 // window start it was placed at never undercuts an older commitment).
-// Under ReclaimCompact the placement tree stays pessimistic (the
+// Under ReclaimCompact the placement horizon stays pessimistic (the
 // anomaly-freedom invariant) and the compacted profile drops instead:
 // successors on the shed task's columns slide down onto the vacated time.
 func (o *OnlineScheduler) shedTask(idx int) {

@@ -24,7 +24,7 @@ func TestOnlineSubmitValidation(t *testing.T) {
 
 // TestSubmitRejectsNonFinite: NaN compares false against every bound, so
 // `duration <= 0` and the cols checks used to let a NaN duration or
-// release through, silently poisoning the horizon tree for every later
+// release through, silently poisoning the horizon for every later
 // placement. All non-finite durations, releases and lifetimes must error.
 func TestSubmitRejectsNonFinite(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
@@ -247,6 +247,45 @@ func TestOnlineReconfigDelay(t *testing.T) {
 	// The schedule must also pass the simulator's reconfiguration check.
 	if _, err := o.Schedule().Simulate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReconfigDelayNoDoubleBooking is the regression test for starts
+// computed as occupancy + delay: when the sum rounds across a power of
+// two, Start - delay came back one ulp below the predecessor's End and
+// Simulate reported the column double-booked. On one column, task 0 ends
+// one ulp below 4096 and task 1 queues behind it — placed there directly,
+// or slid there by compaction when task 0's lifetime ends early at that
+// time.
+func TestReconfigDelayNoDoubleBooking(t *testing.T) {
+	const delay = 0.05
+	const dur = 4095.9499999999994 // delay + dur rounds to just below 4096
+	for _, p := range []Policy{NoReclaim, Reclaim, ReclaimCompact} {
+		for _, early := range []bool{false, true} {
+			o := NewOnlineSchedulerPolicy(&Device{Columns: 1, ReconfigDelay: delay}, p)
+			var first Task
+			var err error
+			if early {
+				first, err = o.SubmitWithLifetime(0, "", 1, 2*dur, dur, 0)
+			} else {
+				first, err = o.Submit(0, "", 1, dur, 0)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := o.Submit(1, "", 1, 1, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := o.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			if early && p == ReclaimCompact && o.tasks[1].Start > first.Start+dur+1 {
+				t.Fatalf("policy %v: task 1 was not slid onto the early completion", p)
+			}
+			if _, err := o.Schedule().Simulate(); err != nil {
+				t.Fatalf("policy %v early=%v: %v", p, early, err)
+			}
+		}
 	}
 }
 

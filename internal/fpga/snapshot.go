@@ -38,8 +38,8 @@ type Snapshot struct {
 	// Actual holds registered lifetimes; -1 means none (NaN is not
 	// JSON-serializable, and a valid lifetime is always positive).
 	Actual []float64
-	// Horizon is the per-column placement horizon (the segment tree,
-	// flattened).
+	// Horizon is the per-column placement horizon (the scheduler's run
+	// list, expanded to one value per column).
 	Horizon []float64
 	// FixedEnd is the per-column started/completed profile and Slack the
 	// queue of waiting tasks placed above the compacted profile; both are

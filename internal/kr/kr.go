@@ -35,8 +35,6 @@ type Options struct {
 	// Epsilon is the accuracy parameter (> 0). The wide/narrow threshold
 	// and the group count derive from it.
 	Epsilon float64
-	// MaxConfigs caps the configuration enumeration (0 = 1<<20).
-	MaxConfigs int
 }
 
 // Report describes a run.
@@ -107,7 +105,7 @@ func Pack(in *geom.Instance, opts Options) (*geom.Packing, *Report, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		m, err := release.BuildModel(grouped, opts.MaxConfigs)
+		m, err := release.BuildModel(grouped, 0)
 		if err != nil {
 			return nil, nil, err
 		}
