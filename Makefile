@@ -93,6 +93,12 @@ fuzz:
 # produce the complete summary — stats AND snapshot sha256 — byte
 # identical to an uninterrupted daemon run. Runs in a private temp dir
 # so concurrent invocations on a shared host cannot clobber each other.
+#
+# placementd binds its socket only once -recover has finished, so each
+# daemon start removes the socket file (a hard-exited daemon leaves it
+# behind) and `ready` waits for it to reappear. The wait is bounded, and
+# a daemon that exits or never binds fails the gate instead of leaving a
+# client to give up and a `wait` to hang.
 determinism:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) build -o $$dir/experiments ./cmd/experiments && \
@@ -119,9 +125,20 @@ determinism:
 	cmp $$dir/fleet-dr-serial.txt $$dir/fleet-dr-par.txt && \
 	cmp $$dir/fleet-dc-serial.txt $$dir/fleet-dc-par.txt && \
 	$(GO) build -o $$dir/placementd ./cmd/placementd && \
+	ready() { \
+		i=0; \
+		while [ ! -S "$$1" ]; do \
+			if [ $$i -ge 600 ] || ! kill -0 $$2 2>/dev/null; then \
+				echo "determinism: placementd (pid $$2) is not listening on $$1" >&2; \
+				kill $$2 2>/dev/null; return 1; \
+			fi; \
+			i=$$((i+1)); sleep 0.05; \
+		done; \
+	} && \
 	for route in rr least; do \
+		rm -f $$dir/pd.sock; \
 		$$dir/placementd -listen unix:$$dir/pd.sock -shards 64 -route $$route & pd=$$!; \
-		sleep 0.3; \
+		ready $$dir/pd.sock $$pd || exit 1; \
 		$$dir/fleetload -connect unix:$$dir/pd.sock -n 1000000 -shards 64 -route $$route > $$dir/fleet-$$route-daemon.txt || { kill $$pd; exit 1; }; \
 		kill -TERM $$pd && wait $$pd; \
 		cmp $$dir/fleet-$$route-serial.txt $$dir/fleet-$$route-daemon.txt || exit 1; \
@@ -138,16 +155,19 @@ determinism:
 	grep '^tenant gamma ' $$dir/mt-gamma.txt > $$dir/mt-one-gamma.txt && \
 	cmp $$dir/mt-all-gamma.txt $$dir/mt-one-gamma.txt && \
 	( mkdir $$dir/ckpt; \
+	  rm -f $$dir/kr.sock; \
 	  $$dir/placementd -listen unix:$$dir/kr.sock -shards 6 -k 8 -tenants $$TN -seed 9 2>/dev/null & pd=$$!; \
-	  sleep 0.3; \
+	  ready $$dir/kr.sock $$pd || exit 1; \
 	  $$dir/fleetload -connect unix:$$dir/kr.sock $$MT > $$dir/kr-ref.txt 2>/dev/null || exit 1; \
 	  kill -TERM $$pd; wait $$pd; \
+	  rm -f $$dir/kr.sock; \
 	  $$dir/placementd -listen unix:$$dir/kr.sock -shards 6 -k 8 -tenants $$TN -seed 9 -checkpoint-dir $$dir/ckpt -exit-after 100 >/dev/null 2>&1 & pd=$$!; \
-	  sleep 0.3; \
+	  ready $$dir/kr.sock $$pd || exit 1; \
 	  $$dir/fleetload -connect unix:$$dir/kr.sock $$MT -retries 1 >/dev/null 2>&1; \
 	  wait $$pd; \
+	  rm -f $$dir/kr.sock; \
 	  $$dir/placementd -listen unix:$$dir/kr.sock -shards 6 -k 8 -tenants $$TN -seed 9 -checkpoint-dir $$dir/ckpt -recover 2>/dev/null & pd=$$!; \
-	  sleep 0.3; \
+	  ready $$dir/kr.sock $$pd || exit 1; \
 	  $$dir/fleetload -connect unix:$$dir/kr.sock $$MT -resume > $$dir/kr-replay.txt 2>/dev/null || exit 1; \
 	  kill -TERM $$pd; wait $$pd; \
 	  cmp $$dir/kr-ref.txt $$dir/kr-replay.txt ) && \

@@ -634,6 +634,52 @@ func BenchmarkFleetChurn100kRR(b *testing.B)    { benchFleetChurn(b, fleet.Route
 func BenchmarkFleetChurn100kLeast(b *testing.B) { benchFleetChurn(b, fleet.RouteLeast) }
 func BenchmarkFleetChurn100kP2C(b *testing.B)   { benchFleetChurn(b, fleet.RouteP2C) }
 
+// BenchmarkFleetBurstShed is the fleet stage of the serve-restart-burst
+// workload without its transport and checkpoints: one tenant's shape (32
+// shards x 16 columns, p2c, compact, shed 64) fed a burst trace at base
+// load 0.6 and burst load 2.4 per shard in 128-task batches. At that
+// overload compaction slides each placed task about ten times, which
+// BenchmarkBurstShed100k (base 0.4, burst 1.2) barely reaches.
+func BenchmarkFleetBurstShed(b *testing.B) {
+	const (
+		K      = 16
+		shards = 32
+		n      = 100_000
+		batch  = 128
+	)
+	stream, err := workload.BurstStream(rand.New(rand.NewSource(31)), n, K, 0.6*shards, 2.4*shards, 0.3, 200, 100)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var batches [][]fpga.TaskSpec
+	buf := make([]workload.ChurnTask, batch)
+	for base := 0; ; {
+		m := stream.NextChunk(buf)
+		if m == 0 {
+			break
+		}
+		batches = append(batches, fleet.Specs(buf[:m], base))
+		base += m
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := fleet.New(fleet.Config{
+			Shards: shards, Columns: K, Policy: fpga.ReclaimCompact,
+			Admission: fpga.AdmissionConfig{Policy: fpga.AdmitShed, MaxBacklog: 64},
+			Route:     fleet.RouteP2C, Seed: 31,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, specs := range batches {
+			if _, err := f.SubmitBatch(specs); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkServiceSubmitLoopback100k is BenchmarkFleetChurn100kLeast
 // through the full service stack — Client → wire codec → Server → fleet
 // over a net.Pipe loopback — so the delta against the direct benchmark is

@@ -12,14 +12,16 @@ import (
 // refEngine is a brute-force O(K·cols) re-implementation of the online
 // scheduler's full Submit/Complete semantics over flat arrays: window
 // scans instead of the run list, linear promotion scans instead of the
-// start heap, and a full-array rebuild for compaction. The production
-// scheduler must reproduce its placements, truncations, slides and
-// horizons bit for bit.
+// start heap, a full-array rebuild for compaction, and admission control
+// by scanning for the waiting tasks. The production scheduler must
+// reproduce its placements, truncations, slides, sheds and horizons bit
+// for bit.
 type refEngine struct {
-	K      int
-	delay  float64
-	policy Policy
-	now    float64
+	K         int
+	delay     float64
+	policy    Policy
+	admission AdmissionConfig
+	now       float64
 
 	horizon  []float64
 	fixedEnd []float64
@@ -37,6 +39,7 @@ type refTask struct {
 	actual   float64 // NaN = no registered lifetime
 	started  bool
 	done     bool
+	shed     bool
 }
 
 func newRefEngine(K int, delay float64, p Policy) *refEngine {
@@ -44,12 +47,41 @@ func newRefEngine(K int, delay float64, p Policy) *refEngine {
 		horizon: make([]float64, K), fixedEnd: make([]float64, K)}
 }
 
+// submit places a task and returns its column and start, or column -1
+// when admission control refuses it.
 func (e *refEngine) submit(id, cols int, duration, actual, release float64) (int, float64) {
 	floor := release
 	if floor < e.now {
 		floor = e.now
 	}
 	e.advanceTo(floor)
+	occupancy, bestCol := e.bestWindow(cols, floor)
+	if occupancy > e.now+geom.Eps && e.admission.Policy != AdmitAll && e.waiting() >= e.admission.MaxBacklog {
+		if e.admission.Policy == AdmitBounded || !e.shedOldest() {
+			return -1, math.NaN()
+		}
+		if e.policy != ReclaimCompact {
+			occupancy, bestCol = e.bestWindow(cols, floor)
+		}
+	}
+	bestStart := startAfter(occupancy, e.delay)
+	t := refTask{id: id, firstCol: bestCol, cols: cols, start: bestStart,
+		duration: duration, release: release, actual: actual}
+	end := bestStart + duration
+	for k := bestCol; k < bestCol+cols; k++ {
+		e.horizon[k] = end
+	}
+	if occupancy <= e.now+geom.Eps {
+		t.started = true
+		e.fixEnds(&t)
+	}
+	e.tasks = append(e.tasks, t)
+	return bestCol, bestStart
+}
+
+// bestWindow scans every window for the earliest occupancy at or after
+// floor, ties to the leftmost.
+func (e *refEngine) bestWindow(cols int, floor float64) (float64, int) {
 	bestStart, bestCol := -1.0, -1
 	for c := 0; c+cols <= e.K; c++ {
 		start := floor
@@ -62,19 +94,41 @@ func (e *refEngine) submit(id, cols int, duration, actual, release float64) (int
 			bestStart, bestCol = start, c
 		}
 	}
-	bestStart = startAfter(bestStart, e.delay)
-	t := refTask{id: id, firstCol: bestCol, cols: cols, start: bestStart,
-		duration: duration, release: release, actual: actual}
-	end := bestStart + duration
-	for k := bestCol; k < bestCol+cols; k++ {
-		e.horizon[k] = end
+	return bestStart, bestCol
+}
+
+func (e *refEngine) waiting() int {
+	n := 0
+	for i := range e.tasks {
+		if !e.tasks[i].started && !e.tasks[i].shed {
+			n++
+		}
 	}
-	if e.policy == ReclaimCompact && bestStart-e.delay <= e.now+geom.Eps {
-		t.started = true
-		e.fixEnds(&t)
+	return n
+}
+
+// shedOldest evicts the waiting task with the lowest index: its window
+// goes back to the placement horizon, or under ReclaimCompact its
+// successors compact down onto the vacated time.
+func (e *refEngine) shedOldest() bool {
+	for i := range e.tasks {
+		t := &e.tasks[i]
+		if t.started || t.shed {
+			continue
+		}
+		t.shed = true
+		if e.policy == ReclaimCompact {
+			e.compact()
+			return true
+		}
+		for c := t.firstCol; c < t.firstCol+t.cols; c++ {
+			if e.horizon[c] == t.start+t.duration {
+				e.horizon[c] = t.start - e.delay
+			}
+		}
+		return true
 	}
-	e.tasks = append(e.tasks, t)
-	return bestCol, bestStart
+	return false
 }
 
 func (e *refEngine) fixEnds(t *refTask) {
@@ -88,7 +142,7 @@ func (e *refEngine) fixEnds(t *refTask) {
 func (e *refEngine) promote(at float64) {
 	for i := range e.tasks {
 		t := &e.tasks[i]
-		if !t.started && t.start-e.delay <= at+geom.Eps {
+		if !t.started && !t.shed && t.start-e.delay <= at+geom.Eps {
 			t.started = true
 			e.fixEnds(t)
 		}
@@ -96,14 +150,15 @@ func (e *refEngine) promote(at float64) {
 }
 
 // advanceTo fires registered completion events due at or before `at`,
-// always the (key, index)-minimal one first, then promotes.
+// always the (key, index)-minimal one first, then promotes. Like the
+// scheduler, an infinite `at` leaves the clock at the last event.
 func (e *refEngine) advanceTo(at float64) {
 	for {
 		best := -1
 		bestKey := 0.0
 		for i := range e.tasks {
 			t := &e.tasks[i]
-			if t.done || math.IsNaN(t.actual) {
+			if t.done || t.shed || math.IsNaN(t.actual) {
 				continue
 			}
 			key := t.start + t.actual
@@ -116,12 +171,10 @@ func (e *refEngine) advanceTo(at float64) {
 		}
 		e.completeAt(best, bestKey)
 	}
-	if at > e.now {
+	if at > e.now && !math.IsInf(at, 1) {
 		e.now = at
 	}
-	if e.policy == ReclaimCompact {
-		e.promote(e.now)
-	}
+	e.promote(e.now)
 }
 
 func (e *refEngine) completeAt(idx int, at float64) {
@@ -130,9 +183,7 @@ func (e *refEngine) completeAt(idx int, at float64) {
 		e.now = at
 	}
 	t.done = true
-	if e.policy == ReclaimCompact {
-		e.promote(e.now)
-	}
+	e.promote(e.now)
 	oldEnd := t.start + t.duration
 	t.duration = at - t.start
 	if at >= oldEnd || e.policy == NoReclaim {
@@ -162,7 +213,7 @@ func (e *refEngine) complete(idx int, at float64) {
 func (e *refEngine) compact() {
 	var waiting []int
 	for i := range e.tasks {
-		if !e.tasks[i].started && !e.tasks[i].done {
+		if !e.tasks[i].started && !e.tasks[i].done && !e.tasks[i].shed {
 			waiting = append(waiting, i)
 		}
 	}
@@ -216,6 +267,10 @@ func compareState(t *testing.T, trial, step int, o *OnlineScheduler, e *refEngin
 			t.Fatalf("trial %d step %d task %d: (col %d start %g dur %g) vs reference (col %d start %g dur %g)",
 				trial, step, got.ID, got.FirstCol, got.Start, got.Duration,
 				want.firstCol, want.start, want.duration)
+		}
+		if o.started[i] != want.started || o.done[i] != want.done || o.shed[i] != want.shed {
+			t.Fatalf("trial %d step %d task %d: started/done/shed %v/%v/%v vs reference %v/%v/%v",
+				trial, step, got.ID, o.started[i], o.done[i], o.shed[i], want.started, want.done, want.shed)
 		}
 	}
 	for c, got := range o.horizon.values(nil) {

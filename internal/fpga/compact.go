@@ -211,10 +211,12 @@ func (o *OnlineScheduler) compactRange(l, r int) {
 // runCompact drains the candidate heap, sliding each task down onto
 // startAfter(max(release, now, per-column predecessor end), delay) when
 // that beats its current start by more than Eps. A slide pushes fresh heap
-// entries for the task's start/completion events (the stale entries are
-// skipped on pop: the fresh key is strictly smaller, so the live entry
-// always pops first) and queues the task's list successors, whose floor
-// just dropped.
+// entries for the task's start/completion events and queues the task's
+// list successors, whose floor just dropped. The old entries go stale: the
+// fresh key is strictly smaller, so the live entry always pops first and
+// the stale ones are skipped on pop. A pass that moved a task ends with
+// trimQueues, so a long advance cannot pile stale entries up between
+// submissions.
 // The placement horizon is NOT updated: submissions keep seeing the
 // pessimistic declared horizon, which is exactly what makes the mode
 // anomaly-free.
@@ -261,5 +263,6 @@ func (o *OnlineScheduler) runCompact() {
 	}
 	if moved {
 		o.compactPasses++
+		o.trimQueues()
 	}
 }

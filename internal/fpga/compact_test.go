@@ -20,7 +20,8 @@ func columnLists(o *OnlineScheduler) [][]int32 {
 // TestCompactNodesAllocFree: once the node arena and its per-width free
 // lists have held the backlog's peak, unlinking and relinking waiting
 // tasks and shedding them allocate nothing, and a full unlink/relink in
-// start order rebuilds the same lists.
+// start order rebuilds the same lists. The sheds also run the event heap
+// filters, which must allocate nothing either.
 func TestCompactNodesAllocFree(t *testing.T) {
 	o, err := NewOnlineSchedulerAdmission(NewDevice(16), ReclaimCompact,
 		AdmissionConfig{Policy: AdmitShed, MaxBacklog: 1 << 20})
@@ -71,20 +72,35 @@ func TestCompactNodesAllocFree(t *testing.T) {
 	}
 
 	// Shedding unlinks a task and slides its successors down. Grow the
-	// append-only history and the event heaps up front, so what is left
-	// to measure is the node path.
+	// append-only history up front, and give each event heap room for its
+	// trimQueues bound plus the one entry per waiting task a compaction
+	// pass can push before it trims, so what is left to measure is the
+	// node path and the heap filters.
 	const sheds = 50
 	o.shedIDs = slices.Grow(o.shedIDs, sheds+1)
 	o.candQ = slices.Grow(o.candQ, len(waiting))
-	o.startQ = slices.Grow(o.startQ, (sheds+1)*len(waiting))
-	o.compQ = slices.Grow(o.compQ, (sheds+1)*len(waiting))
+	w, running := len(waiting), o.nStarted-o.completed
+	o.startQ = slices.Grow(o.startQ, 3*w+queueSlack-len(o.startQ))
+	o.compQ = slices.Grow(o.compQ, 3*w+2*running+queueSlack-len(o.compQ))
+	startFiltered, compFiltered := 0, 0 // a shed only pushes onto the heaps
 	shed := func() {
+		ns, nc := len(o.startQ), len(o.compQ)
 		if !o.shedOldest() {
 			t.Fatal("nothing left to shed")
+		}
+		if len(o.startQ) < ns {
+			startFiltered++
+		}
+		if len(o.compQ) < nc {
+			compFiltered++
 		}
 	}
 	if n := testing.AllocsPerRun(sheds, shed); n != 0 {
 		t.Fatalf("shed: %v allocations per shed", n)
+	}
+	if startFiltered == 0 || compFiltered == 0 {
+		t.Fatalf("%d sheds filtered startQ %d times and compQ %d times; want both filtered",
+			sheds, startFiltered, compFiltered)
 	}
 	if err := o.Drain(); err != nil {
 		t.Fatal(err)

@@ -122,7 +122,7 @@ type OnlineScheduler struct {
 	sheds      int   // cumulative admission evictions
 	rejected   int   // cumulative ErrBacklogFull refusals
 	shedIDs    []int // IDs evicted, in eviction order
-	waitFIFO   []int // submission-ordered waiting tasks (AdmitShed only)
+	waitFIFO   []int // submission-ordered waiting tasks (AdmitShed only; lazily deleted)
 
 	// Compaction state, maintained only when policy == ReclaimCompact.
 	fixedEnd  []float64 // per column: latest end among started/completed tasks
@@ -294,7 +294,10 @@ func (o *OnlineScheduler) submit(id int, name string, cols int, duration, actual
 		if o.waiting > o.maxWaiting {
 			o.maxWaiting = o.waiting
 		}
-		o.startQ.push(occupancy, idx)
+		// Keyed by Start-delay, not occupancy: startAfter may have stepped
+		// Start, and slides and RestoreScheduler key by Start-delay too, so
+		// a restored scheduler promotes the task at the same clock.
+		o.startQ.push(t.Start-o.device.ReconfigDelay, idx)
 		if o.admission.Policy == AdmitShed {
 			o.waitFIFO = append(o.waitFIFO, idx)
 		}
@@ -305,6 +308,7 @@ func (o *OnlineScheduler) submit(id int, name string, cols int, duration, actual
 	if !math.IsNaN(actual) {
 		o.compQ.push(t.Start+actual, idx)
 	}
+	o.trimQueues()
 	return t, nil
 }
 
@@ -330,10 +334,9 @@ func (o *OnlineScheduler) fix(idx int) {
 }
 
 // promote moves every queued task whose occupancy begins at or before t
-// into the started (irrevocable) state. Entries whose task already started
-// are stale duplicates left behind by a compaction slide (the slide pushed
-// a fresh entry at the lower key, which always pops first) and are
-// skipped, as are shed tasks.
+// into the started (irrevocable) state. Entries for started or shed tasks
+// are stale (see startLive) and are skipped: a compaction slide pushes a
+// fresh entry at a lower key, which pops first and starts the task.
 func (o *OnlineScheduler) promote(t float64) {
 	for len(o.startQ) > 0 && o.startQ[0].key <= t+geom.Eps {
 		_, idx := o.startQ.pop()
@@ -493,9 +496,9 @@ func (o *OnlineScheduler) AdvanceTo(t float64) error {
 	for len(o.compQ) > 0 && o.compQ[0].key <= t {
 		key, idx := o.compQ.pop()
 		if o.done[idx] || o.shed[idx] {
-			// Completed manually ahead of its registered event, evicted
-			// by admission control, or a stale duplicate left by a
-			// compaction slide (the slide pushed a fresh entry at the
+			// Stale (see compLive): completed manually ahead of its
+			// registered event, evicted by admission control, or left by
+			// a compaction slide (the slide pushed a fresh entry at the
 			// lower key, which popped — and completed the task — first).
 			continue
 		}
@@ -548,6 +551,53 @@ func (o *OnlineScheduler) ReclaimStats() (reclaimedColTime float64, compactPasse
 	return o.reclaimedColTime, o.compactPasses, o.tasksMoved
 }
 
+// queueSlack is how many entries a lazily-deleted queue may hold beyond
+// twice its live bound before trimQueues filters it, so that a short
+// queue is not re-filtered on every submission.
+const queueSlack = 64
+
+// trimQueues keeps the lazily-deleted queues within a constant factor of
+// their live entries. Under ReclaimCompact the placement horizon stays
+// pessimistic, so a slid task's old start and completion keys sit far
+// ahead of the clock and would otherwise stay queued until it reached
+// them; promotions and sheds leave dead waitFIFO entries likewise. A
+// queue longer than twice its live bound plus queueSlack is filtered in
+// place: the filter costs O(len), removes more than half the entries
+// (amortized O(1) per stale entry) and allocates nothing. Heap pop order
+// is a pure function of the live (key, index) set and shedOldest skips
+// every entry the filter drops, so no decision changes.
+func (o *OnlineScheduler) trimQueues() {
+	if len(o.startQ) > 2*o.waiting+queueSlack {
+		o.startQ.filter(o.startLive)
+	}
+	if len(o.compQ) > 2*(o.waiting+o.nStarted-o.completed)+queueSlack {
+		o.compQ.filter(o.compLive)
+	}
+	if len(o.waitFIFO) > 2*o.waiting+queueSlack {
+		live := o.waitFIFO[:0]
+		for _, idx := range o.waitFIFO {
+			if !o.started[idx] && !o.done[idx] && !o.shed[idx] {
+				live = append(live, idx)
+			}
+		}
+		o.waitFIFO = live
+	}
+}
+
+// startLive reports whether a startQ entry is live: its task still waits
+// and the entry carries the task's current key. A slide lowers Start by
+// more than Eps, so every other entry of a waiting task has a larger key
+// and pops after the live one has started the task.
+func (o *OnlineScheduler) startLive(e taskEvent) bool {
+	return !o.started[e.idx] && !o.shed[e.idx] && e.key == o.tasks[e.idx].Start-o.device.ReconfigDelay
+}
+
+// compLive reports whether a compQ entry is live: its task has neither
+// completed nor been shed and the entry carries the task's current key.
+func (o *OnlineScheduler) compLive(e taskEvent) bool {
+	return !o.done[e.idx] && !o.shed[e.idx] && e.key == o.tasks[e.idx].Start+o.actual[e.idx]
+}
+
 // taskHeap is a binary min-heap of (key, task index) pairs ordered by key,
 // ties by submission index — the deterministic event order of the
 // scheduler.
@@ -582,6 +632,21 @@ func (h *taskHeap) pop() (float64, int) {
 	*h = (*h)[:last]
 	h.down(0)
 	return top.key, top.idx
+}
+
+// filter keeps the entries live accepts, in place, and restores heap
+// order bottom-up.
+func (h *taskHeap) filter(live func(taskEvent) bool) {
+	kept := (*h)[:0]
+	for _, e := range *h {
+		if live(e) {
+			kept = append(kept, e)
+		}
+	}
+	for i := len(kept)/2 - 1; i >= 0; i-- {
+		kept.down(i)
+	}
+	*h = kept
 }
 
 func (h taskHeap) down(i int) {

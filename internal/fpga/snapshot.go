@@ -14,11 +14,14 @@ import (
 // into the engine.
 //
 // The derived event queues are deliberately NOT serialized: a heap's
-// internal layout depends on insertion history (including stale entries
-// left by compaction slides), but its pop sequence is a pure function of
+// internal layout depends on insertion history (including the stale
+// entries that compaction slides, sheds and completions leave until
+// trimQueues filters them), but its pop sequence is a pure function of
 // the live (key, index) set, so Restore rebuilds equivalent queues from
 // the task state and the scheduler replays identically — the
-// crash-restart tests assert byte-identical continuation.
+// crash-restart tests assert byte-identical continuation. Every start
+// event is keyed by Start-ReconfigDelay, which the task state holds, so
+// the rebuilt keys are the live scheduler's keys bit for bit.
 type Snapshot struct {
 	// Version guards the format; RestoreScheduler rejects others.
 	Version int
@@ -141,10 +144,10 @@ func RestoreScheduler(s *Snapshot) (*OnlineScheduler, error) {
 	o.rejected = s.Rejected
 	o.shedIDs = slices.Clone(s.ShedIDs)
 	// Derived state (the ID index came from validate): counters, event
-	// queues (live entries only — pop order is a pure function of the
-	// (key, index) set, so dropping the stale duplicates the original
-	// heaps may have held changes nothing), and the per-column waiting
-	// lists.
+	// queues (live entries only, keyed as startLive and compLive define —
+	// pop order is a pure function of the (key, index) set, so dropping
+	// the stale entries the original queues may have held changes
+	// nothing), and the per-column waiting lists.
 	waiting := make([]int, 0)
 	for i, t := range o.tasks {
 		switch {

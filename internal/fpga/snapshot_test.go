@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"strippack/internal/geom"
 	"strippack/internal/workload"
 )
 
@@ -88,6 +89,64 @@ func TestSnapshotRestoreReplay(t *testing.T) {
 						policy, ac.Policy, cut, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestRestoreDelayStartKey: with a reconfiguration delay, startAfter can
+// step a queued task's Start, so Start-delay lies ulps above the
+// occupancy the window search returned. RestoreScheduler keys the task's
+// start event by Start-delay, so the live scheduler must too: otherwise,
+// at a clock between the two keys, only the live one starts the task and
+// a kill+recover+replay diverges from the uninterrupted run.
+func TestRestoreDelayStartKey(t *testing.T) {
+	const delay = 0.05
+	end := 4096.0
+	for i := 0; i < 3; i++ {
+		end = math.Nextafter(end, 0) // three ulps below a power of two
+	}
+	// The smallest clock at which an occupancy beginning at end counts as
+	// begun (promotion allows Eps).
+	at := end - geom.Eps
+	for at+geom.Eps < end {
+		at = math.Nextafter(at, math.Inf(1))
+	}
+	for p := math.Nextafter(at, 0); p+geom.Eps >= end; p = math.Nextafter(at, 0) {
+		at = p
+	}
+	for _, policy := range []Policy{NoReclaim, Reclaim, ReclaimCompact} {
+		live := NewOnlineSchedulerPolicy(&Device{Columns: 1, ReconfigDelay: delay}, policy)
+		a, err := live.Submit(0, "", 1, end-startAfter(0, delay), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := live.Submit(1, "", 1, 1, 0) // queues behind a
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.End() != end || b.Start-delay == end || at+geom.Eps >= b.Start-delay {
+			t.Fatalf("policy %v: a ends at %.17g, b starts at %.17g: the case no longer steps b's start",
+				policy, a.End(), b.Start)
+		}
+		restored, err := RestoreScheduler(live.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, clock := range []float64{at, b.Start - delay} {
+			for _, o := range []*OnlineScheduler{live, restored} {
+				if err := o.AdvanceTo(clock); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, _ := json.Marshal(restored.Snapshot())
+			want, _ := json.Marshal(live.Snapshot())
+			if !bytes.Equal(got, want) {
+				t.Fatalf("policy %v: at clock %.17g the restored scheduler has %d tasks waiting, the live one %d",
+					policy, clock, restored.Load().Waiting, live.Load().Waiting)
+			}
+		}
+		if w := live.Load().Waiting; w != 0 {
+			t.Fatalf("policy %v: %d tasks still wait at b's occupancy", policy, w)
 		}
 	}
 }
