@@ -25,18 +25,20 @@ fmt:
 	if [ -n "$$out" ]; then echo "gofmt would reformat:"; echo "$$out"; exit 1; fi
 
 # The online scheduler, fault harness, fleet router, placement service,
-# the placementd daemon's checkpoint wiring and the release package (its
+# the placementd daemon's checkpoint wiring, the release package (its
 # Solver pool is hit concurrently from RunGrid workers;
-# TestSolverConcurrent fans out goroutines) under the race detector. The
-# experiments tests exercise E13/E14/E15 with their default fan-outs, the
-# fleet tests drive distinct tenant lanes from concurrent goroutines
-# (TestTenantLanesDisjoint), the service tests hammer fleet-wide reads
-# against per-tenant submissions across connections
+# TestSolverConcurrent fans out goroutines) and the precedence package
+# (DC's pooled subtree goroutines write disjoint ids into one shared
+# packing; TestDCParallelMatchesSerial runs 8 workers) under the race
+# detector. The experiments tests exercise E13/E14/E15 with their default
+# fan-outs, the fleet tests drive distinct tenant lanes from concurrent
+# goroutines (TestTenantLanesDisjoint), the service tests hammer
+# fleet-wide reads against per-tenant submissions across connections
 # (TestServiceLoadsSubmitRace), and the placementd tests run the periodic
 # checkpoint loop under concurrent tenant load, so the shard pool, the
 # lane locks and the checkpointer run genuinely concurrent under -race.
 race:
-	$(GO) test -race ./internal/fpga ./internal/faultinject ./internal/fleet ./internal/service ./internal/experiments ./internal/core/release ./cmd/placementd
+	$(GO) test -race ./internal/fpga ./internal/faultinject ./internal/fleet ./internal/service ./internal/experiments ./internal/core/release ./internal/core/precedence ./cmd/placementd
 
 ci: fmt build vet test race determinism
 

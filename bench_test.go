@@ -400,6 +400,51 @@ func BenchmarkAPTASEndToEnd(b *testing.B) {
 	}
 }
 
+// --- the offline-pack workload's calls, one layer at a time ---
+
+// benchOffline times one facade call per op at the shape the benchmark's
+// offline-pack workload uses for it (benchmark/offline.go), cycling over
+// four seeded instances generated before the timer starts. `make
+// bench-smoke` runs each once; compare runs with -benchmem -count.
+func benchOffline(b *testing.B, gen func(*rand.Rand) *Instance, call func(*Instance) error) {
+	ins := make([]*Instance, 4)
+	for i := range ins {
+		ins[i] = gen(rand.New(rand.NewSource(int64(i + 1))))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := call(ins[i%len(ins)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkOfflineDC(b *testing.B) {
+	benchOffline(b, func(rng *rand.Rand) *Instance { return workload.DAGWorkload(rng, 4000, 32, 0.1) },
+		func(in *Instance) error { _, err := PackDC(in); return err })
+}
+
+func BenchmarkOfflineAPTAS(b *testing.B) {
+	benchOffline(b, func(rng *rand.Rand) *Instance { return workload.FPGA(rng, 5000, 8, 1250) },
+		func(in *Instance) error { _, err := PackReleaseAPTAS(in, 1.5, 8); return err })
+}
+
+func BenchmarkOfflineLPBound(b *testing.B) {
+	benchOffline(b, func(rng *rand.Rand) *Instance { return workload.FPGA(rng, 40, 8, 10) },
+		func(in *Instance) error { _, err := FractionalLowerBound(in); return err })
+}
+
+func BenchmarkOfflineKR(b *testing.B) {
+	benchOffline(b, func(rng *rand.Rand) *Instance { return workload.Uniform(rng, 5000, 0.05, 0.8, 0.05, 1) },
+		func(in *Instance) error { _, err := PackKR(in, 0.5); return err })
+}
+
+func BenchmarkOfflineOnline(b *testing.B) {
+	benchOffline(b, func(rng *rand.Rand) *Instance { return workload.FPGA(rng, 40000, 16, 10000) },
+		func(in *Instance) error { _, err := ScheduleOnline(in, 16); return err })
+}
+
 // BenchmarkOnlineSubmit100k pushes 100k tasks through the online
 // scheduler on a 256-column device — the workload the run-list horizon
 // (O(runs) submits instead of the old O(K·cols) window scan) exists for.

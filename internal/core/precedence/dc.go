@@ -62,7 +62,8 @@ type DCOptions struct {
 }
 
 // DCStats reports structural information about a DC run, used by the
-// experiment harness.
+// experiment harness, together with the critical-path bound the run
+// computed on the way.
 type DCStats struct {
 	// Calls counts recursive invocations (including leaves).
 	Calls int
@@ -70,24 +71,18 @@ type DCStats struct {
 	MaxDepth int
 	// Bands counts the middle bands packed with the subroutine.
 	Bands int
-}
-
-// Graph builds the precedence DAG of an instance.
-func Graph(in *geom.Instance) (*dag.Graph, error) {
-	g, err := dag.FromEdges(in.N(), in.Prec)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := g.TopoOrder(); err != nil {
-		return nil, err
-	}
-	return g, nil
+	// F is F(S), the critical-path lower bound of the whole instance. The
+	// recursion's first level computes it (Algorithm 1, line 2, on all of
+	// S) with LongestPathF's recurrence, so it is bit-identical to
+	// dag.MaxF of FValues and callers need not build the DAG again.
+	F float64
 }
 
 // FValues returns the paper's F(s) for every rectangle: the height of the
-// top edge of s when the strip is infinitely wide.
+// top edge of s when the strip is infinitely wide. It sorts the DAG once:
+// LongestPathF's topological sort is also the cycle check.
 func FValues(in *geom.Instance) ([]float64, error) {
-	g, err := Graph(in)
+	g, err := dag.FromEdges(in.N(), in.Prec)
 	if err != nil {
 		return nil, err
 	}
@@ -111,6 +106,10 @@ func LowerBound(in *geom.Instance) (float64, error) {
 
 // DC runs Algorithm 1 on the instance and returns a feasible packing.
 //
+// The DAG is built and topologically sorted once per call; the sort is
+// also the cycle check. The first level's F values are those of the
+// whole instance, so DCStats.F reports F(S) without a second pass.
+//
 // The recursion is allocation-free after setup: per-level F values come
 // from an epoch-marked dag.Scratch instead of materialized induced
 // subgraphs, the bot/mid/top partition happens in place inside one backing
@@ -121,7 +120,14 @@ func DC(in *geom.Instance, opts *DCOptions) (*geom.Packing, *DCStats, error) {
 	if err := in.Validate(); err != nil {
 		return nil, nil, err
 	}
-	g, err := Graph(in)
+	g, err := dag.FromEdges(in.N(), in.Prec)
+	if err != nil {
+		return nil, nil, err
+	}
+	// The recursion keeps every id subset topologically ordered (SubgraphF
+	// requires it, and the stable three-way partition preserves it), so the
+	// backing array starts out as the graph's topological order.
+	order, err := g.TopoOrder()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -153,13 +159,6 @@ func DC(in *geom.Instance, opts *DCOptions) (*geom.Packing, *DCStats, error) {
 	heights := make([]float64, n)
 	for i, r := range in.Rects {
 		heights[i] = r.H
-	}
-	// The recursion keeps every id subset topologically ordered (SubgraphF
-	// requires it, and the stable three-way partition preserves it), so the
-	// backing array starts out as the graph's topological order.
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, nil, err
 	}
 	ids := make([]int32, n)
 	for k, v := range order {
@@ -233,6 +232,9 @@ func (d *dcRun) rec(ids []int32, depth int, sc *dcScratch, st *DCStats) (float64
 	h, err := d.g.SubgraphF(ids, d.heights, sc.ds)
 	if err != nil {
 		return 0, err
+	}
+	if depth == 1 {
+		st.F = h
 	}
 	cut := h * d.frac
 	// Classify with exact comparisons against the predecessor maximum:
@@ -386,17 +388,6 @@ func mergeStats(st, bot, top *DCStats) {
 	st.Bands += bot.Bands + top.Bands + 1
 }
 
-// GuaranteeBound returns the proven upper bound of Theorem 2.3 for the
-// instance: log2(n+1)·F(S) + 2·AREA(S)/width.
-func GuaranteeBound(in *geom.Instance) (float64, error) {
-	f, err := FValues(in)
-	if err != nil {
-		return 0, err
-	}
-	n := float64(in.N())
-	return math.Log2(n+1)*dag.MaxF(f) + 2*in.AreaLowerBound(), nil
-}
-
 // uniformHeight returns the common height of all rectangles, or an error if
 // heights differ by more than Eps.
 func uniformHeight(in *geom.Instance) (float64, error) {
@@ -434,7 +425,7 @@ func NextFitUniform(in *geom.Instance) (*geom.Packing, *UniformStats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	g, err := Graph(in)
+	g, err := dag.FromEdges(in.N(), in.Prec)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -464,7 +455,7 @@ func FirstFitUniform(in *geom.Instance) (*geom.Packing, *UniformStats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	g, err := Graph(in)
+	g, err := dag.FromEdges(in.N(), in.Prec)
 	if err != nil {
 		return nil, nil, err
 	}

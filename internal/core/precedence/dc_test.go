@@ -228,6 +228,42 @@ func TestDCSplitFractionValidation(t *testing.T) {
 	}
 }
 
+// GuaranteeBound returns the proven upper bound of Theorem 2.3 for the
+// instance, log2(n+1)·F(S) + 2·AREA(S)/width, from a separate FValues
+// pass: the reference DC's heights are checked against. The strippack
+// facade derives the same bound from DCStats.F instead.
+func GuaranteeBound(in *geom.Instance) (float64, error) {
+	f, err := FValues(in)
+	if err != nil {
+		return 0, err
+	}
+	n := float64(in.N())
+	return math.Log2(n+1)*dag.MaxF(f) + 2*in.AreaLowerBound(), nil
+}
+
+// TestDCStatsFMatchesFValues: the F(S) DC's first level records is
+// bit-identical to the maximum of a separate FValues pass, serial and
+// parallel. The strippack facade derives PackDC's two bounds from it.
+func TestDCStatsFMatchesFValues(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	for trial := 0; trial < 30; trial++ {
+		in := randomDAGInstance(rng, 1+rng.Intn(400), 0.2*rng.Float64())
+		f, err := FValues(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{1, 8} {
+			_, st, err := DC(in, &DCOptions{Workers: w})
+			if err != nil {
+				t.Fatalf("trial %d workers %d: %v", trial, w, err)
+			}
+			if st.F != dag.MaxF(f) {
+				t.Fatalf("trial %d workers %d: F %v, FValues max %v", trial, w, st.F, dag.MaxF(f))
+			}
+		}
+	}
+}
+
 func TestGuaranteeBoundFormula(t *testing.T) {
 	in := geom.NewInstance(1, []geom.Rect{{W: 1, H: 1}})
 	b, err := GuaranteeBound(in)
@@ -289,7 +325,7 @@ func TestNextFitUniformThreeApprox(t *testing.T) {
 		if err := p.Validate(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		g, _ := Graph(in)
+		g, _ := dag.FromEdges(in.N(), in.Prec)
 		sizes := make([]float64, n)
 		for i, r := range in.Rects {
 			sizes[i] = r.W
@@ -353,7 +389,7 @@ func TestToShelfSolutionProperty(t *testing.T) {
 		in := uniformInstance(rng, n, 0.25)
 		// Build a feasible packing with random vertical jitter: place each
 		// rect (topologically) on its own jittered level.
-		g, _ := Graph(in)
+		g, _ := dag.FromEdges(in.N(), in.Prec)
 		order, _ := g.TopoOrder()
 		p := geom.NewPacking(in)
 		y := 0.0

@@ -49,6 +49,11 @@ type IntegralResult struct {
 }
 
 // ToIntegralWithAreas is ToIntegral exposing the reserved areas.
+//
+// The conversion costs one O(n log n) sort plus O(n) picks in total: each
+// width class is sorted by release once, and since phases run in release
+// order the rectangles released by the phase limit form a growing prefix
+// of the class, kept as a stack whose top is the latest-released pick.
 func ToIntegralWithAreas(in *geom.Instance, fs *FractionalSolution) (*IntegralResult, error) {
 	m := fs.Model
 	p := geom.NewPacking(in)
@@ -81,20 +86,26 @@ func ToIntegralWithAreas(in *geom.Instance, fs *FractionalSolution) (*IntegralRe
 	}
 
 	// takeLatest removes and returns the unplaced rect of width class i
-	// with the latest release <= limit, or -1.
+	// with the latest release <= limit (the later class position on ties),
+	// or -1. The limit never decreases, so each class is an in-place
+	// stack: ids[:top[i]] are released and unplaced, in class order, and
+	// ids[next[i]:] are not yet released.
+	top := make([]int, len(byWidth))
+	next := make([]int, len(byWidth))
 	takeLatest := func(i int, limit float64) int {
 		ids := byWidth[i]
-		for k := len(ids) - 1; k >= 0; k-- {
-			id := ids[k]
-			if placed[id] {
-				continue
-			}
-			if in.Rects[id].Release <= limit+geom.Eps {
-				placed[id] = true
-				return id
-			}
+		for next[i] < len(ids) && in.Rects[ids[next[i]]].Release <= limit+geom.Eps {
+			ids[top[i]] = ids[next[i]]
+			top[i]++
+			next[i]++
 		}
-		return -1
+		if top[i] == 0 {
+			return -1
+		}
+		top[i]--
+		id := ids[top[i]]
+		placed[id] = true
+		return id
 	}
 
 	res := &IntegralResult{Packing: p}

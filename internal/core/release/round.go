@@ -124,24 +124,35 @@ func StackHeight(in *geom.Instance, ids []int) float64 {
 // Stacking returns the rectangles of one release class sorted by
 // non-increasing width together with the base height of each rectangle in
 // the stack (Fig. 3 of the paper). Exposed for the grouping experiment E10.
+//
+// Equal widths keep the caller's ids order, which grouping determinism
+// relies on. The sort breaks width ties on position in ids, so an
+// unstable sort gives exactly the stable order.
 func Stacking(in *geom.Instance, ids []int) (order []int, base []float64) {
-	order = append([]int(nil), ids...)
-	// The stable tie rule (preserve the caller's ids order for equal
-	// widths) matters for grouping determinism, so use the reflection-free
-	// stable sort.
-	slices.SortStableFunc(order, func(a, b int) int {
+	type key struct {
+		w   float64
+		pos int
+	}
+	keys := make([]key, len(ids))
+	for k, id := range ids {
+		keys[k] = key{in.Rects[id].W, k}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
 		switch {
-		case in.Rects[a].W > in.Rects[b].W:
+		case a.w > b.w:
 			return -1
-		case in.Rects[a].W < in.Rects[b].W:
+		case a.w < b.w:
 			return 1
 		default:
-			return 0
+			return a.pos - b.pos
 		}
 	})
-	base = make([]float64, len(order))
+	order = make([]int, len(ids))
+	base = make([]float64, len(ids))
 	y := 0.0
-	for k, id := range order {
+	for k, kk := range keys {
+		id := ids[kk.pos]
+		order[k] = id
 		base[k] = y
 		y += in.Rects[id].H
 	}

@@ -76,7 +76,7 @@ func TestExactSandwichedByDCAndLowerBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dcp, _, err := precedence.DC(in, nil)
+		dcp, st, err := precedence.DC(in, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,10 +86,8 @@ func TestExactSandwichedByDCAndLowerBound(t *testing.T) {
 		if dcp.Height() < res.Height-1e-9 {
 			t.Fatalf("trial %d: DC %g beat OPT %g", trial, dcp.Height(), res.Height)
 		}
-		bound, err := precedence.GuaranteeBound(in)
-		if err != nil {
-			t.Fatal(err)
-		}
+		// Theorem 2.3: log2(n+1)·F(S) + 2·AREA(S)/width.
+		bound := math.Log2(float64(n)+1)*st.F + 2*in.AreaLowerBound()
 		if res.Height > bound+1e-9 {
 			t.Fatalf("trial %d: OPT above the Theorem 2.3 bound (impossible)", trial)
 		}

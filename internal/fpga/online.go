@@ -694,7 +694,10 @@ func RunOnline(in *geom.Instance, d *Device) (*Schedule, error) {
 			return a - b
 		}
 	})
+	// The replay submits exactly n tasks, so size the per-task state once.
 	o := NewOnlineScheduler(d)
+	o.grow(in.N())
+	o.byID = make(map[int]int, in.N())
 	for _, id := range order {
 		r := in.Rects[id]
 		cols := int(r.W/col + 0.5)

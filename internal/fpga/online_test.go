@@ -334,6 +334,23 @@ func TestRunOnlineValidAndSimulates(t *testing.T) {
 	}
 }
 
+// TestRunOnlineAllocCeiling: RunOnline knows how many tasks it replays,
+// so the per-task slices and the ID map are sized once. What still
+// allocates grows only with the map's tables and the event heaps'
+// doublings: about 100 allocations at n = 20,000, where growing the
+// per-task state by appending made 274.
+func TestRunOnlineAllocCeiling(t *testing.T) {
+	in := workload.FPGA(rand.New(rand.NewSource(3)), 20_000, 16, 5_000)
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := RunOnline(in, NewDevice(16)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 150 {
+		t.Fatalf("RunOnline made %v allocations for 20,000 tasks, ceiling 150", allocs)
+	}
+}
+
 // TestOnlineVsOfflineGap: offline greedy (which sees all tasks) should on
 // average be no worse than the online scheduler.
 func TestOnlineVsOfflineGap(t *testing.T) {

@@ -195,8 +195,16 @@ func packNarrow(in *geom.Instance, p *geom.Packing, narrowIDs []int, areas []rel
 			shelfY += h
 		}
 	}
-	// Whatever remains goes above the packing with full-width NFDH.
+	// Whatever remains goes above the packing with full-width NFDH. Shelves
+	// inside a reserved area rise above the wide rectangles' top whenever
+	// the LP reserved more height than the area's columns filled, so the
+	// remainder starts above the narrow rectangles placed so far.
 	if next < len(order) {
+		for _, id := range order[:next] {
+			if t := p.Pos[id].Y + in.Rects[id].H; t > *top {
+				*top = t
+			}
+		}
 		rest := make([]geom.Rect, 0, len(order)-next)
 		ids := order[next:]
 		for _, id := range ids {

@@ -180,3 +180,31 @@ func TestReportPopulated(t *testing.T) {
 		t.Fatalf("wide stats missing: %+v", rep)
 	}
 }
+
+// TestPackNarrowRemainderClearsAreaShelves builds the case where narrow
+// shelves inside a reserved area rise above the wide rectangles' top: the
+// LP reserved [0, 10) but the area's columns (the wide rectangles) end at
+// 2. Twenty of the 25 narrow rectangles fill the area's leftover width up
+// to 10, and the full-width remainder must be stacked above them, not
+// from the wide top across them.
+func TestPackNarrowRemainderClearsAreaShelves(t *testing.T) {
+	rects := make([]geom.Rect, 25)
+	ids := make([]int, len(rects))
+	for i := range rects {
+		rects[i] = geom.Rect{W: 0.2, H: 1}
+		ids[i] = i
+	}
+	in := geom.NewInstance(1, rects)
+	p := geom.NewPacking(in)
+	top := 2.0
+	areas := []release.ReservedArea{{Y0: 0, Y1: 10, UsedWidth: 0.5}}
+	if err := packNarrow(in, p, ids, areas, &top); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if top != 11 {
+		t.Fatalf("top %g, want 11", top)
+	}
+}

@@ -29,6 +29,7 @@ package strippack
 
 import (
 	"io"
+	"math"
 
 	"strippack/internal/core/precedence"
 	"strippack/internal/core/release"
@@ -72,23 +73,19 @@ type DCResult struct {
 }
 
 // PackDC packs a precedence-constrained instance with Algorithm 1 of the
-// paper; the result height is at most (2 + log2(n+1)) * OPT.
+// paper; the result height is at most (2 + log2(n+1)) * OPT. Both bounds
+// derive from the F(S) the DC run reports, so the DAG is built once.
 func PackDC(in *Instance) (*DCResult, error) {
 	p, st, err := precedence.DC(in, nil)
 	if err != nil {
 		return nil, err
 	}
-	lb, err := precedence.LowerBound(in)
-	if err != nil {
-		return nil, err
-	}
-	g, err := precedence.GuaranteeBound(in)
-	if err != nil {
-		return nil, err
-	}
+	area := in.AreaLowerBound()
 	return &DCResult{
-		Packing: p, Height: p.Height(), LowerBound: lb, Guarantee: g,
-		Calls: st.Calls, MaxDepth: st.MaxDepth,
+		Packing: p, Height: p.Height(),
+		LowerBound: math.Max(st.F, area),
+		Guarantee:  math.Log2(float64(in.N())+1)*st.F + 2*area,
+		Calls:      st.Calls, MaxDepth: st.MaxDepth,
 	}, nil
 }
 

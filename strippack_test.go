@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"strippack/internal/core/precedence"
+	"strippack/internal/dag"
 	"strippack/internal/workload"
 )
 
@@ -28,6 +30,38 @@ func TestPackDCFacade(t *testing.T) {
 	}
 	if res.LowerBound <= 0 || res.Guarantee < res.Height-1e-9 || res.Calls < 1 {
 		t.Fatalf("metadata wrong: %+v", res)
+	}
+}
+
+// TestPackDCBoundsMatchOracles: PackDC derives its two bounds from the
+// F(S) its DC run reports instead of rebuilding the DAG. They must equal,
+// bit for bit, LowerBoundPrecedence and Theorem 2.3's bound computed from
+// a separate FValues pass, whatever DC's worker count.
+func TestPackDCBoundsMatchOracles(t *testing.T) {
+	defer func(w int) { precedence.DefaultWorkers = w }(precedence.DefaultWorkers)
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 6; trial++ {
+		in := workload.DAGWorkload(rng, 200+rng.Intn(600), 2+rng.Intn(30), 0.2*rng.Float64())
+		lb, err := LowerBoundPrecedence(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := precedence.FValues(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		guarantee := math.Log2(float64(in.N())+1)*dag.MaxF(f) + 2*in.AreaLowerBound()
+		for _, w := range []int{1, 8} {
+			precedence.DefaultWorkers = w
+			res, err := PackDC(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.LowerBound != lb || res.Guarantee != guarantee {
+				t.Fatalf("trial %d workers %d: bounds %v, %v; oracles %v, %v",
+					trial, w, res.LowerBound, res.Guarantee, lb, guarantee)
+			}
+		}
 	}
 }
 
