@@ -32,7 +32,7 @@ type BoundCache struct {
 
 // NewBoundCache returns an empty cache whose solves use the given
 // column-generation options (set opts.DisablePool to memoize answers
-// only, reproducing the poolless reference path on every miss).
+// only, reproducing the one-shot FractionalLowerBound on every miss).
 func NewBoundCache(opts CGOptions) *BoundCache {
 	return &BoundCache{
 		solver: NewSolver(opts),

@@ -53,9 +53,9 @@ type CGOptions struct {
 	MaxRounds int
 	// DisablePool turns off cross-solve column pooling in the engines that
 	// carry one (Solver, and BoundCache through it), making every solve run
-	// from the singleton start like SolveCG — the reference oracle path the
+	// the one-shot FractionalLowerBound solve — the poolless path the
 	// -cg-pool=false experiment flag pins tables against. One-shot SolveCG
-	// calls never pool and ignore it.
+	// and FractionalLowerBound calls never pool and ignore it.
 	DisablePool bool
 }
 
@@ -92,17 +92,22 @@ const maxPriceUnits = 1 << 12
 // is no eagerly assembled program). The solution's Height matches
 // SolveModel on the same instance to within numerical tolerance, with a
 // basic optimum, so ToIntegral and the Lemma 3.4 occurrence bound apply
-// unchanged. SolveCG is the poolless reference path; Solver runs the same
-// engine warm-started from its persistent cross-solve column pool.
+// unchanged. SolveCG is the poolless reference path. Its first master
+// solve runs phase 1 from the all-artificial start, because APTAS rounds
+// the basic optimum it returns and E7 reports its pivots: the crash start
+// the value-only solves use (FractionalLowerBound, Solver) would move
+// both.
 func SolveCG(in *geom.Instance, opts CGOptions) (*FractionalSolution, *CGStats, error) {
-	return solveCG(in, opts, nil)
+	return solveCG(in, opts, nil, false)
 }
 
 // solveCG is the column-generation core: build the restricted master, start
 // from the singleton configurations, bulk-load the seed configurations (a
 // Solver's pool snapshot; nil for poolless solves), then alternate master
-// re-optimization with knapsack pricing until no column improves.
-func solveCG(in *geom.Instance, opts CGOptions, seed []Config) (*FractionalSolution, *CGStats, error) {
+// re-optimization with knapsack pricing until no column improves. With
+// crash set the first master solve starts from the closed-form feasible
+// basis (setCrashBasis) instead of running phase 1.
+func solveCG(in *geom.Instance, opts CGOptions, seed []Config, crash bool) (*FractionalSolution, *CGStats, error) {
 	if err := in.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -209,7 +214,8 @@ func solveCG(in *geom.Instance, opts CGOptions, seed []Config) (*FractionalSolut
 	for i := 0; i < W; i++ {
 		c := int((strip + geom.Eps) / m.Widths[i])
 		if c < 1 {
-			continue // wider than the strip; the LP will report infeasible
+			crash = false // wider than the strip; phase 1 reports infeasible
+			continue
 		}
 		counts := st.carveCounts()
 		counts[i] = c
@@ -219,6 +225,11 @@ func solveCG(in *geom.Instance, opts CGOptions, seed []Config) (*FractionalSolut
 	}
 	if len(seed) > 0 {
 		if err := st.seedConfigs(seed); err != nil {
+			return nil, nil, err
+		}
+	}
+	if crash {
+		if err := st.setCrashBasis(len(ops)); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -320,6 +331,31 @@ func (st *cgSolve) carveCounts() []int {
 	counts := st.countsArena[:st.W:st.W]
 	st.countsArena = st.countsArena[st.W:]
 	return counts
+}
+
+// setCrashBasis hands the master a closed-form feasible basis for its
+// first solve, so phase 1 never runs: every packing row's slack; for each
+// width i, its singleton configuration (config i, since every width has
+// one) in the uncapped last phase R, basic on i's first demanding covering
+// row; and the surplus of every other covering row. That column alone
+// covers all of width i's suffix rows: at the value that meets the first
+// (largest) suffix sum, each later row's surplus is the positive gap
+// between two suffix sums. Per width the block is the singleton's
+// multiplicity over unit surplus columns, so the basis is nonsingular.
+func (st *cgSolve) setCrashBasis(rows int) error {
+	start := make([]int, rows)
+	for r := range start {
+		start[r] = lp.RowLogical
+	}
+	for i := 0; i < st.W; i++ {
+		for k := 0; k < st.phases; k++ {
+			if r := st.covRow[k][i]; r >= 0 {
+				start[r] = i*st.phases + st.R
+				break
+			}
+		}
+	}
+	return st.solver.SetStartBasis(start)
 }
 
 // addConfig registers a generated configuration and appends its R+1 phase

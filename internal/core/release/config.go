@@ -32,18 +32,29 @@ func EnumerateConfigs(widths []float64, stripWidth float64, maxConfigs int) ([]C
 			return nil, fmt.Errorf("release: non-positive width %g", w)
 		}
 	}
+	// Counts slices are carved, capped, from arena chunks of configChunk
+	// configurations (as cgSolve.carveCounts does), so an enumeration
+	// allocates once per chunk instead of once per configuration.
+	const configChunk = 256
+	W := len(widths)
 	var out []Config
-	counts := make([]int, len(widths))
+	var arena []int
+	counts := make([]int, W)
 	var dfs func(i int, remaining float64) error
 	dfs = func(i int, remaining float64) error {
-		if i == len(widths) {
+		if i == W {
 			// Emit if non-empty.
 			for _, c := range counts {
 				if c > 0 {
 					if len(out) >= maxConfigs {
 						return fmt.Errorf("release: more than %d configurations; increase epsilon or reduce K", maxConfigs)
 					}
-					cc := Config{Counts: append([]int(nil), counts...), TotalWidth: stripWidth - remaining}
+					if len(arena) < W {
+						arena = make([]int, configChunk*W)
+					}
+					cc := Config{Counts: arena[:W:W], TotalWidth: stripWidth - remaining}
+					arena = arena[W:]
+					copy(cc.Counts, counts)
 					out = append(out, cc)
 					break
 				}

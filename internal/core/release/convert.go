@@ -61,12 +61,24 @@ func ToIntegralWithAreas(in *geom.Instance, fs *FractionalSolution) (*IntegralRe
 
 	// Per width class: rect ids sorted by release ascending; we pick from
 	// the back among those released by the current phase start.
-	byWidth := make([][]int, len(m.Widths))
+	class := make([]int, in.N())
+	size := make([]int, len(m.Widths))
 	for id, r := range in.Rects {
 		i, err := m.widthIndex(r.W)
 		if err != nil {
 			return nil, err
 		}
+		class[id] = i
+		size[i]++
+	}
+	back := make([]int, in.N())
+	byWidth := make([][]int, len(m.Widths))
+	off := 0
+	for i, n := range size {
+		byWidth[i] = back[off : off : off+n]
+		off += n
+	}
+	for id, i := range class {
 		byWidth[i] = append(byWidth[i], id)
 	}
 	for i := range byWidth {
@@ -108,7 +120,7 @@ func ToIntegralWithAreas(in *geom.Instance, fs *FractionalSolution) (*IntegralRe
 		return id
 	}
 
-	res := &IntegralResult{Packing: p}
+	res := &IntegralResult{Packing: p, Areas: make([]ReservedArea, 0, fs.Occurrences)}
 	y := 0.0
 	phases := m.NumPhases()
 	for j := 0; j < phases; j++ {

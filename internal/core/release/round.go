@@ -40,20 +40,31 @@
 // across distinct instances as well as the answers to repeated ones, and
 // caches errors so a failing instance is diagnosed once.
 //
+// # Crash start
+//
+// FractionalLowerBound and Solver (hence BoundCache) use only the optimal
+// value, so their first master solve starts from a feasible basis written
+// down in closed form (cgSolve.setCrashBasis, via
+// lp.Revised.SetStartBasis) and skips phase 1. SolveCG, whose basic
+// optimum APTAS rounds, keeps the artificial start.
+//
 // # Determinism contract
 //
-// A pooled solve still runs column generation to optimality, so its
-// height is the configuration LP's optimum regardless of which columns
-// were seeded: the pool affects only the simplex path, perturbing results
-// by LP round-off — within 1e-9 of the poolless SolveCG height (property-
-// and fuzz-tested in solver_test.go). Given a fixed solve sequence, the
+// A pooled or crash-started solve still runs column generation to
+// optimality, so its height is the configuration LP's optimum regardless
+// of which columns were seeded or which basis the master started from:
+// both affect only the simplex path, perturbing results by LP round-off —
+// within 1e-9 of the poolless SolveCG height, and within 1e-12 relative
+// for the one-shot FractionalLowerBound (property- and fuzz-tested in
+// bound_test.go and solver_test.go). Given a fixed solve sequence, the
 // pool state and every result are fully reproducible; under concurrent
 // use (RunGrid workers sharing a BoundCache) the interleaving may vary
 // which pool snapshot a solve sees, moving results only within that same
 // 1e-9 envelope, which the experiment tables' fixed-precision rendering
 // absorbs — `make determinism` enforces byte-identity across worker
-// counts and pool on/off end-to-end. One-shot SolveCG (and any Solver
-// with CGOptions.DisablePool) stays the poolless reference oracle.
+// counts and pool on/off end-to-end. SolveCG stays the reference oracle,
+// and a Solver with CGOptions.DisablePool reproduces FractionalLowerBound
+// on every solve.
 package release
 
 import (

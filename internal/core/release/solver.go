@@ -16,22 +16,25 @@ import (
 // appended back to the pool (deduped by packed multiplicity vector) for the
 // next request. The experiment grids (E6/E8/E11/E12) and any long-running
 // bound service issue hundreds of near-identical solves over the same width
-// set, which is the shape the pool exists for. A fresh Solver's first solve
-// of a width set sees an empty pool and reproduces SolveCG exactly.
+// set, which is the shape the pool exists for. Like FractionalLowerBound,
+// Solver starts each master from the crash basis, so a fresh Solver's
+// first solve of a width set sees an empty pool and reproduces the
+// one-shot FractionalLowerBound solve exactly (not SolveCG, which keeps
+// the artificial start).
 //
 // Determinism contract: a pooled solve still runs column generation to
 // optimality, so its height is the configuration LP's optimum no matter
-// which columns were seeded — the pool affects only the simplex path and
-// therefore perturbs results by LP round-off (within 1e-9 of the poolless
-// SolveCG height, property- and fuzz-tested). Given a fixed solve sequence
+// which columns were seeded or which basis it started from — the pool and
+// the crash start affect only the simplex path and therefore perturb
+// results by LP round-off (within 1e-9 of the poolless SolveCG height,
+// property- and fuzz-tested). Given a fixed solve sequence
 // the pool state, the seeded column order (pool insertion order) and every
 // result are fully reproducible; under concurrent use (RunGrid workers
 // sharing a BoundCache) the interleaving may vary which snapshot a solve
 // sees, moving results only within that same 1e-9 envelope — which the
 // experiment tables' fixed-precision rendering absorbs, as `make
 // determinism` enforces end-to-end across worker counts and pool on/off.
-// The poolless path (SolveCG, or CGOptions.DisablePool) remains the
-// reference oracle.
+// SolveCG remains the reference oracle.
 //
 // Solver is safe for concurrent use.
 type Solver struct {
@@ -70,7 +73,7 @@ func (s *Solver) Solve(in *geom.Instance) (*FractionalSolution, *CGStats, error)
 		return nil, nil, fmt.Errorf("release: empty instance")
 	}
 	if s.opts.DisablePool {
-		fs, st, err := solveCG(in, s.opts, nil)
+		fs, st, err := solveCG(in, s.opts, nil, true)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -89,7 +92,7 @@ func (s *Solver) Solve(in *geom.Instance) (*FractionalSolution, *CGStats, error)
 	seed := pool.snapshot()
 	s.mu.Unlock()
 
-	fs, st, err := solveCG(in, s.opts, seed)
+	fs, st, err := solveCG(in, s.opts, seed, true)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -33,10 +33,11 @@ func fullWidthInstance(rng *rand.Rand, n, K int, maxRelease float64) *geom.Insta
 	return geom.NewInstance(1, rects)
 }
 
-// TestSolverEmptyPoolIdenticalToSolveCG: a fresh Solver's first solve of a
-// width set sees an empty pool and must reproduce SolveCG byte for byte —
-// same configurations, same solution matrix, same stats.
-func TestSolverEmptyPoolIdenticalToSolveCG(t *testing.T) {
+// TestSolverEmptyPoolIdenticalToBoundPath: a fresh Solver's first solve of
+// a width set sees an empty pool and must reproduce FractionalLowerBound's
+// crash-started solve byte for byte — same configurations, same solution
+// matrix, same stats.
+func TestSolverEmptyPoolIdenticalToBoundPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(461))
 	for trial := 0; trial < 10; trial++ {
 		var in *geom.Instance
@@ -45,9 +46,9 @@ func TestSolverEmptyPoolIdenticalToSolveCG(t *testing.T) {
 		} else {
 			in = contInstance(rng, 4+rng.Intn(6), 3, 1.5*rng.Float64())
 		}
-		want, wantSt, err := SolveCG(in, CGOptions{})
+		want, wantSt, err := solveCG(in, CGOptions{}, nil, true)
 		if err != nil {
-			t.Fatalf("trial %d: SolveCG: %v", trial, err)
+			t.Fatalf("trial %d: bound path: %v", trial, err)
 		}
 		got, gotSt, err := NewSolver(CGOptions{}).Solve(in)
 		if err != nil {
@@ -57,7 +58,7 @@ func TestSolverEmptyPoolIdenticalToSolveCG(t *testing.T) {
 			!reflect.DeepEqual(want.X, got.X) ||
 			want.Height != got.Height ||
 			!reflect.DeepEqual(wantSt, gotSt) {
-			t.Fatalf("trial %d: empty-pool solve diverges from SolveCG: %+v vs %+v",
+			t.Fatalf("trial %d: empty-pool solve diverges from the bound path: %+v vs %+v",
 				trial, wantSt, gotSt)
 		}
 	}
@@ -261,8 +262,9 @@ func TestBoundCacheCachesErrors(t *testing.T) {
 }
 
 // FuzzSolverPool interleaves solves over instances that share and differ
-// in width sets through one Solver and cross-checks every pooled height
-// against the poolless SolveCG oracle.
+// in width sets through one Solver and cross-checks every pooled height,
+// and every one-shot FractionalLowerBound, against the poolless SolveCG
+// oracle.
 func FuzzSolverPool(f *testing.F) {
 	f.Add(int64(1), uint8(0x35))
 	f.Add(int64(97), uint8(0xC2))
@@ -289,6 +291,14 @@ func FuzzSolverPool(f *testing.F) {
 			if math.Abs(got.Height-want.Height) > 1e-9 {
 				t.Fatalf("solve %d: pooled height %g vs fresh %g (Δ=%g)",
 					i, got.Height, want.Height, got.Height-want.Height)
+			}
+			bound, err := FractionalLowerBound(in, CGOptions{})
+			if err != nil {
+				t.Fatalf("solve %d: bound: %v", i, err)
+			}
+			if math.Abs(bound-want.Height) > 1e-9 {
+				t.Fatalf("solve %d: FractionalLowerBound %g vs SolveCG %g (Δ=%g)",
+					i, bound, want.Height, bound-want.Height)
 			}
 		}
 	})

@@ -178,10 +178,7 @@ func E1(w io.Writer) error {
 		if err := p.Validate(); err != nil {
 			return res{}, fmt.Errorf("E1 n=%d: %w", n, err)
 		}
-		lb, err := precedence.LowerBound(in)
-		if err != nil {
-			return res{}, err
-		}
+		lb := math.Max(st.F, in.AreaLowerBound())
 		return res{ratio: p.Height() / lb, calls: st.Calls}, nil
 	})
 	if err != nil {
@@ -220,17 +217,14 @@ func E2(w io.Writer) error {
 		if err != nil {
 			return res{}, err
 		}
-		p, _, err := precedence.DC(in, dcOpts())
+		p, st, err := precedence.DC(in, dcOpts())
 		if err != nil {
 			return res{}, err
 		}
 		if err := p.Validate(); err != nil {
 			return res{}, fmt.Errorf("E2 k=%d: %w", k, err)
 		}
-		lb, err := precedence.LowerBound(in)
-		if err != nil {
-			return res{}, err
-		}
+		lb := math.Max(st.F, in.AreaLowerBound())
 		return res{n: in.N(), lb: lb, height: p.Height()}, nil
 	})
 	if err != nil {
@@ -632,17 +626,14 @@ func E9(w io.Writer) error {
 		v := variants[t.Row]
 		rng := rand.New(rand.NewSource(seedE9 ^ int64(1000+t.Rep)))
 		in := workload.DAGWorkload(rng, 200, 8, 0.2)
-		p, _, err := precedence.DC(in, v.opts)
+		p, st, err := precedence.DC(in, v.opts)
 		if err != nil {
 			return res{}, fmt.Errorf("E9 %s: %w", v.name, err)
 		}
 		if err := p.Validate(); err != nil {
 			return res{}, fmt.Errorf("E9 %s: %w", v.name, err)
 		}
-		lb, err := precedence.LowerBound(in)
-		if err != nil {
-			return res{}, err
-		}
+		lb := math.Max(st.F, in.AreaLowerBound())
 		return res{height: p.Height(), ratio: p.Height() / lb}, nil
 	})
 	if err != nil {

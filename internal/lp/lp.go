@@ -37,6 +37,15 @@
 // optimum y is feasible for the dual (y_i >= 0 for GE rows, <= 0 for LE
 // rows), which is what Gilmore–Gomory pricing consumes.
 //
+// Starting basis: Revised.SetStartBasis hands the first Revised solve a
+// basis of structural columns and row logicals (slack on LE rows, surplus
+// on GE rows), such as a crash basis a caller can write down for its own
+// program (Bixby, "Implementing the Simplex Method: The Initial Basis",
+// ORSA J. Computing 4(3), 1992). The solve factorizes it once and, when it
+// is nonsingular and primal feasible, skips phase 1; otherwise it falls
+// back to the all-artificial start. The hint changes only the simplex
+// path: the status and the optimal value are those of the unhinted solve.
+//
 // The float64 solvers use Bland's rule (no cycling) with an absolute
 // tolerance.
 package lp

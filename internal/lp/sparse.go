@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -44,6 +45,7 @@ type Revised struct {
 	poss     []int32 // position among structural columns, -1 otherwise
 	nStruct  int
 
+	start    []int // SetStartBasis hint for the first Solve; nil when unset
 	inited   bool
 	feasible bool // phase 1 certified a feasible basis; it stays feasible
 	basis    []int
@@ -232,19 +234,71 @@ func (r *Revised) addLogical(kind int8, row int, v float64) int {
 	return r.numCols() - 1
 }
 
-// init builds the logical columns and the identity starting basis (slacks
-// on LE rows, artificials on GE/EQ rows).
+// RowLogical names, in a SetStartBasis hint, the row's own logical column:
+// the slack of an LE row or the surplus of a GE row.
+const RowLogical = -1
+
+// ErrBadStartBasis reports a starting basis SetStartBasis rejects.
+var ErrBadStartBasis = errors.New("lp: invalid start basis")
+
+// SetStartBasis gives the first Solve a starting basis to try before phase
+// 1: start[i] is the structural column basic on row i (its position in
+// Solution.X, as AddColumn returned it) or RowLogical. The entries must
+// name distinct columns that exist already, an EQ row has no logical to
+// name, and the hint must come before the first Solve; otherwise the
+// error wraps ErrBadStartBasis and the solver is left unchanged. A later
+// call replaces an earlier hint.
+//
+// Solve factorizes the hinted basis once and starts phase 2 from it when
+// it is nonsingular with every basic value >= -tol. Otherwise it falls
+// back to the all-artificial start and runs phase 1 as without a hint. A
+// hint can therefore change the simplex path, and with it which basic
+// optimum is returned, but not the status or the optimal value.
+func (r *Revised) SetStartBasis(start []int) error {
+	if r.inited {
+		return fmt.Errorf("%w: set after Solve", ErrBadStartBasis)
+	}
+	if len(start) != r.m {
+		return fmt.Errorf("%w: %d entries for %d rows", ErrBadStartBasis, len(start), r.m)
+	}
+	used := make([]bool, r.nStruct)
+	for i, c := range start {
+		switch {
+		case c == RowLogical:
+			if r.ops[i] == EQ {
+				return fmt.Errorf("%w: row %d is an equality and has no logical column", ErrBadStartBasis, i)
+			}
+		case c < 0 || c >= r.nStruct:
+			return fmt.Errorf("%w: row %d names column %d, outside [0,%d)", ErrBadStartBasis, i, c, r.nStruct)
+		case used[c]:
+			return fmt.Errorf("%w: column %d named twice", ErrBadStartBasis, c)
+		default:
+			used[c] = true
+		}
+	}
+	r.start = append(r.start[:0], start...)
+	return nil
+}
+
+// init builds the logical columns and the starting basis: the
+// SetStartBasis hint when crash accepts it, else the identity basis of
+// slacks on LE rows and artificials on GE/EQ rows.
 func (r *Revised) init() {
 	r.basis = make([]int, r.m)
 	for i := 0; i < r.m; i++ {
+		logical := RowLogical
 		switch r.ops[i] {
 		case LE:
-			r.basis[i] = r.addLogical(kindSlack, i, 1)
+			logical = r.addLogical(kindSlack, i, 1)
+			r.basis[i] = logical
 		case GE:
-			r.addLogical(kindSurplus, i, -1)
+			logical = r.addLogical(kindSurplus, i, -1)
 			r.basis[i] = r.addLogical(kindArtificial, i, 1)
 		case EQ:
 			r.basis[i] = r.addLogical(kindArtificial, i, 1)
+		}
+		if r.start != nil && r.start[i] == RowLogical {
+			r.start[i] = logical
 		}
 	}
 	if n := r.numCols(); cap(r.inBasis) >= n {
@@ -255,20 +309,42 @@ func (r *Revised) init() {
 	} else {
 		r.inBasis = make([]bool, n)
 	}
-	for _, b := range r.basis {
-		r.inBasis[b] = true
-	}
 	m := r.m
 	back := make([]float64, m*m+3*m) // binv | xb | y | d in one slab
 	r.binv = back[:m*m]
-	for i := 0; i < m; i++ {
-		r.binv[i*m+i] = 1
-	}
 	r.xb = back[m*m : m*m+m]
-	copy(r.xb, r.rhs)
 	r.y = back[m*m+m : m*m+2*m]
 	r.d = back[m*m+2*m:]
 	r.inited = true
+	if !r.crash() {
+		for i := 0; i < m; i++ {
+			r.binv[i*m+i] = 1
+		}
+		copy(r.xb, r.rhs)
+	}
+	for _, b := range r.basis {
+		r.inBasis[b] = true
+	}
+}
+
+// crash installs the SetStartBasis hint (its RowLogical entries resolved
+// by init) and keeps it, marking phase 1 done, when it factorizes and is
+// primal feasible. Otherwise it restores init's identity basis, zeroes
+// binv for init to refill and reports false. The hint is consumed either
+// way.
+func (r *Revised) crash() bool {
+	if r.start == nil {
+		return false
+	}
+	identity := r.basis
+	r.basis, r.start = r.start, nil
+	if r.refactor() == nil && !slices.ContainsFunc(r.xb, func(v float64) bool { return v < -tol }) {
+		r.feasible = true
+		return true
+	}
+	r.basis = identity
+	clear(r.binv)
+	return false
 }
 
 // costOf returns the objective coefficient of column ci under the phase-1
@@ -531,9 +607,9 @@ func (r *Revised) driveOutArtificials() {
 }
 
 // Solve optimizes the program over the columns added so far and returns a
-// basic solution with duals. The first call runs two-phase simplex; later
-// calls (after AddColumn) warm-start from the current basis and only run
-// phase 2.
+// basic solution with duals. The first call runs two-phase simplex, or
+// phase 2 alone from an accepted SetStartBasis hint; later calls (after
+// AddColumn) warm-start from the current basis and only run phase 2.
 func (r *Revised) Solve() (*Solution, error) {
 	sol := &Solution{}
 	if err := r.SolveInto(sol); err != nil {
@@ -553,6 +629,9 @@ func (r *Revised) SolveInto(sol *Solution) error {
 	sol.Iterations = 0
 	x, duals := sol.X, sol.Duals // buffers to reuse on the Optimal path
 	sol.X, sol.Duals = nil, nil
+	if !r.inited {
+		r.init()
+	}
 	if r.m == 0 {
 		for ci := 0; ci < r.numCols(); ci++ {
 			if r.costs[ci] < -tol {
@@ -563,9 +642,6 @@ func (r *Revised) SolveInto(sol *Solution) error {
 		sol.X = grow(x, r.nStruct)
 		sol.Duals = grow(duals, 0)
 		return nil
-	}
-	if !r.inited {
-		r.init()
 	}
 	if !r.feasible {
 		st, err := r.iterate(true, sol)
