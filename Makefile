@@ -15,8 +15,10 @@ build:
 test:
 	$(GO) test ./...
 
+# The benchmark/ directory is its own module, which the root ./... skips.
 vet:
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./...
 
 # Fails when gofmt would reformat any tracked Go file. Listing tracked
 # files keeps build output such as .bench_build/ out of the scan.
@@ -40,18 +42,19 @@ fmt:
 race:
 	$(GO) test -race ./internal/fpga ./internal/faultinject ./internal/fleet ./internal/service ./internal/experiments ./internal/core/release ./internal/core/precedence ./cmd/placementd
 
-ci: fmt build vet test race determinism
+ci: fmt build vet test race bench-smoke determinism
 
 # One iteration of every benchmark: catches bit-rot in the bench harness
 # without the cost of a full measurement run.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchmem -benchtime=1x .
 
-# Full measurement run recorded as JSON (see cmd/benchjson). Bump the
-# output name when recording a new trajectory point:
-#   make bench-record BENCH_OUT=BENCH_6.json
-BENCH_OUT ?= BENCH_9.json
+# Full measurement run recorded as JSON (see cmd/benchjson). Name the
+# new trajectory point; there is no default, so a bare run cannot
+# overwrite a committed BENCH_N.json:
+#   make bench-record BENCH_OUT=BENCH_10.json
 bench-record:
+	@if [ -z "$(BENCH_OUT)" ]; then echo "usage: make bench-record BENCH_OUT=BENCH_N.json" >&2; exit 2; fi
 	$(GO) run ./cmd/benchjson -out $(BENCH_OUT) -bench . -benchtime 2s
 
 # Property-based fuzzing: the skyline hot path, the online scheduler's

@@ -1,7 +1,8 @@
 package strippack
 
-// Benchmark harness: one benchmark per experiment table (E1..E10 in
-// DESIGN.md / EXPERIMENTS.md) plus micro-benchmarks of the substrates. Run
+// Benchmark harness: one benchmark per experiment table (E1..E15; `go run
+// ./cmd/experiments -list` names them) plus micro-benchmarks of the
+// substrates. Run
 //
 //	go test -bench=. -benchmem
 //
@@ -174,7 +175,7 @@ func BenchmarkSimplexConfigLP(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := release.SolveModel(m, false); err != nil {
+		if _, err := release.SolveModel(m); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -353,12 +354,16 @@ func BenchmarkSimplexDense(b *testing.B) {
 	for j := 0; j < n; j++ {
 		p.Objective[j] = rng.Float64()
 	}
+	idx := make([]int32, n)
+	for j := range idx {
+		idx[j] = int32(j)
+	}
 	for i := 0; i < m; i++ {
 		row := make([]float64, n)
 		for j := range row {
 			row[j] = rng.Float64()
 		}
-		if err := p.AddConstraint(row, lp.GE, 1+rng.Float64()); err != nil {
+		if err := p.AddSparseConstraint(idx, row, lp.GE, 1+rng.Float64()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -515,7 +520,8 @@ func BenchmarkSubmitBatch100k(b *testing.B) {
 // always performs. 0.70 sits below the device's fragmentation-limited
 // effective capacity (~0.75 for tasks up to K/2 wide), keeping the
 // waiting backlog bounded; past it the queue grows without bound and the
-// per-completion compaction pass turns quadratic (see DESIGN.md).
+// per-completion compaction pass turns quadratic (see
+// internal/fpga/DESIGN.md).
 func benchChurn(b *testing.B, p fpga.Policy) {
 	const K = 256
 	const n = 100_000

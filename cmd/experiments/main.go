@@ -1,6 +1,6 @@
-// Command experiments regenerates every table of EXPERIMENTS.md (the
+// Command experiments regenerates the experiment tables E1..E15, the
 // measurable counterparts of the paper's theorems, lemma constructions and
-// figures — see DESIGN.md for the index).
+// figures; -list prints each table's ID and what it measures.
 //
 // Trials fan out across a worker pool; tables are byte-identical for every
 // -parallel value, so the flag only trades wall-clock time for cores.

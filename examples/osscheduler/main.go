@@ -50,5 +50,5 @@ func main() {
 
 	fmt.Println("\nThe additive (W+1)(R+1) term dominates at this scale — the")
 	fmt.Println("scheme is *asymptotic*: its advantage appears as total work grows")
-	fmt.Println("while the additive term stays fixed (see EXPERIMENTS.md, E6).")
+	fmt.Println("while the additive term stays fixed (see cmd/experiments E6).")
 }

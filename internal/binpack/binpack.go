@@ -4,20 +4,18 @@
 // uniform heights is precedence-constrained bin packing (Garey, Graham,
 // Johnson and Yao's resource constrained scheduling).
 //
-// The package provides the classical unconstrained heuristics (NextFit,
-// FirstFit, BestFit and their decreasing variants), lower bounds, an exact
-// branch-and-bound for small instances, and the precedence-constrained
-// packers used in §2.2: precedence Next-Fit (the paper's algorithm F viewed
-// on bins), precedence First-Fit, and a level-by-level FFD in the style of
-// GGJY.
+// The package provides the precedence-constrained packers used in §2.2:
+// precedence Next-Fit (the paper's algorithm F viewed on bins), precedence
+// First-Fit, and a level-by-level FFD in the style of GGJY; an exact DP for
+// small precedence instances; the unconstrained First-Fit and
+// First-Fit-Decreasing that the level packer runs per level; and the size
+// lower bound.
 package binpack
 
 import (
 	"fmt"
 	"math"
 	"slices"
-
-	"strippack/internal/dag"
 )
 
 // Eps is the capacity tolerance.
@@ -48,21 +46,6 @@ func (a *Assignment) Validate(sizes []float64) error {
 	return nil
 }
 
-// ValidatePrecedence additionally checks that every precedence edge (u,v)
-// puts u in a strictly earlier bin than v (the paper's a ≺ b rule).
-func (a *Assignment) ValidatePrecedence(sizes []float64, g *dag.Graph) error {
-	if err := a.Validate(sizes); err != nil {
-		return err
-	}
-	for _, e := range g.Edges() {
-		if a.Bin[e[0]] >= a.Bin[e[1]] {
-			return fmt.Errorf("binpack: precedence %d->%d violated (bins %d,%d)",
-				e[0], e[1], a.Bin[e[0]], a.Bin[e[1]])
-		}
-	}
-	return nil
-}
-
 func checkSizes(sizes []float64) error {
 	for i, s := range sizes {
 		if !(s > 0) || s > 1+Eps || math.IsNaN(s) {
@@ -70,26 +53,6 @@ func checkSizes(sizes []float64) error {
 		}
 	}
 	return nil
-}
-
-// NextFit packs items in the given order, opening a new bin whenever the
-// current bin cannot hold the next item. 2-approximation.
-func NextFit(sizes []float64) (*Assignment, error) {
-	if err := checkSizes(sizes); err != nil {
-		return nil, err
-	}
-	a := &Assignment{Bin: make([]int, len(sizes))}
-	cur, load := -1, 0.0
-	for i, s := range sizes {
-		if cur == -1 || load+s > 1+Eps {
-			cur++
-			load = 0
-		}
-		a.Bin[i] = cur
-		load += s
-	}
-	a.NumBins = cur + 1
-	return a, nil
 }
 
 // FirstFit places each item into the lowest-indexed bin that fits, opening a
@@ -113,33 +76,6 @@ func FirstFit(sizes []float64) (*Assignment, error) {
 		if !placed {
 			loads = append(loads, s)
 			a.Bin[i] = len(loads) - 1
-		}
-	}
-	a.NumBins = len(loads)
-	return a, nil
-}
-
-// BestFit places each item into the feasible bin with the least residual
-// capacity.
-func BestFit(sizes []float64) (*Assignment, error) {
-	if err := checkSizes(sizes); err != nil {
-		return nil, err
-	}
-	a := &Assignment{Bin: make([]int, len(sizes))}
-	var loads []float64
-	for i, s := range sizes {
-		best, bestLoad := -1, -1.0
-		for b, l := range loads {
-			if l+s <= 1+Eps && l > bestLoad {
-				best, bestLoad = b, l
-			}
-		}
-		if best == -1 {
-			loads = append(loads, s)
-			a.Bin[i] = len(loads) - 1
-		} else {
-			loads[best] += s
-			a.Bin[i] = best
 		}
 	}
 	a.NumBins = len(loads)
@@ -192,11 +128,6 @@ func FirstFitDecreasing(sizes []float64) (*Assignment, error) {
 	return permuted(sizes, decreasingOrder(sizes), FirstFit)
 }
 
-// BestFitDecreasing is BestFit on non-increasing sizes.
-func BestFitDecreasing(sizes []float64) (*Assignment, error) {
-	return permuted(sizes, decreasingOrder(sizes), BestFit)
-}
-
 // LowerBoundL1 is the size bound ⌈Σ sizes⌉.
 func LowerBoundL1(sizes []float64) int {
 	var sum float64
@@ -204,117 +135,4 @@ func LowerBoundL1(sizes []float64) int {
 		sum += s
 	}
 	return int(math.Ceil(sum - Eps))
-}
-
-// LowerBoundL2 is a Martello-Toth-style L2 bound: for a threshold α <= 1/2,
-// items larger than 1-α cannot share a bin with any item of size >= α, so
-// they need exclusive bins on top of the size bound for mid-range items.
-// The sweep tries every item size and complement as α.
-func LowerBoundL2(sizes []float64) int {
-	best := LowerBoundL1(sizes)
-	cands := make([]float64, 0, 2*len(sizes)+1)
-	cands = append(cands, 0.5)
-	for _, s := range sizes {
-		if s <= 0.5+Eps {
-			cands = append(cands, s)
-		}
-		if 1-s <= 0.5+Eps {
-			cands = append(cands, 1-s)
-		}
-	}
-	for _, alpha := range cands {
-		var big int     // items > 1-α: each needs its own bin
-		var mid float64 // items in [α, 1-α]: total size
-		for _, s := range sizes {
-			switch {
-			case s > 1-alpha+Eps:
-				big++
-			case s > alpha-Eps:
-				mid += s
-			}
-		}
-		if lb := big + int(math.Ceil(mid-Eps)); lb > best {
-			best = lb
-		}
-	}
-	return best
-}
-
-// ExactBranchBound computes the optimal number of bins for small instances
-// (n up to ~16) by DFS with symmetry breaking: each item goes into one of
-// the already-open bins or a new bin; items are processed in decreasing
-// order and bounded by L2.
-func ExactBranchBound(sizes []float64, maxN int) (int, error) {
-	if err := checkSizes(sizes); err != nil {
-		return 0, err
-	}
-	n := len(sizes)
-	if maxN > 0 && n > maxN {
-		return 0, fmt.Errorf("binpack: instance size %d exceeds exact-solver cap %d", n, maxN)
-	}
-	if n == 0 {
-		return 0, nil
-	}
-	order := decreasingOrder(sizes)
-	s := make([]float64, n)
-	for i, j := range order {
-		s[i] = sizes[j]
-	}
-	ffd, err := FirstFitDecreasing(sizes)
-	if err != nil {
-		return 0, err
-	}
-	best := ffd.NumBins
-	lb := LowerBoundL2(sizes)
-	loads := make([]float64, 0, n)
-	var dfs func(i, used int)
-	dfs = func(i, used int) {
-		if used >= best {
-			return
-		}
-		if i == n {
-			best = used
-			return
-		}
-		// Remaining-size bound.
-		var rem float64
-		for k := i; k < n; k++ {
-			rem += s[k]
-		}
-		var slack float64
-		for _, l := range loads[:used] {
-			slack += 1 - l
-		}
-		need := used + int(math.Ceil((rem-slack)-Eps))
-		if need < used {
-			need = used
-		}
-		if need >= best {
-			return
-		}
-		seen := make(map[int64]bool)
-		for b := 0; b < used; b++ {
-			if loads[b]+s[i] > 1+Eps {
-				continue
-			}
-			// Symmetry: skip bins with (rounded) identical load.
-			key := int64(loads[b] * 1e9)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			loads[b] += s[i]
-			dfs(i+1, used)
-			loads[b] -= s[i]
-		}
-		// New bin.
-		loads = append(loads, s[i])
-		dfs(i+1, used+1)
-		loads = loads[:used]
-		if best == lb {
-			return
-		}
-	}
-	dfs(0, 0)
-	return best, nil
 }

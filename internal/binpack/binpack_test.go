@@ -1,6 +1,7 @@
 package binpack
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,6 +9,107 @@ import (
 )
 
 func sizesOf(vals ...float64) []float64 { return vals }
+
+// NextFit packs items in the given order, opening a new bin whenever the
+// current bin cannot hold the next item (2-approximation). It is the
+// reference that PrecNextFit must match on an edgeless graph.
+func NextFit(sizes []float64) (*Assignment, error) {
+	if err := checkSizes(sizes); err != nil {
+		return nil, err
+	}
+	a := &Assignment{Bin: make([]int, len(sizes))}
+	cur, load := -1, 0.0
+	for i, s := range sizes {
+		if cur == -1 || load+s > 1+Eps {
+			cur++
+			load = 0
+		}
+		a.Bin[i] = cur
+		load += s
+	}
+	a.NumBins = cur + 1
+	return a, nil
+}
+
+// ExactBranchBound computes the optimal number of bins for small instances
+// (n up to ~16) by DFS with symmetry breaking: each item goes into one of
+// the already-open bins or a new bin; items are processed in decreasing
+// order and the search stops once it meets the size bound. It is the
+// optimum the heuristics and ExactPrec are checked against.
+func ExactBranchBound(sizes []float64, maxN int) (int, error) {
+	if err := checkSizes(sizes); err != nil {
+		return 0, err
+	}
+	n := len(sizes)
+	if maxN > 0 && n > maxN {
+		return 0, fmt.Errorf("binpack: instance size %d exceeds exact-solver cap %d", n, maxN)
+	}
+	if n == 0 {
+		return 0, nil
+	}
+	order := decreasingOrder(sizes)
+	s := make([]float64, n)
+	for i, j := range order {
+		s[i] = sizes[j]
+	}
+	ffd, err := FirstFitDecreasing(sizes)
+	if err != nil {
+		return 0, err
+	}
+	best := ffd.NumBins
+	lb := LowerBoundL1(sizes)
+	loads := make([]float64, 0, n)
+	var dfs func(i, used int)
+	dfs = func(i, used int) {
+		if used >= best {
+			return
+		}
+		if i == n {
+			best = used
+			return
+		}
+		// Remaining-size bound.
+		var rem float64
+		for k := i; k < n; k++ {
+			rem += s[k]
+		}
+		var slack float64
+		for _, l := range loads[:used] {
+			slack += 1 - l
+		}
+		need := used + int(math.Ceil((rem-slack)-Eps))
+		if need < used {
+			need = used
+		}
+		if need >= best {
+			return
+		}
+		seen := make(map[int64]bool)
+		for b := 0; b < used; b++ {
+			if loads[b]+s[i] > 1+Eps {
+				continue
+			}
+			// Symmetry: skip bins with (rounded) identical load.
+			key := int64(loads[b] * 1e9)
+			if seen[key] {
+				continue
+			}
+			seen[key] = true
+			loads[b] += s[i]
+			dfs(i+1, used)
+			loads[b] -= s[i]
+		}
+		// New bin.
+		loads = append(loads, s[i])
+		dfs(i+1, used+1)
+		loads = loads[:used]
+		if best == lb {
+			return
+		}
+	}
+	dfs(0, 0)
+	return best, nil
+}
 
 func TestNextFitBasic(t *testing.T) {
 	a, err := NextFit(sizesOf(0.6, 0.6, 0.4, 0.4))
@@ -38,18 +140,6 @@ func TestFirstFitReusesEarlierBins(t *testing.T) {
 	}
 }
 
-func TestBestFitPrefersTightest(t *testing.T) {
-	s := sizesOf(0.7, 0.5, 0.3)
-	a, err := BestFit(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// b0=0.7, b1=0.5, 0.3 -> b0 (load 0.7 tighter than 0.5).
-	if a.Bin[2] != 0 {
-		t.Fatalf("BestFit put 0.3 in bin %d, want 0 (%v)", a.Bin[2], a.Bin)
-	}
-}
-
 func TestFFDPerfect(t *testing.T) {
 	s := sizesOf(0.5, 0.5, 0.5, 0.5, 0.25, 0.25, 0.25, 0.25)
 	a, err := FirstFitDecreasing(s)
@@ -64,20 +154,6 @@ func TestFFDPerfect(t *testing.T) {
 	}
 }
 
-func TestBFDValid(t *testing.T) {
-	s := sizesOf(0.9, 0.8, 0.2, 0.1, 0.55, 0.45)
-	a, err := BestFitDecreasing(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Validate(s); err != nil {
-		t.Fatal(err)
-	}
-	if a.NumBins != 3 {
-		t.Fatalf("BFD bins = %d, want 3", a.NumBins)
-	}
-}
-
 func TestRejectsBadSizes(t *testing.T) {
 	for _, s := range [][]float64{{0}, {-0.5}, {1.5}, {math.NaN()}} {
 		if _, err := NextFit(s); err == nil {
@@ -85,9 +161,6 @@ func TestRejectsBadSizes(t *testing.T) {
 		}
 		if _, err := FirstFit(s); err == nil {
 			t.Errorf("FirstFit accepted %v", s)
-		}
-		if _, err := BestFit(s); err == nil {
-			t.Errorf("BestFit accepted %v", s)
 		}
 	}
 }
@@ -120,16 +193,6 @@ func TestLowerBoundL1(t *testing.T) {
 	}
 	if got := LowerBoundL1(nil); got != 0 {
 		t.Fatalf("L1(empty) = %d", got)
-	}
-}
-
-func TestLowerBoundL2BeatsL1(t *testing.T) {
-	// Three items of 0.6: L1 = 2 but no two fit together, so L2 = 3.
-	s := sizesOf(0.6, 0.6, 0.6)
-	if l1, l2 := LowerBoundL1(s), LowerBoundL2(s); l2 <= l1 {
-		t.Fatalf("L2 = %d not stronger than L1 = %d", l2, l1)
-	} else if l2 != 3 {
-		t.Fatalf("L2 = %d, want 3", l2)
 	}
 }
 
@@ -188,9 +251,7 @@ func TestHeuristicsSandwich(t *testing.T) {
 		algos := []algo{
 			{"NextFit", NextFit, 2},
 			{"FirstFit", FirstFit, 2},
-			{"BestFit", BestFit, 2},
 			{"FFD", FirstFitDecreasing, 1.5},
-			{"BFD", BestFitDecreasing, 1.5},
 		}
 		for _, al := range algos {
 			a, err := al.run(s)
@@ -212,7 +273,7 @@ func TestHeuristicsSandwich(t *testing.T) {
 	}
 }
 
-// TestLowerBoundsSound: L1, L2 never exceed the exact optimum.
+// TestLowerBoundsSound: L1 never exceeds the exact optimum.
 func TestLowerBoundsSound(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -225,20 +286,9 @@ func TestLowerBoundsSound(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return LowerBoundL1(s) <= opt && LowerBoundL2(s) <= opt
+		return LowerBoundL1(s) <= opt
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSortedSizesDesc(t *testing.T) {
-	s := sizesOf(0.2, 0.9, 0.5)
-	d := SortedSizesDesc(s)
-	if d[0] != 0.9 || d[1] != 0.5 || d[2] != 0.2 {
-		t.Fatalf("got %v", d)
-	}
-	if s[0] != 0.2 {
-		t.Fatal("input mutated")
 	}
 }

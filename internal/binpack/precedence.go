@@ -1,11 +1,9 @@
 package binpack
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 
 	"strippack/internal/dag"
 )
@@ -299,22 +297,4 @@ func ExactPrec(sizes []float64, g *dag.Graph, maxN int) (int, error) {
 		return 0, fmt.Errorf("binpack: exact DP failed (unexpected)")
 	}
 	return int(dp[full]), nil
-}
-
-// BinLoads returns the per-bin total sizes of an assignment, useful in tests
-// and for the red/green density accounting of Theorem 2.6.
-func BinLoads(a *Assignment, sizes []float64) []float64 {
-	loads := make([]float64, a.NumBins)
-	for i, b := range a.Bin {
-		loads[b] += sizes[i]
-	}
-	return loads
-}
-
-// SortedSizesDesc returns a copy of sizes sorted non-increasing (test helper
-// shared by ablation experiments).
-func SortedSizesDesc(sizes []float64) []float64 {
-	out := append([]float64(nil), sizes...)
-	slices.SortFunc(out, func(a, b float64) int { return cmp.Compare(b, a) })
-	return out
 }

@@ -1,6 +1,7 @@
 package binpack
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,16 +9,45 @@ import (
 	"strippack/internal/dag"
 )
 
-func chainGraph(t *testing.T, n int) *dag.Graph {
-	t.Helper()
-	return dag.Chain(n)
+// chainGraph returns the path 0 -> 1 -> ... -> n-1.
+func chainGraph(n int) *dag.Graph {
+	g := dag.New(n)
+	for i := 0; i+1 < n; i++ {
+		_ = g.AddEdge(i, i+1)
+	}
+	return g
+}
+
+// ValidatePrecedence additionally checks that every precedence edge (u,v)
+// puts u in a strictly earlier bin than v (the paper's a ≺ b rule).
+func (a *Assignment) ValidatePrecedence(sizes []float64, g *dag.Graph) error {
+	if err := a.Validate(sizes); err != nil {
+		return err
+	}
+	for _, e := range g.Edges() {
+		if a.Bin[e[0]] >= a.Bin[e[1]] {
+			return fmt.Errorf("binpack: precedence %d->%d violated (bins %d,%d)",
+				e[0], e[1], a.Bin[e[0]], a.Bin[e[1]])
+		}
+	}
+	return nil
+}
+
+// BinLoads returns the per-bin total sizes of an assignment, for the
+// red/green density accounting of Theorem 2.6.
+func BinLoads(a *Assignment, sizes []float64) []float64 {
+	loads := make([]float64, a.NumBins)
+	for i, b := range a.Bin {
+		loads[b] += sizes[i]
+	}
+	return loads
 }
 
 func TestPrecNextFitChainForcesOneBinEach(t *testing.T) {
 	// A chain of 4 small items: precedence forces 4 bins even though all
 	// would fit in one.
 	s := sizesOf(0.1, 0.1, 0.1, 0.1)
-	g := chainGraph(t, 4)
+	g := chainGraph(4)
 	r, err := PrecNextFit(s, g)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +167,7 @@ func TestLevelFFDRespectsLevels(t *testing.T) {
 }
 
 func TestPrecLowerBound(t *testing.T) {
-	g := dag.Chain(5)
+	g := chainGraph(5)
 	s := sizesOf(0.1, 0.1, 0.1, 0.1, 0.1)
 	lb, err := PrecLowerBound(s, g)
 	if err != nil {
@@ -159,7 +189,7 @@ func TestPrecLowerBound(t *testing.T) {
 
 func TestExactPrecSmall(t *testing.T) {
 	// Chain of 3 -> 3 bins regardless of sizes.
-	g := dag.Chain(3)
+	g := chainGraph(3)
 	got, err := ExactPrec(sizesOf(0.1, 0.1, 0.1), g, 0)
 	if err != nil {
 		t.Fatal(err)

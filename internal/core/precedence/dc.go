@@ -6,16 +6,18 @@
 //     (Theorem 2.3: DC(S) <= log(n+1)·F(S) + 2·AREA(S) <= (2+log(n+1))·OPT),
 //   - the two lower bounds F(S) (critical path) and AREA(S),
 //   - NextFitUniform, the paper's algorithm F for uniform heights
-//     (Theorem 2.6: absolute 3-approximation), and
-//   - ToShelfSolution, the slide-down conversion of §2.2 showing that shelf
-//     solutions are without loss of generality for uniform heights.
+//     (Theorem 2.6: absolute 3-approximation), and FirstFitUniform, its
+//     precedence First-Fit variant.
+//
+// Shelf solutions are without loss of generality for uniform heights (the
+// slide-down argument of §2.2); the tests carry that conversion as
+// ToShelfSolution.
 package precedence
 
 import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"sync"
 
 	"strippack/internal/binpack"
@@ -38,10 +40,6 @@ type DCOptions struct {
 	// packing.NFDHInto; setting Subroutine routes bands through a copying
 	// adapter (packing.IndexOf), which the E9 ablation variants use.
 	Subroutine packing.Algorithm
-	// IndexSubroutine overrides the middle-band packer with an index-based
-	// implementation (no rectangle copies). Takes precedence over
-	// Subroutine.
-	IndexSubroutine packing.IndexAlgorithm
 	// SplitFraction is the F-threshold as a fraction of H used to cut the
 	// instance; the paper fixes 1/2. Exposed for the ablation experiment
 	// (E9). Values must lie in (0,1); 0 means 1/2.
@@ -135,10 +133,7 @@ func DC(in *geom.Instance, opts *DCOptions) (*geom.Packing, *DCStats, error) {
 	frac := 0.5
 	workers := DefaultWorkers
 	if opts != nil {
-		switch {
-		case opts.IndexSubroutine != nil:
-			sub = opts.IndexSubroutine
-		case opts.Subroutine != nil:
+		if opts.Subroutine != nil {
 			sub = packing.IndexOf(opts.Subroutine)
 		}
 		if opts.SplitFraction != 0 {
@@ -496,135 +491,4 @@ func shelfPacking(in *geom.Instance, a *binpack.Assignment, order []int, h float
 		}
 	}
 	return p, nil
-}
-
-// ToShelfSolution converts an arbitrary feasible uniform-height packing into
-// a shelf solution of the same or smaller height (the slide-down argument of
-// §2.2): repeatedly pick the shelf-spanning rectangle with the smallest y
-// and slide it down into the lower of the two shelves it spans. The packing
-// is modified in place.
-//
-// Sliding a spanning rectangle aligns it to a shelf boundary and moves
-// nothing else, so the candidate set never grows: all spanning rectangles
-// are collected once into a min-heap keyed by y (ties on id) and processed
-// in the same smallest-y-first order as the textbook loop, with a single
-// overlap sweep validating the result — instead of one O(n log n) sweep and
-// one O(n) rescan per slide.
-func ToShelfSolution(p *geom.Packing) error {
-	in := p.Instance
-	h, err := uniformHeight(in)
-	if err != nil {
-		return err
-	}
-	if err := p.Validate(); err != nil {
-		return fmt.Errorf("precedence: input packing invalid: %w", err)
-	}
-	// A rectangle is aligned when y is an integer multiple of h.
-	spanning := func(y float64) bool {
-		m := math.Mod(y, h)
-		return m > geom.Eps && m < h-geom.Eps
-	}
-	var hp slideHeap
-	for i := range in.Rects {
-		if spanning(p.Pos[i].Y) {
-			hp.push(p.Pos[i].Y, i)
-		}
-	}
-	if hp.len() == 0 {
-		return nil // already a shelf solution
-	}
-	for hp.len() > 0 {
-		y, id := hp.pop()
-		// Slide down to the bottom of the lower shelf it spans.
-		p.Pos[id].Y = math.Floor(y/h+geom.Eps) * h
-	}
-	if err := p.OverlapSweep(); err != nil {
-		return fmt.Errorf("precedence: slide-down created overlap (should be impossible): %w", err)
-	}
-	return nil
-}
-
-// slideHeap is a binary min-heap of (y, id) pairs ordered by y, ties on id,
-// holding ToShelfSolution's pending slide-down candidates.
-type slideHeap struct {
-	ys  []float64
-	ids []int
-}
-
-func (s *slideHeap) len() int { return len(s.ys) }
-
-func (s *slideHeap) less(i, j int) bool {
-	if s.ys[i] != s.ys[j] {
-		return s.ys[i] < s.ys[j]
-	}
-	return s.ids[i] < s.ids[j]
-}
-
-func (s *slideHeap) swap(i, j int) {
-	s.ys[i], s.ys[j] = s.ys[j], s.ys[i]
-	s.ids[i], s.ids[j] = s.ids[j], s.ids[i]
-}
-
-func (s *slideHeap) push(y float64, id int) {
-	s.ys = append(s.ys, y)
-	s.ids = append(s.ids, id)
-	i := len(s.ys) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			break
-		}
-		s.swap(i, parent)
-		i = parent
-	}
-}
-
-func (s *slideHeap) pop() (float64, int) {
-	y, id := s.ys[0], s.ids[0]
-	last := len(s.ys) - 1
-	s.swap(0, last)
-	s.ys = s.ys[:last]
-	s.ids = s.ids[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(s.ys) && s.less(l, small) {
-			small = l
-		}
-		if r < len(s.ys) && s.less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		s.swap(i, small)
-		i = small
-	}
-	return y, id
-}
-
-// SortByF returns rectangle indices sorted by increasing F value; helper
-// shared by visualizations and the adversarial example.
-func SortByF(in *geom.Instance) ([]int, error) {
-	f, err := FValues(in)
-	if err != nil {
-		return nil, err
-	}
-	idx := make([]int, in.N())
-	for i := range idx {
-		idx[i] = i
-	}
-	// Index tie-break keeps the reflection-free sort stable.
-	slices.SortFunc(idx, func(a, b int) int {
-		switch {
-		case f[a] < f[b]:
-			return -1
-		case f[a] > f[b]:
-			return 1
-		default:
-			return a - b
-		}
-	})
-	return idx, nil
 }

@@ -1,6 +1,7 @@
 package precedence
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -413,13 +414,108 @@ func TestToShelfSolutionProperty(t *testing.T) {
 	}
 }
 
-func TestSortByF(t *testing.T) {
-	in := geom.NewInstance(1, []geom.Rect{{W: 0.1, H: 3}, {W: 0.1, H: 1}, {W: 0.1, H: 2}})
-	idx, err := SortByF(in)
+// ToShelfSolution converts an arbitrary feasible uniform-height packing into
+// a shelf solution of the same or smaller height (the slide-down argument of
+// §2.2): repeatedly pick the shelf-spanning rectangle with the smallest y
+// and slide it down into the lower of the two shelves it spans. The packing
+// is modified in place.
+//
+// Sliding a spanning rectangle aligns it to a shelf boundary and moves
+// nothing else, so the candidate set never grows: all spanning rectangles
+// are collected once into a min-heap keyed by y (ties on id) and processed
+// in the same smallest-y-first order as the textbook loop, with a single
+// overlap sweep validating the result — instead of one O(n log n) sweep and
+// one O(n) rescan per slide.
+func ToShelfSolution(p *geom.Packing) error {
+	in := p.Instance
+	h, err := uniformHeight(in)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
-	if idx[0] != 1 || idx[1] != 2 || idx[2] != 0 {
-		t.Fatalf("SortByF = %v", idx)
+	if err := p.Validate(); err != nil {
+		return fmt.Errorf("precedence: input packing invalid: %w", err)
 	}
+	// A rectangle is aligned when y is an integer multiple of h.
+	spanning := func(y float64) bool {
+		m := math.Mod(y, h)
+		return m > geom.Eps && m < h-geom.Eps
+	}
+	var hp slideHeap
+	for i := range in.Rects {
+		if spanning(p.Pos[i].Y) {
+			hp.push(p.Pos[i].Y, i)
+		}
+	}
+	if hp.len() == 0 {
+		return nil // already a shelf solution
+	}
+	for hp.len() > 0 {
+		y, id := hp.pop()
+		// Slide down to the bottom of the lower shelf it spans.
+		p.Pos[id].Y = math.Floor(y/h+geom.Eps) * h
+	}
+	if err := p.OverlapSweep(); err != nil {
+		return fmt.Errorf("precedence: slide-down created overlap (should be impossible): %w", err)
+	}
+	return nil
+}
+
+// slideHeap is a binary min-heap of (y, id) pairs ordered by y, ties on id,
+// holding ToShelfSolution's pending slide-down candidates.
+type slideHeap struct {
+	ys  []float64
+	ids []int
+}
+
+func (s *slideHeap) len() int { return len(s.ys) }
+
+func (s *slideHeap) less(i, j int) bool {
+	if s.ys[i] != s.ys[j] {
+		return s.ys[i] < s.ys[j]
+	}
+	return s.ids[i] < s.ids[j]
+}
+
+func (s *slideHeap) swap(i, j int) {
+	s.ys[i], s.ys[j] = s.ys[j], s.ys[i]
+	s.ids[i], s.ids[j] = s.ids[j], s.ids[i]
+}
+
+func (s *slideHeap) push(y float64, id int) {
+	s.ys = append(s.ys, y)
+	s.ids = append(s.ids, id)
+	i := len(s.ys) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !s.less(i, parent) {
+			break
+		}
+		s.swap(i, parent)
+		i = parent
+	}
+}
+
+func (s *slideHeap) pop() (float64, int) {
+	y, id := s.ys[0], s.ids[0]
+	last := len(s.ys) - 1
+	s.swap(0, last)
+	s.ys = s.ys[:last]
+	s.ids = s.ids[:last]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		small := i
+		if l < len(s.ys) && s.less(l, small) {
+			small = l
+		}
+		if r < len(s.ys) && s.less(r, small) {
+			small = r
+		}
+		if small == i {
+			break
+		}
+		s.swap(i, small)
+		i = small
+	}
+	return y, id
 }

@@ -18,10 +18,6 @@ type Options struct {
 	// CGWorkers is the pricing fan-out of the column-generation LP solve
 	// (0 = GOMAXPROCS; results are identical for any value).
 	CGWorkers int
-	// SkipRounding bypasses Lemmas 3.1/3.2 and builds the LP on the raw
-	// widths and release times; useful when the instance is already
-	// quantized (FPGA column widths) and for the rounding experiment E8.
-	SkipRounding bool
 }
 
 // Report describes one APTAS run for the experiment harness.
@@ -67,19 +63,14 @@ func Pack(in *geom.Instance, opts Options) (*geom.Packing, *Report, error) {
 	groups := W / (R + 1)
 	rep := &Report{R: R, W: W, Groups: groups}
 
-	reduced := in
-	if !opts.SkipRounding {
-		var err error
-		var delta float64
-		reduced, delta, err = RoundReleases(in, R)
-		if err != nil {
-			return nil, nil, err
-		}
-		rep.Delta = delta
-		reduced, err = GroupWidths(reduced, groups)
-		if err != nil {
-			return nil, nil, err
-		}
+	reduced, delta, err := RoundReleases(in, R)
+	if err != nil {
+		return nil, nil, err
+	}
+	rep.Delta = delta
+	reduced, err = GroupWidths(reduced, groups)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	rep.AdditiveBound = float64((W + 1) * (R + 1))

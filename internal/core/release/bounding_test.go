@@ -1,12 +1,57 @@
 package release
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"strippack/internal/geom"
 )
+
+// BoundingInstances builds the paper's P^inf and P^sup for an instance and
+// a group count (Lemma 3.2 / Fig. 4): per release class with stacking
+// height H, both consist of `groups` rectangles of height H/groups; the
+// l-th has the threshold width of group l+1 (P^inf) or group l (P^sup).
+// They satisfy P^inf ⊑ P(R) ⊑ P(R,W) ⊑ P^sup in the stacking order, which
+// the lemma's proof exploits and TestBoundingChain checks.
+func BoundingInstances(in *geom.Instance, groups int) (inf, sup *geom.Instance, err error) {
+	if groups < 1 {
+		return nil, nil, fmt.Errorf("release: groups must be >= 1, got %d", groups)
+	}
+	_, members := classes(in)
+	var infRects, supRects []geom.Rect
+	for _, ids := range members {
+		if len(ids) == 0 {
+			continue
+		}
+		order, base := Stacking(in, ids)
+		H := StackHeight(in, ids)
+		cut := H / float64(groups)
+		rel := in.Rects[ids[0]].Release
+		// Threshold width of group l: the width of the stack at height
+		// l*cut (the widest rectangle whose span contains the line).
+		widthAt := func(y float64) float64 {
+			for k, id := range order {
+				if base[k] <= y+geom.Eps && y < base[k]+in.Rects[id].H-geom.Eps {
+					return in.Rects[id].W
+				}
+			}
+			return 0
+		}
+		for l := 0; l < groups; l++ {
+			wSup := widthAt(float64(l) * cut)
+			wInf := widthAt(float64(l+1) * cut) // w_{i,groups} = 0 by convention
+			if wSup > 0 {
+				supRects = append(supRects, geom.Rect{W: wSup, H: cut, Release: rel})
+			}
+			if wInf > 0 {
+				infRects = append(infRects, geom.Rect{W: wInf, H: cut, Release: rel})
+			}
+		}
+	}
+	return geom.NewInstance(in.Width, infRects), geom.NewInstance(in.Width, supRects), nil
+}
 
 func TestBoundingInstancesValidation(t *testing.T) {
 	in := geom.NewInstance(1, []geom.Rect{{W: 0.5, H: 1}})

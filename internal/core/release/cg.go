@@ -47,10 +47,6 @@ type CGOptions struct {
 	// Workers is the pricing fan-out over phases (0 = GOMAXPROCS). Results
 	// are byte-identical for every value >= 1.
 	Workers int
-	// MaxRounds caps the pricing rounds as a safety net (0 = 10000). Each
-	// round adds at least one new configuration, so the cap is only hit on
-	// numerically pathological inputs.
-	MaxRounds int
 	// DisablePool turns off cross-solve column pooling in the engines that
 	// carry one (Solver, and BoundCache through it), making every solve run
 	// the one-shot FractionalLowerBound solve — the poolless path the
@@ -80,6 +76,11 @@ type CGStats struct {
 // already present — whose reduced cost the master certifies >= -1e-9 — can
 // never be re-generated.
 const cgPriceTol = 1e-7
+
+// maxRounds caps the pricing rounds as a safety net. Each round adds at
+// least one new configuration, so the cap is only hit on numerically
+// pathological inputs.
+const maxRounds = 10000
 
 // maxPriceUnits caps the knapsack DP table; width sets without a common
 // unit this fine fall back to the branch-and-bound pricer.
@@ -234,10 +235,6 @@ func solveCG(in *geom.Instance, opts CGOptions, seed []Config, crash bool) (*Fra
 		}
 	}
 
-	maxRounds := opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 10000
-	}
 	var sol lp.Solution
 	rounds := 0
 	for {

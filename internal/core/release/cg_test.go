@@ -29,9 +29,9 @@ func TestSolveCGMatchesExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: BuildModel: %v", trial, err)
 		}
-		ex, err := SolveModel(m, true)
+		ex, err := solveModelExact(m)
 		if err != nil {
-			t.Fatalf("trial %d: exact SolveModel: %v", trial, err)
+			t.Fatalf("trial %d: exact solve: %v", trial, err)
 		}
 		if math.Abs(fs.Height-ex.Height) > 1e-6 {
 			t.Fatalf("trial %d: CG height %g vs exact %g (Δ=%g)",
@@ -67,7 +67,7 @@ func TestSolveCGMatchesFloatOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: BuildModel: %v", trial, err)
 		}
-		or, err := SolveModel(m, false)
+		or, err := SolveModel(m)
 		if err != nil {
 			t.Fatalf("trial %d: SolveModel: %v", trial, err)
 		}

@@ -78,15 +78,6 @@ func EnumerateConfigs(widths []float64, stripWidth float64, maxConfigs int) ([]C
 	return out, nil
 }
 
-// Items returns the total number of rectangles in the configuration.
-func (c Config) Items() int {
-	n := 0
-	for _, k := range c.Counts {
-		n += k
-	}
-	return n
-}
-
 // CountConfigs returns only the number of configurations (used by the
 // LP-scaling experiment E7 without allocating them all). When the widths
 // share a common unit (FPGA columns), the count is memoized on

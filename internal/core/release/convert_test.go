@@ -141,7 +141,7 @@ func TestToIntegralMatchesBackwardScan(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return SolveModel(m, false)
+			return SolveModel(m)
 		}},
 		{"rounded and grouped", func() *geom.Instance {
 			in := fpgaInstance(rng, 200+rng.Intn(400), 8, 50)

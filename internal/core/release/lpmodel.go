@@ -158,19 +158,19 @@ type FractionalSolution struct {
 	Iterations int
 }
 
-// SolveModel solves the LP (optionally with the exact rational solver) and
-// unpacks the solution into per-phase configuration heights.
-func SolveModel(m *Model, exact bool) (*FractionalSolution, error) {
-	var sol *lp.Solution
-	var err error
-	if exact {
-		sol, err = lp.SolveExact(m.Problem)
-	} else {
-		sol, err = lp.Solve(m.Problem)
-	}
+// SolveModel solves the LP with the dense simplex and unpacks the solution
+// into per-phase configuration heights.
+func SolveModel(m *Model) (*FractionalSolution, error) {
+	sol, err := lp.Solve(m.Problem)
 	if err != nil {
 		return nil, err
 	}
+	return unpack(m, sol)
+}
+
+// unpack turns a solution of m's LP into per-phase configuration heights,
+// zeroing values below 1e-9, or reports why the LP has no optimum.
+func unpack(m *Model, sol *lp.Solution) (*FractionalSolution, error) {
 	switch sol.Status {
 	case lp.Optimal:
 	case lp.Infeasible:

@@ -7,7 +7,27 @@ import (
 	"testing/quick"
 
 	"strippack/internal/geom"
+	"strippack/internal/lp"
 )
+
+// solveModelExact solves m's LP in exact rational arithmetic, the oracle
+// the float engines are checked against.
+func solveModelExact(m *Model) (*FractionalSolution, error) {
+	sol, err := lp.SolveExact(m.Problem)
+	if err != nil {
+		return nil, err
+	}
+	return unpack(m, sol)
+}
+
+// Items returns the total number of rectangles in the configuration.
+func (c Config) Items() int {
+	n := 0
+	for _, k := range c.Counts {
+		n += k
+	}
+	return n
+}
 
 // fpgaInstance generates rectangles with column-quantized widths i/K and
 // heights/releases in [0,1] ranges, mirroring the paper's FPGA motivation.
@@ -141,6 +161,43 @@ func TestGroupWidthsRoundsUp(t *testing.T) {
 		}
 		if out.Rects[i].H != in.Rects[i].H || out.Rects[i].Release != in.Rects[i].Release {
 			t.Fatalf("height or release changed for %d", i)
+		}
+	}
+}
+
+// TestDistinctValuesRightSized: the distinct widths and releases of an
+// n=5000 instance are 40 values each; every Model keeps both slices, so
+// they must not pin the n-capacity sort buffer behind them.
+func TestDistinctValuesRightSized(t *testing.T) {
+	const n = 5000
+	rng := rand.New(rand.NewSource(29))
+	rects := make([]geom.Rect, n)
+	for i := range rects {
+		rects[i] = geom.Rect{
+			W:       float64(1+rng.Intn(40)) / 40,
+			H:       0.5,
+			Release: float64(rng.Intn(40)),
+		}
+	}
+	in := geom.NewInstance(1, rects)
+	ws, rs := DistinctWidths(in), DistinctReleases(in)
+	if len(ws) > 40 || len(rs) > 41 {
+		t.Fatalf("%d widths and %d releases, want at most 40 and 41", len(ws), len(rs))
+	}
+	if cap(ws) >= n/2 || cap(rs) >= n/2 {
+		t.Fatalf("cap(widths) = %d, cap(releases) = %d: want both below %d", cap(ws), cap(rs), n/2)
+	}
+	for i := 1; i < len(ws); i++ {
+		if ws[i] <= ws[i-1] {
+			t.Fatalf("widths not strictly ascending at %d: %v", i, ws)
+		}
+	}
+	if rs[0] != 0 {
+		t.Fatalf("releases start at %g, want 0", rs[0])
+	}
+	for i := 1; i < len(rs); i++ {
+		if rs[i] <= rs[i-1] {
+			t.Fatalf("releases not strictly ascending at %d: %v", i, rs)
 		}
 	}
 }
@@ -309,7 +366,7 @@ func TestSolveModelNoReleases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := SolveModel(m, false)
+	fs, err := SolveModel(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +383,7 @@ func TestSolveModelRespectsPhaseCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := SolveModel(m, false)
+	fs, err := SolveModel(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,12 +400,12 @@ func TestSolveModelExactMatchesFloat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ff, err := SolveModel(m, false)
+		ff, err := SolveModel(m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		m2, _ := BuildModel(in, 0)
-		ee, err := SolveModel(m2, true)
+		ee, err := solveModelExact(m2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -396,7 +453,7 @@ func TestToIntegralProducesValidPacking(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fs, err := SolveModel(m, false)
+		fs, err := SolveModel(m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -459,21 +516,6 @@ func TestPackEndToEndFPGA(t *testing.T) {
 		if rep.Configs == 0 || rep.LPVars == 0 {
 			t.Fatalf("trial %d: report not populated: %+v", trial, rep)
 		}
-	}
-}
-
-func TestPackSkipRounding(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	in := fpgaInstance(rng, 8, 3, 1)
-	p, rep, err := Pack(in, Options{Epsilon: 1, K: 3, SkipRounding: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Delta != 0 {
-		t.Fatal("delta set despite SkipRounding")
 	}
 }
 

@@ -255,50 +255,6 @@ func stackContained(a *geom.Instance, idsA []int, b *geom.Instance, idsB []int) 
 	return true
 }
 
-// BoundingInstances builds the paper's P^inf and P^sup for an instance and
-// a group count (Lemma 3.2 / Fig. 4): per release class with stacking
-// height H, both consist of `groups` rectangles of height H/groups; the
-// l-th has the threshold width of group l+1 (P^inf) or group l (P^sup).
-// They satisfy P^inf ⊑ P(R) ⊑ P(R,W) ⊑ P^sup in the stacking order, which
-// E10 verifies and the lemma's proof exploits.
-func BoundingInstances(in *geom.Instance, groups int) (inf, sup *geom.Instance, err error) {
-	if groups < 1 {
-		return nil, nil, fmt.Errorf("release: groups must be >= 1, got %d", groups)
-	}
-	_, members := classes(in)
-	var infRects, supRects []geom.Rect
-	for _, ids := range members {
-		if len(ids) == 0 {
-			continue
-		}
-		order, base := Stacking(in, ids)
-		H := StackHeight(in, ids)
-		cut := H / float64(groups)
-		rel := in.Rects[ids[0]].Release
-		// Threshold width of group l: the width of the stack at height
-		// l*cut (the widest rectangle whose span contains the line).
-		widthAt := func(y float64) float64 {
-			for k, id := range order {
-				if base[k] <= y+geom.Eps && y < base[k]+in.Rects[id].H-geom.Eps {
-					return in.Rects[id].W
-				}
-			}
-			return 0
-		}
-		for l := 0; l < groups; l++ {
-			wSup := widthAt(float64(l) * cut)
-			wInf := widthAt(float64(l+1) * cut) // w_{i,groups} = 0 by convention
-			if wSup > 0 {
-				supRects = append(supRects, geom.Rect{W: wSup, H: cut, Release: rel})
-			}
-			if wInf > 0 {
-				infRects = append(infRects, geom.Rect{W: wInf, H: cut, Release: rel})
-			}
-		}
-	}
-	return geom.NewInstance(in.Width, infRects), geom.NewInstance(in.Width, supRects), nil
-}
-
 // CheckWidthBounds verifies the paper's §3 precondition: heights at most 1
 // and widths within [1/K, 1] (scaled by the strip width).
 func CheckWidthBounds(in *geom.Instance, K int) error {
@@ -318,7 +274,8 @@ func CheckWidthBounds(in *geom.Instance, K int) error {
 }
 
 // DistinctWidths returns the sorted distinct widths of the instance
-// (tolerance-deduplicated).
+// (tolerance-deduplicated), in a slice of their own size rather than the
+// n-capacity sort buffer, since every Model keeps it.
 func DistinctWidths(in *geom.Instance) []float64 {
 	ws := make([]float64, 0, in.N())
 	for _, r := range in.Rects {
@@ -331,12 +288,13 @@ func DistinctWidths(in *geom.Instance) []float64 {
 			out = append(out, w)
 		}
 	}
-	return out
+	return slices.Clone(out)
 }
 
-// DistinctReleases returns the sorted distinct release times including 0.
-// (Exact-equality dedup, matching the release-class partition of classes;
-// sort+dedup instead of the map so the LP hot path stays cheap.)
+// DistinctReleases returns the sorted distinct release times including 0,
+// right-sized like DistinctWidths. (Exact-equality dedup, matching the
+// release-class partition of classes; sort+dedup instead of the map so the
+// LP hot path stays cheap.)
 func DistinctReleases(in *geom.Instance) []float64 {
 	vals := make([]float64, 0, in.N()+1)
 	for _, r := range in.Rects {
@@ -354,5 +312,5 @@ func DistinctReleases(in *geom.Instance) []float64 {
 		copy(out[1:], out[:len(out)-1])
 		out[0] = 0
 	}
-	return out
+	return slices.Clone(out)
 }

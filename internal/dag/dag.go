@@ -1,17 +1,17 @@
 // Package dag implements the directed-acyclic-graph machinery used by the
-// precedence-constrained strip packing algorithms: topological orders, the
-// recursive F(s) lower bound of the paper (height of the top edge of s in an
-// infinitely wide strip), critical paths, induced subgraphs and transitive
-// reduction, plus generators for random task graphs.
+// precedence-constrained strip packing algorithms: topological orders,
+// levels, the recursive F(s) lower bound of the paper (height of the top
+// edge of s in an infinitely wide strip) over the whole graph or an induced
+// vertex subset, plus generators for random and pipeline task graphs.
 //
 // # Representation
 //
 // A Graph is stored in compressed-sparse-row (CSR) form: one flat []int32
 // adjacency array per direction (outAdj, inAdj) indexed by per-vertex offset
 // arrays, built from the staged edge list on the first query. Rows are
-// sorted ascending, so HasEdge is a binary search over the out-row and Edges
-// is a single linear read. Duplicate edges are collapsed during the build
-// (sort + compact); there is no per-edge hash map anywhere.
+// sorted ascending, and Edges is a single linear read. Duplicate edges are
+// collapsed during the build (sort + compact); there is no per-edge hash
+// map anywhere.
 //
 // AddEdge only stages an edge and marks the CSR dirty; the next query
 // rebuilds it in O(m log m). A graph is safe for concurrent reads once
@@ -144,24 +144,6 @@ func resizeZero(s []int32, n int) []int32 {
 	return s
 }
 
-// HasEdge reports whether u -> v is present: a binary search over u's sorted
-// out-row.
-func (g *Graph) HasEdge(u, v int) bool {
-	if u < 0 || u >= g.n || v < 0 || v >= g.n {
-		return false
-	}
-	g.Build()
-	_, ok := slices.BinarySearch(g.outAdj[g.outOff[u]:g.outOff[u+1]], int32(v))
-	return ok
-}
-
-// Out returns the successors of u in ascending order (a view into the CSR
-// array; do not mutate).
-func (g *Graph) Out(u int) []int32 {
-	g.Build()
-	return g.outAdj[g.outOff[u]:g.outOff[u+1]]
-}
-
 // In returns the predecessors of u in ascending order (the paper's IN(s); a
 // view into the CSR array, do not mutate).
 func (g *Graph) In(u int) []int32 {
@@ -178,12 +160,6 @@ func (g *Graph) Edges() [][2]int {
 		es[i] = [2]int{int(e[0]), int(e[1])}
 	}
 	return es
-}
-
-// EdgeCount returns the number of distinct edges.
-func (g *Graph) EdgeCount() int {
-	g.Build()
-	return len(g.edges)
 }
 
 // ErrCycle reports that the graph is not acyclic.
@@ -219,12 +195,6 @@ func (g *Graph) TopoOrder() ([]int, error) {
 		return nil, ErrCycle
 	}
 	return order, nil
-}
-
-// IsAcyclic reports whether the graph has no directed cycle.
-func (g *Graph) IsAcyclic() bool {
-	_, err := g.TopoOrder()
-	return err == nil
 }
 
 // LongestPathF computes the paper's F function: F(s) = h(s) if IN(s) is
@@ -263,45 +233,6 @@ func MaxF(f []float64) float64 {
 	return m
 }
 
-// CriticalPath returns one path realizing MaxF, as a vertex sequence from a
-// source to the vertex attaining the maximum.
-func (g *Graph) CriticalPath(heights []float64) ([]int, error) {
-	f, err := g.LongestPathF(heights)
-	if err != nil {
-		return nil, err
-	}
-	// Find the argmax, then walk backwards through tight predecessors.
-	best := 0
-	for v := 1; v < g.n; v++ {
-		if f[v] > f[best] {
-			best = v
-		}
-	}
-	if g.n == 0 {
-		return nil, nil
-	}
-	path := []int{best}
-	cur := best
-	for {
-		next := -1
-		for _, u := range g.In(cur) {
-			if next == -1 || f[u] > f[next] {
-				next = int(u)
-			}
-		}
-		if next == -1 {
-			break
-		}
-		path = append(path, next)
-		cur = next
-	}
-	// Reverse to source-first order.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path, nil
-}
-
 // Levels assigns each vertex its level: 0 for sources, else 1 + max level of
 // predecessors. Used by the level-by-level GGJY-style bin packer.
 func (g *Graph) Levels() ([]int, error) {
@@ -320,68 +251,6 @@ func (g *Graph) Levels() ([]int, error) {
 		lvl[v] = best + 1
 	}
 	return lvl, nil
-}
-
-// Reachable returns the set of vertices reachable from u (excluding u) as a
-// boolean slice.
-func (g *Graph) Reachable(u int) []bool {
-	g.Build()
-	seen := make([]bool, g.n)
-	stack := []int32{int32(u)}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, w := range g.outAdj[g.outOff[v]:g.outOff[v+1]] {
-			if !seen[w] {
-				seen[w] = true
-				stack = append(stack, w)
-			}
-		}
-	}
-	return seen
-}
-
-// TransitiveReduction returns a copy of g with every edge (u,v) removed when
-// v is reachable from u through a longer path. The reduction preserves the
-// precedence relation and therefore F and all packing feasibility.
-func (g *Graph) TransitiveReduction() *Graph {
-	red := New(g.n)
-	for u := 0; u < g.n; u++ {
-		// Reachability from u using at least two edges: union over
-		// successors of their reachable sets plus the successors themselves
-		// at distance >= 2.
-		far := make([]bool, g.n)
-		for _, v := range g.Out(u) {
-			r := g.Reachable(int(v))
-			for w, ok := range r {
-				if ok {
-					far[w] = true
-				}
-			}
-		}
-		for _, v := range g.Out(u) {
-			if !far[v] {
-				// Edge is not implied; keep it.
-				_ = red.AddEdge(u, int(v))
-			}
-		}
-	}
-	return red
-}
-
-// TransitiveClosure returns the full reachability relation as a matrix.
-func (g *Graph) TransitiveClosure() [][]bool {
-	cl := make([][]bool, g.n)
-	for u := 0; u < g.n; u++ {
-		cl[u] = g.Reachable(u)
-	}
-	return cl
-}
-
-// Independent reports whether no precedence relation holds between u and v
-// in either direction (Lemma 2.1 uses this notion for the middle band).
-func (g *Graph) Independent(u, v int, closure [][]bool) bool {
-	return !closure[u][v] && !closure[v][u]
 }
 
 // intHeap is a minimal binary min-heap of ints, avoiding container/heap

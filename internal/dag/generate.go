@@ -57,102 +57,6 @@ func RandomOrdered(rng *rand.Rand, n int, p float64) *Graph {
 	return g
 }
 
-// Chain returns the path 0 -> 1 -> ... -> n-1.
-func Chain(n int) *Graph {
-	g := New(n)
-	for i := 0; i+1 < n; i++ {
-		_ = g.AddEdge(i, i+1)
-	}
-	return g
-}
-
-// Chains returns k disjoint chains of the given lengths laid out
-// consecutively: vertices 0..len0-1 form chain 0, and so on.
-func Chains(lengths []int) *Graph {
-	total := 0
-	for _, l := range lengths {
-		total += l
-	}
-	g := New(total)
-	base := 0
-	for _, l := range lengths {
-		for i := 0; i+1 < l; i++ {
-			_ = g.AddEdge(base+i, base+i+1)
-		}
-		base += l
-	}
-	return g
-}
-
-// ForkJoin returns a fork-join (series-parallel) DAG: source 0 fans out to
-// `width` parallel branches each of length `depth`, joining at the final
-// vertex. Total vertices: 2 + width*depth.
-func ForkJoin(width, depth int) *Graph {
-	n := 2 + width*depth
-	g := New(n)
-	sink := n - 1
-	for b := 0; b < width; b++ {
-		prev := 0
-		for d := 0; d < depth; d++ {
-			v := 1 + b*depth + d
-			_ = g.AddEdge(prev, v)
-			prev = v
-		}
-		_ = g.AddEdge(prev, sink)
-	}
-	return g
-}
-
-// SeriesParallel generates a random two-terminal series-parallel DAG by
-// recursive composition: with probability ps a series composition, otherwise
-// a parallel composition with fresh fork and join vertices. The result has
-// at least n vertices (parallel compositions add fork/join nodes).
-func SeriesParallel(rng *rand.Rand, n int, ps float64) *Graph {
-	type frag struct {
-		g            *Graph
-		source, sink int
-	}
-	var build func(n int) frag
-	build = func(n int) frag {
-		if n <= 1 {
-			return frag{g: New(1), source: 0, sink: 0}
-		}
-		nl := 1 + rng.Intn(n-1)
-		left := build(nl)
-		right := build(n - nl)
-		off := left.g.N()
-		if rng.Float64() < ps {
-			// Series: left.sink -> right.source.
-			merged := New(off + right.g.N())
-			for _, e := range left.g.Edges() {
-				_ = merged.AddEdge(e[0], e[1])
-			}
-			for _, e := range right.g.Edges() {
-				_ = merged.AddEdge(e[0]+off, e[1]+off)
-			}
-			_ = merged.AddEdge(left.sink, right.source+off)
-			return frag{g: merged, source: left.source, sink: right.sink + off}
-		}
-		// Parallel: fresh fork F and join J bracket both fragments:
-		// F -> {left.source, right.source}, {left.sink, right.sink} -> J.
-		fork := off + right.g.N()
-		join := fork + 1
-		merged := New(join + 1)
-		for _, e := range left.g.Edges() {
-			_ = merged.AddEdge(e[0], e[1])
-		}
-		for _, e := range right.g.Edges() {
-			_ = merged.AddEdge(e[0]+off, e[1]+off)
-		}
-		_ = merged.AddEdge(fork, left.source)
-		_ = merged.AddEdge(fork, right.source+off)
-		_ = merged.AddEdge(left.sink, join)
-		_ = merged.AddEdge(right.sink+off, join)
-		return frag{g: merged, source: fork, sink: join}
-	}
-	return build(n).g
-}
-
 // JPEGPipeline returns a task graph shaped like a JPEG encoder operating on
 // `blocks` independent macroblock groups: per block the stages
 // colorspace -> DCT -> quantize -> zigzag feed into a shared entropy-coding

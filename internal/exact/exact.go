@@ -19,10 +19,12 @@ import (
 	"strippack/internal/geom"
 )
 
+// maxN is the largest instance Solve accepts; larger ones are rejected
+// outright.
+const maxN = 8
+
 // Options bounds the search.
 type Options struct {
-	// MaxN rejects larger instances outright (default 8).
-	MaxN int
 	// NodeBudget caps explored search nodes (default 5e6); when exhausted
 	// the result is an upper bound, reported via Result.Proven = false.
 	NodeBudget int64
@@ -60,10 +62,6 @@ type solver struct {
 func Solve(in *geom.Instance, opts Options) (*Result, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
-	}
-	maxN := opts.MaxN
-	if maxN <= 0 {
-		maxN = 8
 	}
 	if in.N() > maxN {
 		return nil, fmt.Errorf("exact: instance size %d exceeds cap %d", in.N(), maxN)
@@ -195,18 +193,6 @@ func subsetSums(vals []float64, limit float64) []float64 {
 		}
 	}
 	return append([]float64(nil), dedup...)
-}
-
-// curHeight returns the running height of placed rects.
-func (s *solver) curHeight(k int) float64 {
-	var h float64
-	for i := 0; i < k; i++ {
-		id := s.order[i]
-		if t := s.pos[id].Y + s.in.Rects[id].H; t > h {
-			h = t
-		}
-	}
-	return h
 }
 
 func (s *solver) dfs(k int, cur float64) {

@@ -1,8 +1,8 @@
 // Package experiments drives the paper-reproduction harness: every theorem,
 // lemma construction and figure of Augustine-Banerjee-Irani is turned into a
-// measurable table (E1-E10, indexed in DESIGN.md). cmd/experiments prints
-// them; bench_test.go wraps them as benchmarks; EXPERIMENTS.md records the
-// measured outcomes next to the paper's claims.
+// measurable table (E1-E15, listed with their titles by
+// `cmd/experiments -list`). cmd/experiments prints them; bench_test.go wraps
+// them as benchmarks.
 //
 // Every experiment declares its trial grid (rows x repetitions) as data and
 // fans the trials out through RunGrid's shared worker pool. Tables are
@@ -599,7 +599,7 @@ func E8(w io.Writer) error {
 	return nil
 }
 
-// E9 is the ablation called out in DESIGN.md: swap DC's subroutine A (NFDH,
+// E9 is the ablation of DC's design choices: swap its subroutine A (NFDH,
 // FFDH, skyline BLDH) and its split fraction, measuring the height on the
 // same workloads. Theorem 2.3's proof needs NFDH's 2*AREA + h_max property
 // and the 1/2 split, but the algorithm runs with any of them.

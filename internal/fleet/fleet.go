@@ -13,7 +13,7 @@
 // rng, the drain-time score vector, the sub-batch scratch, the metering
 // counters — lives in the tenant's lane, never on the Fleet. That makes
 // the tenant the concurrency unit: SubmitBatchTenant, DrainTenant and
-// TenantLoads for distinct tenants may run concurrently from different
+// LaneState for distinct tenants may run concurrently from different
 // goroutines with zero shared mutable state (TestTenantLanesDisjoint
 // pins this under -race). Fleet-wide operations — Drain, Finish, Loads
 // over all shards, RestoreShard, Config mutation — require exclusive
@@ -289,7 +289,7 @@ type lane struct {
 
 // Fleet is a router over independent scheduler shards, partitioned into
 // tenant lanes. Methods on the same lane (SubmitBatchTenant, DrainTenant,
-// TenantLoads, LaneState, RestoreLane with equal ti) are not safe for
+// LaneState, RestoreLane with equal ti) are not safe for
 // concurrent use with each other; methods on distinct lanes are. All
 // other methods (Drain, Finish, Loads-style iteration over Shard,
 // SnapshotShard, RestoreShard, ...) require exclusive access to the whole
@@ -423,14 +423,6 @@ func (f *Fleet) tenantOf(s int) int {
 	return len(f.lanes) - 1
 }
 
-// TenantOf returns the index of the tenant owning shard s.
-func (f *Fleet) TenantOf(s int) (int, error) {
-	if s < 0 || s >= len(f.shards) {
-		return 0, fmt.Errorf("fleet: shard %d out of range [0, %d)", s, len(f.shards))
-	}
-	return f.tenantOf(s), nil
-}
-
 // Shards returns the shard count.
 func (f *Fleet) Shards() int { return len(f.shards) }
 
@@ -475,16 +467,6 @@ func (f *Fleet) Tenants() int { return len(f.lanes) }
 func (f *Fleet) TenantRange(ti int) (name string, first, count int) {
 	t := &f.lanes[ti]
 	return t.name, t.first, t.count
-}
-
-// TenantByName resolves a tenant name to its index.
-func (f *Fleet) TenantByName(name string) (int, bool) {
-	for ti := range f.lanes {
-		if f.lanes[ti].name == name {
-			return ti, true
-		}
-	}
-	return 0, false
 }
 
 // Meters returns every tenant's cumulative metering counters, in tenant
@@ -815,22 +797,6 @@ func (f *Fleet) DrainTenant(ti int) error {
 		}
 		return nil
 	})
-}
-
-// TenantLoads returns tenant ti's shards' live load accounting, in shard
-// order within the lane. Distinct tenants may read loads concurrently;
-// reading a lane concurrently with its own submissions is the caller's
-// race to avoid (the service layer serializes per lane).
-func (f *Fleet) TenantLoads(ti int) ([]fpga.LoadStats, error) {
-	if ti < 0 || ti >= len(f.lanes) {
-		return nil, fmt.Errorf("fleet: tenant %d out of range [0, %d)", ti, len(f.lanes))
-	}
-	t := &f.lanes[ti]
-	out := make([]fpga.LoadStats, t.count)
-	for j := 0; j < t.count; j++ {
-		out[j] = f.shards[t.first+j].Load()
-	}
-	return out, nil
 }
 
 // fanOut runs fn(j) for every j in [0, n) on up to workers goroutines,

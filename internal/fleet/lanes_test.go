@@ -3,12 +3,28 @@ package fleet
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 
 	"strippack/internal/fpga"
 )
+
+// TenantLoads returns tenant ti's shards' live load accounting, in shard
+// order within the lane. It reads only ti's shards, so the lane tests call
+// it from each tenant's goroutine to check that reads stay in their lane.
+func (f *Fleet) TenantLoads(ti int) ([]fpga.LoadStats, error) {
+	if ti < 0 || ti >= len(f.lanes) {
+		return nil, fmt.Errorf("fleet: tenant %d out of range [0, %d)", ti, len(f.lanes))
+	}
+	t := &f.lanes[ti]
+	out := make([]fpga.LoadStats, t.count)
+	for j := 0; j < t.count; j++ {
+		out[j] = f.shards[t.first+j].Load()
+	}
+	return out, nil
+}
 
 // lanesConfig is a three-tenant fleet covering all three routes, so the
 // disjointness and lane-state tests exercise every kind of lane-owned

@@ -148,11 +148,8 @@ func TestTenantIsolation(t *testing.T) {
 	if name, first, count := f.TenantRange(1); name != "beta" || first != 2 || count != 3 {
 		t.Fatalf("TenantRange(1) = %q %d %d", name, first, count)
 	}
-	if ti, ok := f.TenantByName("gamma"); !ok || ti != 2 {
-		t.Fatalf("TenantByName(gamma) = %d %v", ti, ok)
-	}
-	if _, ok := f.TenantByName("delta"); ok {
-		t.Fatal("unknown tenant resolved")
+	if name, first, count := f.TenantRange(2); name != "gamma" || first != 5 || count != 1 {
+		t.Fatalf("TenantRange(2) = %q %d %d", name, first, count)
 	}
 	ranges := [3][2]int{{0, 2}, {2, 5}, {5, 6}}
 	id := 0

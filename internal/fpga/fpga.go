@@ -194,35 +194,6 @@ func (s *Schedule) Simulate() (*Stats, error) {
 	return st, nil
 }
 
-// ColumnTimeline returns, for each column, the sorted list of (start, end)
-// busy intervals — the occupancy picture an operating system for the device
-// would maintain.
-func (s *Schedule) ColumnTimeline() [][][2]float64 {
-	tl := make([][][2]float64, s.Device.Columns)
-	for _, task := range s.Tasks {
-		for c := task.FirstCol; c < task.FirstCol+task.Cols; c++ {
-			tl[c] = append(tl[c], [2]float64{task.Start, task.End()})
-		}
-	}
-	for c := range tl {
-		slices.SortFunc(tl[c], func(a, b [2]float64) int {
-			switch {
-			case a[0] < b[0]:
-				return -1
-			case a[0] > b[0]:
-				return 1
-			case a[1] < b[1]:
-				return -1
-			case a[1] > b[1]:
-				return 1
-			default:
-				return 0
-			}
-		})
-	}
-	return tl
-}
-
 // QuantizeInstance snaps every rectangle width of in up to the next multiple
 // of width/K, producing a column-aligned instance for the device. Widths
 // only grow, so any schedule of the quantized instance is feasible for the

@@ -118,20 +118,6 @@ func TestSimulateRejectsBadTasks(t *testing.T) {
 	}
 }
 
-func TestColumnTimeline(t *testing.T) {
-	s := &Schedule{Device: NewDevice(2), Tasks: []Task{
-		{ID: 0, FirstCol: 0, Cols: 2, Start: 1, Duration: 1},
-		{ID: 1, FirstCol: 0, Cols: 1, Start: 0, Duration: 1},
-	}}
-	tl := s.ColumnTimeline()
-	if len(tl) != 2 || len(tl[0]) != 2 || len(tl[1]) != 1 {
-		t.Fatalf("timeline shape wrong: %v", tl)
-	}
-	if tl[0][0][0] != 0 || tl[0][1][0] != 1 {
-		t.Fatalf("column 0 not sorted: %v", tl[0])
-	}
-}
-
 func TestQuantizeInstance(t *testing.T) {
 	in := geom.NewInstance(1, []geom.Rect{{W: 0.3, H: 1}, {W: 0.26, H: 1}})
 	out, err := QuantizeInstance(in, 4)

@@ -20,17 +20,6 @@ type rectJSON struct {
 	Release float64 `json:"release,omitempty"`
 }
 
-// WriteInstance encodes the instance as indented JSON.
-func WriteInstance(w io.Writer, in *Instance) error {
-	ij := instanceJSON{Width: in.Width, Prec: in.Prec}
-	for _, r := range in.Rects {
-		ij.Rects = append(ij.Rects, rectJSON{Name: r.Name, W: r.W, H: r.H, Release: r.Release})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(ij)
-}
-
 // ReadInstance decodes an instance from JSON and validates it.
 func ReadInstance(r io.Reader) (*Instance, error) {
 	var ij instanceJSON
@@ -62,16 +51,4 @@ func WritePacking(w io.Writer, p *Packing) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(packingJSON{Height: p.Height(), Pos: p.Pos})
-}
-
-// ReadPacking decodes placements for the given instance.
-func ReadPacking(r io.Reader, in *Instance) (*Packing, error) {
-	var pj packingJSON
-	if err := json.NewDecoder(r).Decode(&pj); err != nil {
-		return nil, fmt.Errorf("geom: decoding packing: %w", err)
-	}
-	if len(pj.Pos) != in.N() {
-		return nil, fmt.Errorf("geom: packing has %d positions for %d rects", len(pj.Pos), in.N())
-	}
-	return &Packing{Instance: in, Pos: pj.Pos}, nil
 }

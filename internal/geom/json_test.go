@@ -2,10 +2,38 @@ package geom
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"strings"
 	"testing"
 )
+
+// WriteInstance encodes the instance as indented JSON, the input format
+// ReadInstance is checked against.
+func WriteInstance(w io.Writer, in *Instance) error {
+	ij := instanceJSON{Width: in.Width, Prec: in.Prec}
+	for _, r := range in.Rects {
+		ij.Rects = append(ij.Rects, rectJSON{Name: r.Name, W: r.W, H: r.H, Release: r.Release})
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(ij)
+}
+
+// ReadPacking decodes placements for the given instance, the reader
+// WritePacking's output is checked with.
+func ReadPacking(r io.Reader, in *Instance) (*Packing, error) {
+	var pj packingJSON
+	if err := json.NewDecoder(r).Decode(&pj); err != nil {
+		return nil, fmt.Errorf("geom: decoding packing: %w", err)
+	}
+	if len(pj.Pos) != in.N() {
+		return nil, fmt.Errorf("geom: packing has %d positions for %d rects", len(pj.Pos), in.N())
+	}
+	return &Packing{Instance: in, Pos: pj.Pos}, nil
+}
 
 func TestInstanceJSONRoundTrip(t *testing.T) {
 	in := NewInstance(1, []Rect{

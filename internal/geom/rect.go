@@ -50,9 +50,6 @@ type Placement struct {
 // Top returns the y coordinate of the top edge of rectangle r placed at p.
 func (p Placement) Top(r Rect) float64 { return p.Y + r.H }
 
-// Right returns the x coordinate of the right edge of rectangle r placed at p.
-func (p Placement) Right(r Rect) float64 { return p.X + r.W }
-
 // Instance is a strip packing problem instance: a set of rectangles, a strip
 // width, and (optionally) precedence edges. Edge (u, v) means rectangle v
 // must be placed entirely above rectangle u (y_v >= y_u + h_u).
@@ -227,20 +224,6 @@ func (p *Packing) Validate() error {
 		if p.Pos[u].Y+in.Rects[u].H > p.Pos[v].Y+Eps {
 			return fmt.Errorf("geom: precedence %d->%d violated: top(%d)=%g > y(%d)=%g",
 				u, v, u, p.Pos[u].Y+in.Rects[u].H, v, p.Pos[v].Y)
-		}
-	}
-	return nil
-}
-
-// OverlapNaive is the O(n^2) reference overlap check; exported for
-// cross-validation in tests against the sweep-line implementation.
-func (p *Packing) OverlapNaive() error {
-	in := p.Instance
-	for i := 0; i < in.N(); i++ {
-		for j := i + 1; j < in.N(); j++ {
-			if RectsOverlap(in.Rects[i], p.Pos[i], in.Rects[j], p.Pos[j]) {
-				return fmt.Errorf("%w: %d and %d", ErrOverlap, i, j)
-			}
 		}
 	}
 	return nil

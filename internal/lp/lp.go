@@ -10,32 +10,29 @@
 // variables as constraints, giving the (W+1)(R+1) bound on distinct
 // configuration occurrences.
 //
-// Three solvers share the Problem/Solution types:
+// Three solvers:
 //
-//   - Solve: the dense two-phase tableau simplex. Simple, battle-tested,
-//     O(rows·cols) memory; kept as the reference oracle.
+//   - Solve: the dense two-phase tableau simplex over a Problem. Simple,
+//     O(rows·cols) memory.
 //   - SolveExact: the same semantics in exact big.Rat arithmetic, for
 //     cross-validation on small programs.
-//   - SolveSparse / Revised: a revised simplex over a sparse column-major
-//     matrix. Rows may be added with AddSparseConstraint as (index, value)
-//     pairs; only the m×m basis inverse is kept dense, so memory is
-//     O(nnz + m²) instead of O(rows·cols). The Revised form accepts new
+//   - Revised: a revised simplex over a sparse column-major matrix, built
+//     column by column; only the m×m basis inverse is kept dense, so
+//     memory is O(nnz + m²) instead of O(rows·cols). It accepts new
 //     columns between Solve calls and re-optimizes from the current basis,
 //     which is what the configuration-LP column generation in
 //     internal/core/release needs.
 //
 // Sparse layout: a Constraint added via AddSparseConstraint stores strictly
 // ascending column indices Idx with matching values Val and a nil Coeffs;
-// the dense solvers scatter such rows on demand, so the same Problem can be
-// handed to any solver. The revised solver transposes the rows once into
-// compressed sparse columns and prices columns with sparse dot products.
+// the dense solvers scatter such rows on demand.
 //
-// Dual extraction: SolveSparse and Revised.Solve report the simplex
-// multipliers y = c_B·B⁻¹ on Solution.Duals, one entry per constraint in
-// insertion order, with signs relative to the constraints as given: the
-// reduced cost of any column a with cost c is exactly c − y·a. At an
-// optimum y is feasible for the dual (y_i >= 0 for GE rows, <= 0 for LE
-// rows), which is what Gilmore–Gomory pricing consumes.
+// Dual extraction: Revised.Solve reports the simplex multipliers
+// y = c_B·B⁻¹ on Solution.Duals, one entry per constraint in insertion
+// order, with signs relative to the constraints as given: the reduced cost
+// of any column a with cost c is exactly c − y·a. At an optimum y is
+// feasible for the dual (y_i >= 0 for GE rows, <= 0 for LE rows), which is
+// what Gilmore–Gomory pricing consumes.
 //
 // Starting basis: Revised.SetStartBasis hands the first Revised solve a
 // basis of structural columns and row logicals (slack on LE rows, surplus
@@ -130,16 +127,6 @@ func NewProblem(numVars int) *Problem {
 	return &Problem{NumVars: numVars, Objective: make([]float64, numVars)}
 }
 
-// AddConstraint appends a row; coeffs is copied.
-func (p *Problem) AddConstraint(coeffs []float64, op Relation, rhs float64) error {
-	if len(coeffs) != p.NumVars {
-		return fmt.Errorf("lp: constraint has %d coefficients, want %d", len(coeffs), p.NumVars)
-	}
-	c := Constraint{Coeffs: append([]float64(nil), coeffs...), Op: op, RHS: rhs}
-	p.Constraints = append(p.Constraints, c)
-	return nil
-}
-
 // AddSparseConstraint appends a row given as (index, value) pairs. Indices
 // must be strictly ascending and within [0, NumVars); both slices are
 // copied. The row is stored sparse: the dense solvers scatter it on demand
@@ -195,8 +182,8 @@ type Solution struct {
 	Objective float64   // c·X (0 unless Optimal)
 	// Duals holds the simplex multipliers y = c_B·B⁻¹ per constraint, in
 	// insertion order, such that the reduced cost of any column a with cost
-	// c is c − y·a. Populated by SolveSparse/Revised.Solve only (nil from
-	// the dense solvers, and nil unless Optimal).
+	// c is c − y·a. Populated by Revised.Solve only (nil from the dense
+	// solvers, and nil unless Optimal).
 	Duals []float64
 	// BasicCount is the number of structural variables that are strictly
 	// positive in the returned basic solution.

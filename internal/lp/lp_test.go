@@ -1,11 +1,22 @@
 package lp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// AddConstraint appends a row; coeffs is copied.
+func (p *Problem) AddConstraint(coeffs []float64, op Relation, rhs float64) error {
+	if len(coeffs) != p.NumVars {
+		return fmt.Errorf("lp: constraint has %d coefficients, want %d", len(coeffs), p.NumVars)
+	}
+	c := Constraint{Coeffs: append([]float64(nil), coeffs...), Op: op, RHS: rhs}
+	p.Constraints = append(p.Constraints, c)
+	return nil
+}
 
 func solveBoth(t *testing.T, p *Problem) (*Solution, *Solution) {
 	t.Helper()

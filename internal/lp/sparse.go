@@ -714,40 +714,3 @@ func grow(s []float64, n int) []float64 {
 	}
 	return s
 }
-
-// SolveSparse solves the program with the revised simplex: the constraint
-// matrix is transposed once into sparse columns and never densified, and
-// the optimal duals are reported on Solution.Duals. Semantically equivalent
-// to Solve (same Bland pivoting, same tolerance); preferable when rows are
-// long and mostly zero, as in the configuration LP.
-func SolveSparse(p *Problem) (*Solution, error) {
-	if len(p.Objective) != p.NumVars {
-		return nil, fmt.Errorf("lp: objective has %d entries, want %d", len(p.Objective), p.NumVars)
-	}
-	m := len(p.Constraints)
-	ops := make([]Relation, m)
-	rhs := make([]float64, m)
-	for i, c := range p.Constraints {
-		ops[i] = c.Op
-		rhs[i] = c.RHS
-	}
-	r, err := NewRevised(ops, rhs)
-	if err != nil {
-		return nil, err
-	}
-	colIdx := make([][]int32, p.NumVars)
-	colVal := make([][]float64, p.NumVars)
-	for i := range p.Constraints {
-		row := i
-		p.Constraints[i].forEach(func(j int, v float64) {
-			colIdx[j] = append(colIdx[j], int32(row))
-			colVal[j] = append(colVal[j], v)
-		})
-	}
-	for j := 0; j < p.NumVars; j++ {
-		if _, err := r.AddColumn(p.Objective[j], colIdx[j], colVal[j]); err != nil {
-			return nil, err
-		}
-	}
-	return r.Solve()
-}

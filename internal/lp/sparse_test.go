@@ -1,11 +1,49 @@
 package lp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// SolveSparse solves a Problem with the revised simplex: the constraint
+// matrix is transposed once into sparse columns and never densified, and
+// the optimal duals are reported on Solution.Duals. It is how the tests
+// check Revised against the dense and exact solvers on the same program
+// (same Bland pivoting, same tolerance).
+func SolveSparse(p *Problem) (*Solution, error) {
+	if len(p.Objective) != p.NumVars {
+		return nil, fmt.Errorf("lp: objective has %d entries, want %d", len(p.Objective), p.NumVars)
+	}
+	m := len(p.Constraints)
+	ops := make([]Relation, m)
+	rhs := make([]float64, m)
+	for i, c := range p.Constraints {
+		ops[i] = c.Op
+		rhs[i] = c.RHS
+	}
+	r, err := NewRevised(ops, rhs)
+	if err != nil {
+		return nil, err
+	}
+	colIdx := make([][]int32, p.NumVars)
+	colVal := make([][]float64, p.NumVars)
+	for i := range p.Constraints {
+		row := i
+		p.Constraints[i].forEach(func(j int, v float64) {
+			colIdx[j] = append(colIdx[j], int32(row))
+			colVal[j] = append(colVal[j], v)
+		})
+	}
+	for j := 0; j < p.NumVars; j++ {
+		if _, err := r.AddColumn(p.Objective[j], colIdx[j], colVal[j]); err != nil {
+			return nil, err
+		}
+	}
+	return r.Solve()
+}
 
 // randomProblem builds a small random LP with mixed senses; when sparse is
 // set, rows are added through AddSparseConstraint with ~half the entries.

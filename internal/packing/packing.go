@@ -12,7 +12,6 @@ package packing
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"strippack/internal/geom"
 )
@@ -332,8 +331,8 @@ func maxf(a, b float64) float64 {
 	return b
 }
 
-// Registry maps algorithm names to implementations for the CLI and the
-// experiment harness.
+// Registry maps algorithm names to the unconstrained packers, which the
+// packing and exact tests iterate over.
 func Registry() map[string]Algorithm {
 	return map[string]Algorithm{
 		"nfdh":       NFDH,
@@ -342,24 +341,4 @@ func Registry() map[string]Algorithm {
 		"bldh":       BLDH,
 		"sleator":    Sleator,
 	}
-}
-
-// Names returns registry keys in sorted order.
-func Names() []string {
-	m := Registry()
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Verify builds a throwaway instance/packing pair and validates geometry; a
-// convenience for tests and for the CLI's --check flag.
-func Verify(width float64, rects []geom.Rect, res *Result) error {
-	in := geom.NewInstance(width, rects)
-	p := geom.NewPacking(in)
-	copy(p.Pos, res.Pos)
-	return p.Validate()
 }

@@ -9,6 +9,14 @@ import (
 	"strippack/internal/geom"
 )
 
+// Verify builds a throwaway instance/packing pair for res and validates its
+// geometry.
+func Verify(width float64, rects []geom.Rect, res *Result) error {
+	in := geom.NewInstance(width, rects)
+	p := geom.NewPacking(in)
+	copy(p.Pos, res.Pos)
+	return p.Validate()
+}
 func randRects(rng *rand.Rand, n int, maxW, maxH float64) []geom.Rect {
 	rects := make([]geom.Rect, n)
 	for i := range rects {
@@ -261,17 +269,14 @@ func TestBottomLeftDropsIntoGaps(t *testing.T) {
 }
 
 func TestRegistryAndNames(t *testing.T) {
-	names := Names()
-	if len(names) != 5 {
-		t.Fatalf("Names() = %v", names)
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatal("Names not sorted")
+	reg := Registry()
+	for _, name := range []string{"nfdh", "ffdh", "bottomleft", "bldh", "sleator"} {
+		if reg[name] == nil {
+			t.Errorf("%s missing from registry", name)
 		}
 	}
-	if Registry()["nfdh"] == nil {
-		t.Fatal("nfdh missing from registry")
+	if len(reg) != 5 {
+		t.Fatalf("registry has %d packers, want 5", len(reg))
 	}
 }
 

@@ -35,7 +35,6 @@ package service
 // back, so at most 2 × GOMAXPROCS shard encodings are held at once.
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -103,14 +102,6 @@ func CaptureCheckpoint(f *fleet.Fleet, epoch, seq uint64) (*Checkpoint, error) {
 		}
 	}
 	return ck, nil
-}
-
-// EncodeCheckpoint returns the checkpoint file bytes: the codec payload
-// followed by its sha256 — exactly what WriteCheckpoint writes.
-func EncodeCheckpoint(ck *Checkpoint) []byte {
-	var b bytes.Buffer
-	writeCheckpoint(&b, ck) // a bytes.Buffer never fails a write
-	return b.Bytes()
 }
 
 // encodeClaimed, when non-nil, runs on the encode worker right after it
@@ -213,7 +204,7 @@ func checkpointManifest(ck *Checkpoint) []byte {
 	return e.b
 }
 
-// DecodeCheckpoint decodes EncodeCheckpoint's output, verifying the
+// DecodeCheckpoint decodes a checkpoint file's bytes, verifying the
 // checksum and exact consumption. Structural only; Recover adds the
 // semantic validation.
 func DecodeCheckpoint(b []byte) (*Checkpoint, error) {

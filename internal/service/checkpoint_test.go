@@ -19,6 +19,15 @@ import (
 	"strippack/internal/fpga"
 )
 
+// EncodeCheckpoint returns the checkpoint file bytes: the codec payload
+// followed by its sha256, through the same writer WriteCheckpoint streams
+// to disk.
+func EncodeCheckpoint(ck *Checkpoint) []byte {
+	var b bytes.Buffer
+	writeCheckpoint(&b, ck) // a bytes.Buffer never fails a write
+	return b.Bytes()
+}
+
 // ckptConfig is the three-route tenant fleet the checkpoint tests
 // exercise: rr cursor, least scores and a p2c rng all have to survive
 // the file round trip.
@@ -133,6 +142,90 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ref.Meters(), b.Meters()) {
 		t.Fatalf("meters diverge: ref %+v, recovered %+v", ref.Meters(), b.Meters())
+	}
+}
+
+// TestTriggerCheckpointOverWire drives opCheckpoint from a dialing
+// Client: each call runs the server's checkpointer once, under every lane,
+// and returns the server's epoch with the checkpointer's sequence number;
+// the file it wrote recovers the served fleet byte for byte. Without a
+// checkpointer the call fails as a remote error on the same connection.
+func TestTriggerCheckpointOverWire(t *testing.T) {
+	cfg := ckptConfig()
+	f, err := fleet.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ti := 0; ti < f.Tenants(); ti++ {
+		churnFleet(t, f, ti, 0, 600)
+	}
+	srv := NewServer(Local{Fleet: f})
+	srv.SetEpoch(5)
+	path := filepath.Join(t.TempDir(), "checkpoint.ckpt")
+	var runs, seq uint64
+	srv.SetCheckpointer(func() (uint64, error) {
+		runs++
+		ck, err := CaptureCheckpoint(f, srv.Epoch(), runs+10)
+		if err != nil {
+			return 0, err
+		}
+		seq = ck.Seq
+		return seq, WriteCheckpoint(path, ck)
+	})
+	rd := &redialer{srv: srv}
+	c, err := Dial(rd.dial, fastRetry(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	tasks := churnTrace(t, 901, 3000, 8, 0.8*2)
+	for call := uint64(1); call <= 2; call++ {
+		if call == 2 {
+			// Move tenant beta on through the wire between the two calls.
+			if _, err := c.Submit(1, fleet.Specs(tasks[600:750], 600)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		epoch, got, err := c.TriggerCheckpoint()
+		if err != nil {
+			t.Fatalf("call %d: %v", call, err)
+		}
+		if epoch != 5 || got != seq {
+			t.Fatalf("call %d: TriggerCheckpoint = epoch %d seq %d, want 5 %d", call, epoch, got, seq)
+		}
+		if runs != call {
+			t.Fatalf("call %d: checkpointer ran %d times", call, runs)
+		}
+	}
+
+	b, ck, err := Recover(path, cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.Epoch != 5 || ck.Seq != seq {
+		t.Fatalf("file holds epoch %d seq %d, want 5 %d", ck.Epoch, ck.Seq, seq)
+	}
+	for i := 0; i < f.Shards(); i++ {
+		if !bytes.Equal(EncodeSnapshot(b.Shard(i).Snapshot()), EncodeSnapshot(f.Shard(i).Snapshot())) {
+			t.Fatalf("shard %d: recovered snapshot differs from the served fleet's", i)
+		}
+	}
+	if !reflect.DeepEqual(b.Meters(), f.Meters()) {
+		t.Fatalf("meters diverge: served %+v, recovered %+v", f.Meters(), b.Meters())
+	}
+
+	bare := &redialer{srv: NewServer(Local{Fleet: f})}
+	c2, err := Dial(bare.dial, fastRetry(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if _, _, err := c2.TriggerCheckpoint(); !errors.Is(err, ErrRemote) {
+		t.Fatalf("no checkpointer: got %v, want ErrRemote", err)
+	}
+	if n := bare.dialCount(); n != 1 {
+		t.Fatalf("no checkpointer: dialed %d times, want 1 (no reconnect)", n)
 	}
 }
 

@@ -449,18 +449,6 @@ func EncodeSnapshot(s *fpga.Snapshot) []byte {
 	return e.b
 }
 
-// DecodeSnapshot decodes EncodeSnapshot's output. The snapshot is only
-// structurally decoded here; semantic validation happens in
-// fpga.RestoreScheduler.
-func DecodeSnapshot(b []byte) (*fpga.Snapshot, error) {
-	d := &dec{b: b}
-	s := d.snapshot()
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
 func (e *enc) loadStats(l *fpga.LoadStats) {
 	e.f64(l.Now)
 	e.f64(l.Horizon)

@@ -18,6 +18,18 @@ import (
 	"strippack/internal/fpga"
 )
 
+// DecodeSnapshot decodes EncodeSnapshot's output, the reader the tests
+// check the snapshot encoding with. The snapshot is only structurally
+// decoded here; semantic validation happens in fpga.RestoreScheduler.
+func DecodeSnapshot(b []byte) (*fpga.Snapshot, error) {
+	d := &dec{b: b}
+	s := d.snapshot()
+	if err := d.done(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payloads := [][]byte{{}, {1}, bytes.Repeat([]byte{0xab}, 1<<16)}

@@ -1,13 +1,12 @@
 // Package stats provides the small statistical and formatting helpers used
 // by the benchmark harness: summaries of repeated measurements and aligned
-// text tables matching the layout of EXPERIMENTS.md.
+// text tables in the layout cmd/experiments prints.
 package stats
 
 import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -55,20 +54,6 @@ func Summarize(xs []float64) Summary {
 		s.Geomean = math.Exp(logSum / float64(s.N))
 	}
 	return s
-}
-
-// Median returns the sample median (0 for empty input).
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	m := len(c) / 2
-	if len(c)%2 == 1 {
-		return c[m]
-	}
-	return (c[m-1] + c[m]) / 2
 }
 
 // Table renders rows of cells as an aligned, pipe-separated text table with

@@ -39,23 +39,6 @@ func TestSummarizeNonPositiveGeomean(t *testing.T) {
 	}
 }
 
-func TestMedian(t *testing.T) {
-	if m := Median([]float64{3, 1, 2}); m != 2 {
-		t.Fatalf("odd median = %g", m)
-	}
-	if m := Median([]float64{4, 1, 2, 3}); m != 2.5 {
-		t.Fatalf("even median = %g", m)
-	}
-	if m := Median(nil); m != 0 {
-		t.Fatalf("empty median = %g", m)
-	}
-	xs := []float64{5, 1, 3}
-	_ = Median(xs)
-	if xs[0] != 5 {
-		t.Fatal("Median mutated input")
-	}
-}
-
 func TestTableRender(t *testing.T) {
 	tb := &Table{Header: []string{"n", "ratio"}}
 	tb.Add(16, 1.25)

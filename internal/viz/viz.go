@@ -108,30 +108,3 @@ func escape(s string) string {
 	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
 	return r.Replace(s)
 }
-
-// Coverage returns the fraction of grid cells occupied when rasterizing at
-// the given resolution — a quick fragmentation metric used in tests to
-// cross-check renderers against the analytic area.
-func Coverage(p *geom.Packing, cols, rows int) float64 {
-	in := p.Instance
-	width := in.StripWidth()
-	height := p.Height()
-	if height <= 0 {
-		return 0
-	}
-	occupied := 0
-	for ry := 0; ry < rows; ry++ {
-		for rx := 0; rx < cols; rx++ {
-			cx := (float64(rx) + 0.5) / float64(cols) * width
-			cy := (float64(ry) + 0.5) / float64(rows) * height
-			for i, r := range in.Rects {
-				if cx >= p.Pos[i].X && cx < p.Pos[i].X+r.W &&
-					cy >= p.Pos[i].Y && cy < p.Pos[i].Y+r.H {
-					occupied++
-					break
-				}
-			}
-		}
-	}
-	return float64(occupied) / float64(cols*rows)
-}

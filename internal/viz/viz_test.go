@@ -2,14 +2,10 @@ package viz
 
 import (
 	"bytes"
-	"math"
-	"math/rand"
 	"strings"
 	"testing"
 
 	"strippack/internal/geom"
-	"strippack/internal/packing"
-	"strippack/internal/workload"
 )
 
 func sidePacking(t *testing.T) *geom.Packing {
@@ -107,33 +103,5 @@ func TestSVGEscapesLabels(t *testing.T) {
 func TestSVGValidation(t *testing.T) {
 	if err := SVG(&bytes.Buffer{}, sidePacking(t), 5); err == nil {
 		t.Fatal("tiny width accepted")
-	}
-}
-
-// TestCoverageMatchesArea: the rasterized coverage approximates
-// area / (width*height) on random NFDH packings.
-func TestCoverageMatchesArea(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 10; trial++ {
-		in := workload.Uniform(rng, 10+rng.Intn(20), 0.1, 0.6, 0.1, 0.8)
-		res, err := packing.NFDH(1, in.Rects)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := geom.NewPacking(in)
-		copy(p.Pos, res.Pos)
-		want := in.Area() / p.Height()
-		got := Coverage(p, 80, 80)
-		if math.Abs(got-want) > 0.08 {
-			t.Fatalf("trial %d: coverage %g vs analytic %g", trial, got, want)
-		}
-	}
-}
-
-func TestCoverageEmpty(t *testing.T) {
-	in := geom.NewInstance(1, nil)
-	p := geom.NewPacking(in)
-	if c := Coverage(p, 10, 10); c != 0 {
-		t.Fatalf("coverage of empty packing = %g", c)
 	}
 }

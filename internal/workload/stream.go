@@ -95,6 +95,3 @@ func (s *Stream) NextChunk(dst []ChurnTask) int {
 	}
 	return len(dst)
 }
-
-// Remaining reports how many tasks the stream has yet to draw.
-func (s *Stream) Remaining() int { return s.n - s.i }

@@ -27,24 +27,6 @@ func Uniform(rng *rand.Rand, n int, wMin, wMax, hMin, hMax float64) *geom.Instan
 	return geom.NewInstance(1, rects)
 }
 
-// PowerLawWidths returns n rectangles whose widths follow a bounded
-// power-law (many narrow, few wide), modeling heterogeneous task footprints.
-func PowerLawWidths(rng *rand.Rand, n int, alpha float64) *geom.Instance {
-	rects := make([]geom.Rect, n)
-	for i := range rects {
-		u := rng.Float64()
-		w := math.Pow(u, alpha)
-		if w < 0.02 {
-			w = 0.02
-		}
-		if w > 1 {
-			w = 1
-		}
-		rects[i] = geom.Rect{W: w, H: 0.1 + 0.9*rng.Float64()}
-	}
-	return geom.NewInstance(1, rects)
-}
-
 // FPGA returns n tasks on a K-column device: widths are c/K for a random
 // column count c, heights in (0,1], releases Poisson-spread over
 // [0, maxRelease].
