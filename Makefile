@@ -44,10 +44,12 @@ race:
 
 ci: fmt build vet test race bench-smoke determinism
 
-# One iteration of every benchmark: catches bit-rot in the bench harness
-# without the cost of a full measurement run.
+# One iteration of every benchmark in every package (the root suite,
+# internal/fleet's routing pass and internal/service's submit frame):
+# catches bit-rot in the bench harness without the cost of a full
+# measurement run.
 bench-smoke:
-	$(GO) test -run=NONE -bench=. -benchmem -benchtime=1x .
+	$(GO) test -run=NONE -bench=. -benchmem -benchtime=1x ./...
 
 # Full measurement run recorded as JSON (see cmd/benchjson). Name the
 # new trajectory point; there is no default, so a bare run cannot

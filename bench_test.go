@@ -165,17 +165,15 @@ func BenchmarkPrecNextFit500(b *testing.B) {
 	}
 }
 
+// BenchmarkSimplexConfigLP solves a configuration LP over every enumerated
+// configuration (release.SolveEnumerated, the Kenyon-Rémila path).
 func BenchmarkSimplexConfigLP(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
 	in := workload.FPGA(rng, 30, 4, 3)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := release.BuildModel(in, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := release.SolveModel(m); err != nil {
+		if _, err := release.SolveEnumerated(in); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -183,7 +181,8 @@ func BenchmarkSimplexConfigLP(b *testing.B) {
 
 // BenchmarkSolveCGConfigLP solves the identical configuration LP as
 // BenchmarkSimplexConfigLP (same seed instance) by column generation, so
-// the pair is the direct dense-vs-CG comparison on one solve.
+// the pair compares the enumerated and the column-generation solve of one
+// LP.
 func BenchmarkSolveCGConfigLP(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
 	in := workload.FPGA(rng, 30, 4, 3)
@@ -346,36 +345,6 @@ func benchAddColumns(b *testing.B, bulk bool) {
 
 func BenchmarkAddColumnsBulk512(b *testing.B)   { benchAddColumns(b, true) }
 func BenchmarkAddColumnsSingle512(b *testing.B) { benchAddColumns(b, false) }
-
-func BenchmarkSimplexDense(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	n, m := 60, 30
-	p := lp.NewProblem(n)
-	for j := 0; j < n; j++ {
-		p.Objective[j] = rng.Float64()
-	}
-	idx := make([]int32, n)
-	for j := range idx {
-		idx[j] = int32(j)
-	}
-	for i := 0; i < m; i++ {
-		row := make([]float64, n)
-		for j := range row {
-			row[j] = rng.Float64()
-		}
-		if err := p.AddSparseConstraint(idx, row, lp.GE, 1+rng.Float64()); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := lp.Solve(p)
-		if err != nil || s.Status != lp.Optimal {
-			b.Fatalf("err=%v status=%v", err, s.Status)
-		}
-	}
-}
 
 func BenchmarkExactN6(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))

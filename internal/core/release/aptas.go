@@ -99,18 +99,6 @@ func Pack(in *geom.Instance, opts Options) (*geom.Packing, *Report, error) {
 	return p, rep, nil
 }
 
-// LowerBound returns a cheap valid lower bound on OPT for release-time
-// instances: max(AREA/width, h_max, max_s(release_s + h_s)).
-func LowerBound(in *geom.Instance) float64 {
-	lb := math.Max(in.AreaLowerBound(), in.MaxHeight())
-	for _, r := range in.Rects {
-		if v := r.Release + r.H; v > lb {
-			lb = v
-		}
-	}
-	return lb
-}
-
 // GreedyShelf is the baseline heuristic: rectangles sorted by release time
 // are packed onto shelves; a shelf is closed when the next rectangle does
 // not fit or is released after the shelf's base. Linear time after sorting,

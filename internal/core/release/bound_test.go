@@ -73,7 +73,7 @@ func TestFractionalLowerBoundMatchesSolveCG(t *testing.T) {
 }
 
 // TestFractionalLowerBoundOverWide: a rectangle wider than the strip fails
-// the bound path with SolveCG's error.
+// the bound path and SolveEnumerated with SolveCG's error.
 func TestFractionalLowerBoundOverWide(t *testing.T) {
 	wide := geom.NewInstance(1, []geom.Rect{{W: 0.5, H: 1}, {W: 2, H: 1, Release: 1}})
 	_, _, want := SolveCG(wide, CGOptions{})
@@ -82,5 +82,8 @@ func TestFractionalLowerBoundOverWide(t *testing.T) {
 	}
 	if _, got := FractionalLowerBound(wide, CGOptions{}); got == nil || got.Error() != want.Error() {
 		t.Fatalf("FractionalLowerBound error %v, want SolveCG's %v", got, want)
+	}
+	if _, got := SolveEnumerated(wide); got == nil || got.Error() != want.Error() {
+		t.Fatalf("SolveEnumerated error %v, want SolveCG's %v", got, want)
 	}
 }

@@ -12,12 +12,13 @@ import (
 	"strippack/internal/lp"
 )
 
-// This file implements delayed column generation for the configuration LP
-// (Gilmore–Gomory style). BuildModel/SolveModel enumerate all Q
-// configurations eagerly — exponential in K — and stay available as the
-// reference oracle; SolveCG never enumerates. It keeps a restricted master
-// problem (lp.Revised, sparse columns, warm-started between rounds) over
-// the configurations generated so far and prices new ones on demand:
+// This file solves the configuration LP on one master problem (lp.Revised,
+// sparse columns, warm-started between rounds), started from either of two
+// column sets. SolveCG runs delayed column generation (Gilmore–Gomory
+// style): it starts from the single-width configurations and never
+// enumerates, pricing new configurations on demand. SolveEnumerated loads
+// all Q configurations up front, exponential in K; its one pricing round
+// then certifies the optimum.
 //
 //   - The master has one LE packing row per finite phase and one GE
 //     covering row per (phase k, width i) with B_k[i] > 0. Suffix covering
@@ -39,8 +40,9 @@ import (
 //     byte-identical for any Workers value.
 //
 // The loop terminates when no phase prices a column with reduced cost
-// below -cgPriceTol: the master optimum is then optimal for the full LP,
-// matching SolveModel's height to within numerical tolerance.
+// below -cgPriceTol: the master optimum is then optimal for the full LP.
+// The tests check both paths against the LP assembled over the full
+// enumeration and solved by lptest's dense and exact-rational solvers.
 
 // CGOptions configures SolveCG and Solver.
 type CGOptions struct {
@@ -89,31 +91,101 @@ const maxPriceUnits = 1 << 12
 // SolveCG solves the configuration LP of Lemma 3.3 by delayed column
 // generation, starting from the trivial feasible set of single-width
 // configurations. The returned FractionalSolution indexes X by the
-// generated configurations on Model.Configs; Model.Problem is nil (there
-// is no eagerly assembled program). The solution's Height matches
-// SolveModel on the same instance to within numerical tolerance, with a
-// basic optimum, so ToIntegral and the Lemma 3.4 occurrence bound apply
-// unchanged. SolveCG is the poolless reference path. Its first master
-// solve runs phase 1 from the all-artificial start, because APTAS rounds
-// the basic optimum it returns and E7 reports its pivots: the crash start
-// the value-only solves use (FractionalLowerBound, Solver) would move
-// both.
+// generated configurations on Model.Configs. Its Height is the LP optimum
+// to within numerical tolerance, and the optimum is basic, so ToIntegral
+// and the Lemma 3.4 occurrence bound apply unchanged. SolveCG is the
+// poolless reference path. Its first master solve runs phase 1 from the
+// all-artificial start, because APTAS rounds the basic optimum it returns
+// and E7 reports its pivots: the crash start the value-only solves use
+// (FractionalLowerBound, Solver) would move both.
 func SolveCG(in *geom.Instance, opts CGOptions) (*FractionalSolution, *CGStats, error) {
 	return solveCG(in, opts, nil, false)
 }
 
-// solveCG is the column-generation core: build the restricted master, start
-// from the singleton configurations, bulk-load the seed configurations (a
-// Solver's pool snapshot; nil for poolless solves), then alternate master
-// re-optimization with knapsack pricing until no column improves. With
-// crash set the first master solve starts from the closed-form feasible
-// basis (setCrashBasis) instead of running phase 1.
+// SolveEnumerated solves the configuration LP over every configuration
+// EnumerateConfigs lists for the instance's widths, as the Kenyon-Rémila
+// scheme (internal/kr) needs. It builds SolveCG's master but loads the
+// whole enumeration, in enumeration order, in place of the singleton
+// start, and solves it from the all-artificial start. The pricing round
+// that follows finds no new column and so certifies the optimum. The
+// returned Model.Configs is the enumeration, and X is indexed by it. The
+// enumeration is exponential in K and capped at 1<<20 configurations,
+// beyond which SolveEnumerated fails.
+func SolveEnumerated(in *geom.Instance) (*FractionalSolution, error) {
+	st, err := newCGSolve(in, 0)
+	if err != nil {
+		return nil, err
+	}
+	cfgs, err := EnumerateConfigs(st.m.Widths, st.strip, 0)
+	if err != nil {
+		return nil, err
+	}
+	if err := st.seedConfigs(cfgs); err != nil {
+		return nil, err
+	}
+	fs, _, err := st.run()
+	return fs, err
+}
+
+// solveCG is the column-generation core: build the restricted master,
+// start from the singleton configurations, bulk-load the seed
+// configurations (a Solver's pool snapshot; nil for poolless solves), then
+// alternate master re-optimization with knapsack pricing until no column
+// improves. With crash set the first master solve starts from the
+// closed-form feasible basis (setCrashBasis) instead of running phase 1.
 func solveCG(in *geom.Instance, opts CGOptions, seed []Config, crash bool) (*FractionalSolution, *CGStats, error) {
-	if err := in.Validate(); err != nil {
+	st, err := newCGSolve(in, opts.Workers)
+	if err != nil {
 		return nil, nil, err
 	}
+	// Arena hints: W singleton configs, the pool seed, plus a generation
+	// headroom of ~32 configs (E7 tops out around 26 even at K=24), each
+	// with one column per phase, plus up to two logical columns per row; a
+	// phase-j column hits on average about half the covering rows.
+	// Exceeding the hint just falls back to append growth.
+	rows := st.solver.NumRows()
+	expCols := (st.W+len(seed)+32)*st.phases + 2*rows
+	expNNZ := expCols * (rows/2 + 2)
+	st.solver.Reserve(expCols, expNNZ)
+	st.m.Configs = make([]Config, 0, st.W+len(seed)+32)
+
+	// Trivial feasible start: the maximal single-width configuration per
+	// width (phase R is uncapped, so covering is always satisfiable).
+	for i := 0; i < st.W; i++ {
+		c := int((st.strip + geom.Eps) / st.m.Widths[i])
+		if c < 1 {
+			crash = false // wider than the strip; phase 1 reports infeasible
+			continue
+		}
+		counts := st.carveCounts()
+		counts[i] = c
+		if err := st.addConfig(counts); err != nil {
+			return nil, nil, err
+		}
+	}
+	if len(seed) > 0 {
+		if err := st.seedConfigs(seed); err != nil {
+			return nil, nil, err
+		}
+	}
+	if crash {
+		if err := st.setCrashBasis(rows); err != nil {
+			return nil, nil, err
+		}
+	}
+	return st.run()
+}
+
+// newCGSolve builds the configuration LP's master for the instance, with
+// no columns yet: one LE packing row per finite phase, then one GE
+// covering row per demanding (phase, width) pair, on lp.Revised, and the
+// pricing state for the given worker count (0 = GOMAXPROCS).
+func newCGSolve(in *geom.Instance, workers int) (*cgSolve, error) {
+	if err := in.Validate(); err != nil {
+		return nil, err
+	}
 	if in.N() == 0 {
-		return nil, nil, fmt.Errorf("release: empty instance")
+		return nil, fmt.Errorf("release: empty instance")
 	}
 	m := &Model{
 		Widths:   DistinctWidths(in),
@@ -133,7 +205,7 @@ func solveCG(in *geom.Instance, opts CGOptions, seed []Config, crash bool) (*Fra
 	for _, r := range in.Rects {
 		i, err := m.widthIndex(r.W)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		m.B[phaseOfRelease(m.Releases, r.Release)][i] += r.H
 	}
@@ -174,22 +246,13 @@ func solveCG(in *geom.Instance, opts CGOptions, seed []Config, crash bool) (*Fra
 
 	solver, err := lp.NewRevised(ops, rhs)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	// Arena hints: W singleton configs, the pool seed, plus a generation
-	// headroom of ~32 configs (E7 tops out around 26 even at K=24), each
-	// with one column per phase, plus up to two logical columns per row; a
-	// phase-j column hits on average about half the covering rows.
-	// Exceeding the hint just falls back to append growth.
-	expCols := (W+len(seed)+32)*phases + 2*len(ops)
-	expNNZ := expCols * (len(ops)/2 + 2)
-	solver.Reserve(expCols, expNNZ)
 	st := &cgSolve{
 		m: m, R: R, W: W, phases: phases, strip: strip,
 		covRow: covRow, solver: solver,
 	}
 	wu, L, quantized := quantizeWidths(strip, m.Widths)
-	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -208,33 +271,13 @@ func solveCG(in *geom.Instance, opts CGOptions, seed []Config, crash bool) (*Fra
 	st.candOK = make([]bool, phases)
 	st.colIdx = make([]int32, 0, len(ops)+1)
 	st.colVal = make([]float64, 0, len(ops)+1)
-	m.Configs = make([]Config, 0, W+len(seed)+32)
+	return st, nil
+}
 
-	// Trivial feasible start: the maximal single-width configuration per
-	// width (phase R is uncapped, so covering is always satisfiable).
-	for i := 0; i < W; i++ {
-		c := int((strip + geom.Eps) / m.Widths[i])
-		if c < 1 {
-			crash = false // wider than the strip; phase 1 reports infeasible
-			continue
-		}
-		counts := st.carveCounts()
-		counts[i] = c
-		if err := st.addConfig(counts); err != nil {
-			return nil, nil, err
-		}
-	}
-	if len(seed) > 0 {
-		if err := st.seedConfigs(seed); err != nil {
-			return nil, nil, err
-		}
-	}
-	if crash {
-		if err := st.setCrashBasis(len(ops)); err != nil {
-			return nil, nil, err
-		}
-	}
-
+// run alternates master re-optimization with pricing until no column
+// improves, then unpacks the optimum into per-phase configuration heights.
+func (st *cgSolve) run() (*FractionalSolution, *CGStats, error) {
+	m, solver, phases := st.m, st.solver, st.phases
 	var sol lp.Solution
 	rounds := 0
 	for {
@@ -249,7 +292,7 @@ func solveCG(in *geom.Instance, opts CGOptions, seed []Config, crash bool) (*Fra
 			return nil, nil, fmt.Errorf("release: configuration LP %v", sol.Status)
 		}
 		rounds++
-		added, err := st.priceAndAdd(sol.Duals, workers)
+		added, err := st.priceAndAdd(sol.Duals)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -299,7 +342,8 @@ func solveCG(in *geom.Instance, opts CGOptions, seed []Config, crash bool) (*Fra
 	return fs, stats, nil
 }
 
-// cgSolve is the state of one SolveCG run.
+// cgSolve is the state of one configuration-LP solve: its master and
+// pricing state.
 type cgSolve struct {
 	m      *Model
 	R, W   int
@@ -317,7 +361,7 @@ type cgSolve struct {
 	colIdx      []int32 // column assembly scratch
 	colVal      []float64
 
-	seedStart, seedCount int // pool seed span inside m.Configs
+	seedStart, seedCount int // seedConfigs' span inside m.Configs
 }
 
 // carveCounts returns a zeroed W-slot counts slice from the arena.
@@ -391,29 +435,33 @@ func (st *cgSolve) addConfig(counts []int) error {
 	return nil
 }
 
-// seedConfigs bulk-loads a Solver's pool snapshot into the restricted
-// master. Every seed is feasible here by the pool-key contract (same strip
-// width, same width set), so its phase columns load unchanged; seeds dedup
-// against the singleton start (pool entries are already mutually distinct)
-// and append in pool-insertion order, keeping the master column order — and
-// therefore the simplex path — a pure function of the solve sequence. The
-// Counts slices stay shared with the pool read-only. All columns assemble
-// into one lp.Revised.AddColumns batch so the arenas grow exactly once.
+// seedConfigs bulk-loads configurations into the master after the columns
+// it already holds: a Solver's pool snapshot after the singleton start, or
+// SolveEnumerated's whole enumeration into the empty master. Every seed
+// fits the strip (the pool key fixes the strip width and the width set),
+// so its phase columns load unchanged. Seeds dedup against the columns
+// already loaded (pool entries and enumerated configurations are distinct
+// among themselves) and append in the given order, keeping the master
+// column order — and therefore the simplex path — a pure function of the
+// solve sequence. The Counts slices stay shared with the caller read-only.
+// All columns assemble into one lp.Revised.AddColumns batch so the arenas
+// grow exactly once.
 func (st *cgSolve) seedConfigs(seed []Config) error {
 	st.seedStart = len(st.m.Configs)
-	accepted := make([]Config, 0, len(seed))
+	st.m.Configs = slices.Grow(st.m.Configs, len(seed))
 	for _, c := range seed {
 		dup := false
-		for q := range st.m.Configs {
+		for q := range st.m.Configs[:st.seedStart] {
 			if slices.Equal(st.m.Configs[q].Counts, c.Counts) {
 				dup = true
 				break
 			}
 		}
 		if !dup {
-			accepted = append(accepted, c)
+			st.m.Configs = append(st.m.Configs, c)
 		}
 	}
+	accepted := st.m.Configs[st.seedStart:]
 	st.seedCount = len(accepted)
 	if st.seedCount == 0 {
 		return nil
@@ -438,7 +486,6 @@ func (st *cgSolve) seedConfigs(seed []Config) error {
 	idx := make([]int32, 0, nnz)
 	val := make([]float64, 0, nnz)
 	for _, c := range accepted {
-		st.m.Configs = append(st.m.Configs, c)
 		for j := 0; j < st.phases; j++ {
 			if j < st.R {
 				idx = append(idx, int32(j))
@@ -468,7 +515,7 @@ func (st *cgSolve) seedConfigs(seed []Config) error {
 // priceAndAdd runs one pricing round over all phases on the worker pool
 // and adds the new configurations in phase order. It returns how many were
 // added (0 means the master optimum is optimal for the full LP).
-func (st *cgSolve) priceAndAdd(duals []float64, workers int) (int, error) {
+func (st *cgSolve) priceAndAdd(duals []float64) (int, error) {
 	// ν_{j,i} = Σ_{k<=j} μ_{k,i}, with negative (numerically drifted)
 	// covering duals clamped to zero. Clamping raises ν and therefore
 	// *lowers* the computed reduced cost (rc_clamped <= rc_true), so
@@ -486,7 +533,7 @@ func (st *cgSolve) priceAndAdd(duals []float64, workers int) (int, error) {
 			st.nu[k][i] = acc
 		}
 	}
-	if workers <= 1 {
+	if workers := len(st.pricers); workers <= 1 {
 		for j := 0; j < st.phases; j++ {
 			st.pricePhase(j, st.pricers[0], duals)
 		}

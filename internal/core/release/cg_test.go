@@ -1,17 +1,19 @@
 package release
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"strippack/internal/geom"
+	"strippack/internal/workload"
 )
 
-// TestSolveCGMatchesExact: column generation reaches the same optimal
-// height as the eagerly enumerated model solved in exact rational
-// arithmetic, on randomized quantized and continuous instances.
+// TestSolveCGMatchesExact: column generation and SolveEnumerated reach the
+// same optimal height as the eagerly enumerated model solved in exact
+// rational arithmetic, on randomized quantized and continuous instances.
 func TestSolveCGMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(401))
 	for trial := 0; trial < 30; trial++ {
@@ -45,11 +47,20 @@ func TestSolveCGMatchesExact(t *testing.T) {
 			t.Fatalf("trial %d: stats report %d columns for %d configs × %d phases",
 				trial, st.Columns, len(fs.Model.Configs), fs.Model.NumPhases())
 		}
+		en, err := SolveEnumerated(in)
+		if err != nil {
+			t.Fatalf("trial %d: SolveEnumerated: %v", trial, err)
+		}
+		if math.Abs(en.Height-ex.Height) > 1e-6 {
+			t.Fatalf("trial %d: enumerated height %g vs exact %g (Δ=%g)",
+				trial, en.Height, ex.Height, en.Height-ex.Height)
+		}
 	}
 }
 
-// TestSolveCGMatchesFloatOracle widens the sweep against the float dense
-// solver, where exact arithmetic would be too slow.
+// TestSolveCGMatchesFloatOracle widens the sweep, for SolveCG and
+// SolveEnumerated, against the float dense solver, where exact arithmetic
+// would be too slow.
 func TestSolveCGMatchesFloatOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(409))
 	for trial := 0; trial < 25; trial++ {
@@ -73,6 +84,13 @@ func TestSolveCGMatchesFloatOracle(t *testing.T) {
 		}
 		if math.Abs(fs.Height-or.Height) > 1e-6 {
 			t.Fatalf("trial %d: CG height %g vs dense %g", trial, fs.Height, or.Height)
+		}
+		en, err := SolveEnumerated(in)
+		if err != nil {
+			t.Fatalf("trial %d: SolveEnumerated: %v", trial, err)
+		}
+		if math.Abs(en.Height-or.Height) > 1e-6 {
+			t.Fatalf("trial %d: enumerated height %g vs dense %g", trial, en.Height, or.Height)
 		}
 	}
 }
@@ -143,7 +161,7 @@ func TestSolveCGToIntegral(t *testing.T) {
 		if err := p.Validate(); err != nil {
 			t.Fatalf("trial %d: invalid: %v", trial, err)
 		}
-		bound := fs.Height + float64(fs.Occurrences)*in.MaxHeight() + 1e-6
+		bound := fs.Height + float64(fs.Occurrences)*maxHeight(in) + 1e-6
 		if p.Height() > bound {
 			t.Fatalf("trial %d: height %g > Lemma 3.4 bound %g", trial, p.Height(), bound)
 		}
@@ -155,12 +173,93 @@ func TestSolveCGValidation(t *testing.T) {
 	if _, _, err := SolveCG(empty, CGOptions{}); err == nil {
 		t.Fatal("empty instance accepted")
 	}
+	if _, err := SolveEnumerated(empty); err == nil {
+		t.Fatal("empty instance accepted by SolveEnumerated")
+	}
 	// A rectangle wider than the strip must surface as infeasibility, like
 	// the dense model path.
 	wide := geom.NewInstance(1, []geom.Rect{{W: 2, H: 1}})
 	if _, _, err := SolveCG(wide, CGOptions{}); err == nil {
 		t.Fatal("over-wide rectangle accepted")
 	}
+}
+
+// TestSolveEnumeratedMatchesDense: on the LPs the Kenyon-Rémila packer
+// solves (one phase, continuous widths grouped as internal/kr groups
+// them), SolveEnumerated returns the dense tableau's basic optimum: the
+// same configurations in the same order, the same nonzero (q, j), every
+// value within 1e-10 relative and the height within 1e-12 relative. Both
+// engines pivot by Bland's rule over the same column order, so only
+// round-off separates them.
+func TestSolveEnumeratedMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(461))
+	worst, configs := 0.0, 0
+	for _, shape := range []struct {
+		n   int
+		eps float64
+	}{{5000, 0.5}, {1500, 0.5}, {300, 0.75}, {30, 0.75}} {
+		for trial := 0; trial < 4; trial++ {
+			in := krGrouped(t, workload.Uniform(rng, shape.n, 0.05, 0.8, 0.05, 1), shape.eps)
+			m, err := BuildModel(in, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := SolveModel(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := SolveEnumerated(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			what := fmt.Sprintf("n=%d eps=%g trial %d", shape.n, shape.eps, trial)
+			configs = max(configs, len(m.Configs))
+			if !reflect.DeepEqual(got.Model.Configs, m.Configs) {
+				t.Fatalf("%s: configurations differ from the enumeration", what)
+			}
+			if d := math.Abs(got.Height - want.Height); d > 1e-12*want.Height {
+				t.Fatalf("%s: height %v vs dense %v", what, got.Height, want.Height)
+			}
+			if got.Occurrences != want.Occurrences {
+				t.Fatalf("%s: %d occurrences vs dense %d", what, got.Occurrences, want.Occurrences)
+			}
+			for q := range want.X {
+				for j, w := range want.X[q] {
+					g := got.X[q][j]
+					if (g > 0) != (w > 0) {
+						t.Fatalf("%s: x[%d][%d] = %v vs dense %v: support differs", what, q, j, g, w)
+					}
+					if d := math.Abs(g - w); d > 1e-10*math.Max(g, w) {
+						t.Fatalf("%s: x[%d][%d] = %v vs dense %v", what, q, j, g, w)
+					} else if d > 0 {
+						worst = max(worst, d/math.Max(g, w))
+					}
+				}
+			}
+		}
+	}
+	t.Logf("up to %d configurations; worst relative difference %.2g", configs, worst)
+}
+
+// krGrouped is the wide half of an instance as kr.Pack hands it to the
+// configuration LP: rectangles wider than eps/3 of the strip, with
+// release 0, their widths rounded up by linear grouping into 1/(eps/3)²+1
+// groups.
+func krGrouped(t *testing.T, in *geom.Instance, eps float64) *geom.Instance {
+	t.Helper()
+	epsPrime := min(eps/3, 0.5)
+	var wide []geom.Rect
+	for _, r := range in.Rects {
+		if r.W > epsPrime*in.StripWidth() {
+			r.Release = 0
+			wide = append(wide, r)
+		}
+	}
+	grouped, err := GroupWidths(geom.NewInstance(in.StripWidth(), wide), int(1/(epsPrime*epsPrime))+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return grouped
 }
 
 // TestQuantizeWidths covers the unit detection both ways.

@@ -7,17 +7,16 @@ import (
 	"testing/quick"
 
 	"strippack/internal/geom"
-	"strippack/internal/lp"
 )
 
-// solveModelExact solves m's LP in exact rational arithmetic, the oracle
-// the float engines are checked against.
-func solveModelExact(m *Model) (*FractionalSolution, error) {
-	sol, err := lp.SolveExact(m.Problem)
-	if err != nil {
-		return nil, err
+// maxHeight returns the tallest rectangle height: the most one occurrence
+// can overflow by in Lemma 3.4's conversion.
+func maxHeight(in *geom.Instance) float64 {
+	var h float64
+	for _, r := range in.Rects {
+		h = max(h, r.H)
 	}
-	return unpack(m, sol)
+	return h
 }
 
 // Items returns the total number of rectangles in the configuration.
@@ -466,7 +465,7 @@ func TestToIntegralProducesValidPacking(t *testing.T) {
 		}
 		// Lemma 3.4: height <= fractional + #occurrences (each occurrence
 		// overflows by at most h_max <= 1).
-		bound := fs.Height + float64(fs.Occurrences)*in.MaxHeight() + 1e-6
+		bound := fs.Height + float64(fs.Occurrences)*maxHeight(in) + 1e-6
 		if p.Height() > bound {
 			t.Fatalf("trial %d: height %g > Lemma 3.4 bound %g", trial, p.Height(), bound)
 		}
@@ -570,15 +569,5 @@ func TestGreedySkylineValidAndBeatsShelf(t *testing.T) {
 	// The skyline baseline should rarely lose to the naive shelf.
 	if shelfWins > 10 {
 		t.Fatalf("shelf beat skyline on %d/40 instances", shelfWins)
-	}
-}
-
-func TestReleaseLowerBound(t *testing.T) {
-	in := geom.NewInstance(1, []geom.Rect{
-		{W: 0.5, H: 0.5, Release: 3},
-		{W: 1, H: 1},
-	})
-	if lb := LowerBound(in); math.Abs(lb-3.5) > 1e-12 {
-		t.Fatalf("lb = %g, want 3.5 (release + height)", lb)
 	}
 }

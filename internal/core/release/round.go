@@ -16,13 +16,16 @@
 //  4. ToIntegral (Lemma 3.4): realize each occurrence as reserved columns
 //     and fill them greedily, adding at most 1 per occurrence to the height.
 //
-// Step 3 has two implementations. BuildModel/SolveModel enumerate every
-// width multiset fitting the strip (exponential in K) and solve the dense
-// LP — the reference oracle, also available in exact rational arithmetic.
-// SolveCG (cg.go) is the production path: delayed column generation that
-// starts from the single-width configurations and prices new ones against
-// the master duals with a bounded-knapsack dynamic program per phase, so
-// configurations are generated on demand and never enumerated.
+// Step 3 runs on one engine, an lp.Revised master (cg.go), loaded in one
+// of two ways. SolveCG, which the APTAS and the bounds use, runs delayed
+// column generation: it starts from the single-width configurations and
+// prices new ones against the master duals with a bounded-knapsack
+// dynamic program per phase, so configurations are generated on demand
+// and never enumerated. SolveEnumerated, which the Kenyon-Rémila packer
+// (internal/kr) uses, loads every width multiset fitting the strip
+// (exponential in K) into the same master. The tests check both against
+// the LP assembled eagerly over the enumeration and solved by the dense
+// and exact-rational reference solvers of internal/lp/lptest.
 //
 // # Cross-solve column pool
 //

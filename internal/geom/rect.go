@@ -101,17 +101,6 @@ func (in *Instance) Area() float64 {
 // a lower bound on the height of any packing.
 func (in *Instance) AreaLowerBound() float64 { return in.Area() / in.StripWidth() }
 
-// MaxHeight returns the tallest rectangle height (a trivial lower bound).
-func (in *Instance) MaxHeight() float64 {
-	var h float64
-	for _, r := range in.Rects {
-		if r.H > h {
-			h = r.H
-		}
-	}
-	return h
-}
-
 // MaxRelease returns the latest release time, a lower bound for release-time
 // instances (some rectangle must start at or after it).
 func (in *Instance) MaxRelease() float64 {

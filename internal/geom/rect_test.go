@@ -66,9 +66,6 @@ func TestInstanceAggregates(t *testing.T) {
 	if got, want := in.Area(), 0.5*2+0.25*4; math.Abs(got-want) > 1e-12 {
 		t.Errorf("Area = %g, want %g", got, want)
 	}
-	if got := in.MaxHeight(); got != 4 {
-		t.Errorf("MaxHeight = %g, want 4", got)
-	}
 	if got := in.MaxRelease(); got != 3 {
 		t.Errorf("MaxRelease = %g, want 3", got)
 	}

@@ -9,9 +9,10 @@
 //  2. round wide widths up by linear grouping over the stacking
 //     (release.GroupWidths with a single release class — the Fig. 3/4
 //     machinery);
-//  3. solve the configuration LP for the wide rectangles
-//     (release.BuildModel with one phase) and convert the basic optimum to
-//     an integral packing (release.ToIntegralWithAreas);
+//  3. solve the configuration LP for the wide rectangles over every
+//     configuration (release.SolveEnumerated with one phase) and convert
+//     the basic optimum to an integral packing
+//     (release.ToIntegralWithAreas);
 //  4. pack the narrow rectangles with NFDH into the leftover width to the
 //     right of each configuration band, and whatever remains above the
 //     packing.
@@ -105,16 +106,12 @@ func Pack(in *geom.Instance, opts Options) (*geom.Packing, *Report, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		m, err := release.BuildModel(grouped, 0)
+		fs, err := release.SolveEnumerated(grouped)
 		if err != nil {
 			return nil, nil, err
 		}
-		rep.DistinctWidths = len(m.Widths)
-		rep.Configs = len(m.Configs)
-		fs, err := release.SolveModel(m)
-		if err != nil {
-			return nil, nil, err
-		}
+		rep.DistinctWidths = len(fs.Model.Widths)
+		rep.Configs = len(fs.Model.Configs)
 		rep.FractionalHeight = fs.Height
 		ir, err := release.ToIntegralWithAreas(grouped, fs)
 		if err != nil {

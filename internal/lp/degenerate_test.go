@@ -1,8 +1,11 @@
-package lp
+package lp_test
 
 import (
 	"math"
 	"testing"
+
+	"strippack/internal/lp"
+	"strippack/internal/lp/lptest"
 )
 
 // TestBealeCycling: the classic Beale example that cycles under Dantzig's
@@ -12,22 +15,22 @@ func TestBealeCycling(t *testing.T) {
 	// s.t. 0.25 x4 - 60 x5 - 0.04 x6 + 9 x7 <= 0
 	//      0.5  x4 - 90 x5 - 0.02 x6 + 3 x7 <= 0
 	//      x6 <= 1
-	p := NewProblem(4)
+	p := lptest.NewProblem(4)
 	p.Objective = []float64{-0.75, 150, -0.02, 6}
-	_ = p.AddConstraint([]float64{0.25, -60, -0.04, 9}, LE, 0)
-	_ = p.AddConstraint([]float64{0.5, -90, -0.02, 3}, LE, 0)
-	_ = p.AddConstraint([]float64{0, 0, 1, 0}, LE, 1)
-	s, err := Solve(p)
+	_ = p.AddConstraint([]float64{0.25, -60, -0.04, 9}, lp.LE, 0)
+	_ = p.AddConstraint([]float64{0.5, -90, -0.02, 3}, lp.LE, 0)
+	_ = p.AddConstraint([]float64{0, 0, 1, 0}, lp.LE, 1)
+	s, err := lptest.Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Status != Optimal {
+	if s.Status != lp.Optimal {
 		t.Fatalf("status %v", s.Status)
 	}
 	if math.Abs(s.Objective-(-0.05)) > 1e-6 {
 		t.Fatalf("objective %g, want -0.05", s.Objective)
 	}
-	e, err := SolveExact(p)
+	e, err := lptest.SolveExact(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +44,7 @@ func TestBealeCycling(t *testing.T) {
 // the optimum 2^5 - ... (max formulation converted to min).
 func TestKleeMintyCube(t *testing.T) {
 	n := 5
-	p := NewProblem(n)
+	p := lptest.NewProblem(n)
 	// max sum 2^{n-j} x_j  => min -(...)
 	for j := 0; j < n; j++ {
 		p.Objective[j] = -math.Pow(2, float64(n-1-j))
@@ -52,13 +55,13 @@ func TestKleeMintyCube(t *testing.T) {
 			row[j] = math.Pow(2, float64(i-j+1))
 		}
 		row[i] = 1
-		_ = p.AddConstraint(row, LE, math.Pow(5, float64(i+1)))
+		_ = p.AddConstraint(row, lp.LE, math.Pow(5, float64(i+1)))
 	}
-	s, err := Solve(p)
+	s, err := lptest.Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Status != Optimal {
+	if s.Status != lp.Optimal {
 		t.Fatalf("status %v", s.Status)
 	}
 	// Known optimum: x_n = 5^n, objective -(5^n).
@@ -69,42 +72,42 @@ func TestKleeMintyCube(t *testing.T) {
 
 func TestEqualityOnlyFullRank(t *testing.T) {
 	// x1 + x2 = 2, x1 - x2 = 0 -> x1 = x2 = 1.
-	p := NewProblem(2)
+	p := lptest.NewProblem(2)
 	p.Objective = []float64{1, 1}
-	_ = p.AddConstraint([]float64{1, 1}, EQ, 2)
-	_ = p.AddConstraint([]float64{1, -1}, EQ, 0)
-	s, err := Solve(p)
+	_ = p.AddConstraint([]float64{1, 1}, lp.EQ, 2)
+	_ = p.AddConstraint([]float64{1, -1}, lp.EQ, 0)
+	s, err := lptest.Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Status != Optimal || math.Abs(s.X[0]-1) > 1e-6 || math.Abs(s.X[1]-1) > 1e-6 {
+	if s.Status != lp.Optimal || math.Abs(s.X[0]-1) > 1e-6 || math.Abs(s.X[1]-1) > 1e-6 {
 		t.Fatalf("got %v x=%v", s.Status, s.X)
 	}
 }
 
 func TestInfeasibleEqualities(t *testing.T) {
-	p := NewProblem(1)
+	p := lptest.NewProblem(1)
 	p.Objective = []float64{1}
-	_ = p.AddConstraint([]float64{1}, EQ, 1)
-	_ = p.AddConstraint([]float64{1}, EQ, 2)
-	s, err := Solve(p)
+	_ = p.AddConstraint([]float64{1}, lp.EQ, 1)
+	_ = p.AddConstraint([]float64{1}, lp.EQ, 2)
+	s, err := lptest.Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Status != Infeasible {
+	if s.Status != lp.Infeasible {
 		t.Fatalf("status %v, want infeasible", s.Status)
 	}
 }
 
 func TestZeroObjectiveFeasibilityProblem(t *testing.T) {
 	// Pure feasibility: any point in the simplex.
-	p := NewProblem(3)
-	_ = p.AddConstraint([]float64{1, 1, 1}, EQ, 1)
-	s, err := Solve(p)
+	p := lptest.NewProblem(3)
+	_ = p.AddConstraint([]float64{1, 1, 1}, lp.EQ, 1)
+	s, err := lptest.Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Status != Optimal {
+	if s.Status != lp.Optimal {
 		t.Fatalf("status %v", s.Status)
 	}
 	sum := s.X[0] + s.X[1] + s.X[2]

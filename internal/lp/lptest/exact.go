@@ -1,16 +1,17 @@
-package lp
+package lptest
 
 import (
 	"fmt"
 	"math/big"
+
+	"strippack/internal/lp"
 )
 
-// SolveExact solves the same program with exact rational arithmetic
-// (math/big.Rat) and Bland's rule, so it terminates on every input and never
-// suffers round-off. It is O(slow) and intended for cross-validating the
-// float64 solver on small programs in tests and for tiny APTAS instances
-// where exactness matters.
-func SolveExact(p *Problem) (*Solution, error) {
+// SolveExact solves the same program as Solve with exact rational
+// arithmetic (math/big.Rat) and Bland's rule, so it terminates on every
+// input and never suffers round-off. It is slow, and meant for
+// cross-validating the float64 solvers on small programs.
+func SolveExact(p *Problem) (*lp.Solution, error) {
 	if len(p.Objective) != p.NumVars {
 		return nil, fmt.Errorf("lp: objective has %d entries, want %d", len(p.Objective), p.NumVars)
 	}
@@ -19,7 +20,7 @@ func SolveExact(p *Problem) (*Solution, error) {
 
 	nSlack := 0
 	for _, c := range p.Constraints {
-		if c.Op != EQ {
+		if c.Op != lp.EQ {
 			nSlack++
 		}
 	}
@@ -35,7 +36,7 @@ func SolveExact(p *Problem) (*Solution, error) {
 		for j := range row {
 			row[j] = new(big.Rat)
 		}
-		c.forEach(func(j int, v float64) {
+		c.ForEach(func(j int, v float64) {
 			row[j].SetFloat64(v)
 		})
 		rhs := new(big.Rat).SetFloat64(c.RHS)
@@ -46,24 +47,24 @@ func SolveExact(p *Problem) (*Solution, error) {
 			}
 			rhs.Neg(rhs)
 			switch op {
-			case LE:
-				op = GE
-			case GE:
-				op = LE
+			case lp.LE:
+				op = lp.GE
+			case lp.GE:
+				op = lp.LE
 			}
 		}
 		switch op {
-		case LE:
+		case lp.LE:
 			row[slackIdx].SetInt64(1)
 			basis[i] = slackIdx
 			slackIdx++
-		case GE:
+		case lp.GE:
 			row[slackIdx].SetInt64(-1)
 			slackIdx++
 			row[artCol+nArt].SetInt64(1)
 			basis[i] = artCol + nArt
 			nArt++
-		case EQ:
+		case lp.EQ:
 			row[artCol+nArt].SetInt64(1)
 			basis[i] = artCol + nArt
 			nArt++
@@ -72,7 +73,7 @@ func SolveExact(p *Problem) (*Solution, error) {
 		t[i] = row
 	}
 	usedCols := n + nSlack + nArt
-	sol := &Solution{}
+	sol := &lp.Solution{}
 
 	if nArt > 0 {
 		obj := make([]*big.Rat, usedCols)
@@ -83,7 +84,7 @@ func SolveExact(p *Problem) (*Solution, error) {
 			obj[j].SetInt64(1)
 		}
 		status := ratSimplex(t, basis, obj, usedCols, sol)
-		if status == Unbounded {
+		if status == lp.Unbounded {
 			return nil, fmt.Errorf("lp: exact phase 1 unbounded")
 		}
 		p1 := new(big.Rat)
@@ -93,7 +94,7 @@ func SolveExact(p *Problem) (*Solution, error) {
 			}
 		}
 		if p1.Sign() > 0 {
-			sol.Status = Infeasible
+			sol.Status = lp.Infeasible
 			return sol, nil
 		}
 		for i := 0; i < len(t); i++ {
@@ -130,11 +131,11 @@ func SolveExact(p *Problem) (*Solution, error) {
 		obj[j].SetFloat64(p.Objective[j])
 	}
 	status := ratSimplex(t, basis, obj, usedCols, sol)
-	if status == Unbounded {
-		sol.Status = Unbounded
+	if status == lp.Unbounded {
+		sol.Status = lp.Unbounded
 		return sol, nil
 	}
-	sol.Status = Optimal
+	sol.Status = lp.Optimal
 	sol.X = make([]float64, n)
 	for i, b := range basis {
 		if b < n {
@@ -151,10 +152,10 @@ func SolveExact(p *Problem) (*Solution, error) {
 	return sol, nil
 }
 
-func ratSimplex(t [][]*big.Rat, basis []int, obj []*big.Rat, usedCols int, sol *Solution) Status {
+func ratSimplex(t [][]*big.Rat, basis []int, obj []*big.Rat, usedCols int, sol *lp.Solution) lp.Status {
 	m := len(t)
 	if m == 0 {
-		return Optimal
+		return lp.Optimal
 	}
 	cols := len(t[0])
 	z := make([]*big.Rat, cols)
@@ -185,7 +186,7 @@ func ratSimplex(t [][]*big.Rat, basis []int, obj []*big.Rat, usedCols int, sol *
 			}
 		}
 		if enter == -1 {
-			return Optimal
+			return lp.Optimal
 		}
 		leave := -1
 		best := new(big.Rat)
@@ -205,7 +206,7 @@ func ratSimplex(t [][]*big.Rat, basis []int, obj []*big.Rat, usedCols int, sol *
 			}
 		}
 		if leave == -1 {
-			return Unbounded
+			return lp.Unbounded
 		}
 		ratPivot(t, basis, leave, enter)
 		factor := new(big.Rat).Set(z[enter])

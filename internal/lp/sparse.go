@@ -620,8 +620,8 @@ func (r *Revised) Solve() (*Solution, error) {
 
 // SolveInto is Solve writing the result into a caller-owned Solution,
 // reusing its X and Duals slices when their capacity allows — the
-// allocation-free form a column-generation loop calls once per round. Like
-// the dense solver, X (and Duals) are nil unless the status is Optimal.
+// allocation-free form a column-generation loop calls once per round. X
+// and Duals are nil unless the status is Optimal.
 func (r *Revised) SolveInto(sol *Solution) error {
 	sol.Status = Optimal
 	sol.Objective = 0

@@ -1,4 +1,4 @@
-package lp
+package lp_test
 
 import (
 	"fmt"
@@ -6,6 +6,9 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"strippack/internal/lp"
+	"strippack/internal/lp/lptest"
 )
 
 // SolveSparse solves a Problem with the revised simplex: the constraint
@@ -13,18 +16,18 @@ import (
 // the optimal duals are reported on Solution.Duals. It is how the tests
 // check Revised against the dense and exact solvers on the same program
 // (same Bland pivoting, same tolerance).
-func SolveSparse(p *Problem) (*Solution, error) {
+func SolveSparse(p *lptest.Problem) (*lp.Solution, error) {
 	if len(p.Objective) != p.NumVars {
 		return nil, fmt.Errorf("lp: objective has %d entries, want %d", len(p.Objective), p.NumVars)
 	}
 	m := len(p.Constraints)
-	ops := make([]Relation, m)
+	ops := make([]lp.Relation, m)
 	rhs := make([]float64, m)
 	for i, c := range p.Constraints {
 		ops[i] = c.Op
 		rhs[i] = c.RHS
 	}
-	r, err := NewRevised(ops, rhs)
+	r, err := lp.NewRevised(ops, rhs)
 	if err != nil {
 		return nil, err
 	}
@@ -32,7 +35,7 @@ func SolveSparse(p *Problem) (*Solution, error) {
 	colVal := make([][]float64, p.NumVars)
 	for i := range p.Constraints {
 		row := i
-		p.Constraints[i].forEach(func(j int, v float64) {
+		p.Constraints[i].ForEach(func(j int, v float64) {
 			colIdx[j] = append(colIdx[j], int32(row))
 			colVal[j] = append(colVal[j], v)
 		})
@@ -47,14 +50,14 @@ func SolveSparse(p *Problem) (*Solution, error) {
 
 // randomProblem builds a small random LP with mixed senses; when sparse is
 // set, rows are added through AddSparseConstraint with ~half the entries.
-func randomProblem(rng *rand.Rand, sparse bool) *Problem {
+func randomProblem(rng *rand.Rand, sparse bool) *lptest.Problem {
 	n := 2 + rng.Intn(6)
 	m := 1 + rng.Intn(5)
-	p := NewProblem(n)
+	p := lptest.NewProblem(n)
 	for j := 0; j < n; j++ {
 		p.Objective[j] = math.Round(10*(rng.Float64()*2-0.5)) / 10
 	}
-	ops := []Relation{LE, GE, EQ}
+	ops := []lp.Relation{lp.LE, lp.GE, lp.EQ}
 	for i := 0; i < m; i++ {
 		op := ops[rng.Intn(3)]
 		rhs := math.Round(10*rng.Float64()) / 10
@@ -89,7 +92,7 @@ func TestSparseMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for trial := 0; trial < 200; trial++ {
 		p := randomProblem(rng, trial%2 == 0)
-		d, err := Solve(p)
+		d, err := lptest.Solve(p)
 		if err != nil {
 			t.Fatalf("trial %d dense: %v", trial, err)
 		}
@@ -100,7 +103,7 @@ func TestSparseMatchesDense(t *testing.T) {
 		if d.Status != s.Status {
 			t.Fatalf("trial %d: status dense=%v sparse=%v", trial, d.Status, s.Status)
 		}
-		if d.Status == Optimal && math.Abs(d.Objective-s.Objective) > 1e-6 {
+		if d.Status == lp.Optimal && math.Abs(d.Objective-s.Objective) > 1e-6 {
 			t.Fatalf("trial %d: objective dense=%g sparse=%g", trial, d.Objective, s.Objective)
 		}
 	}
@@ -114,7 +117,7 @@ func TestSparseSolutionFeasibleAndBasic(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomProblem(rng, seed%2 == 0)
 		s, err := SolveSparse(p)
-		if err != nil || s.Status != Optimal {
+		if err != nil || s.Status != lp.Optimal {
 			return true // infeasible/unbounded draws are fine
 		}
 		if s.BasicCount > len(p.Constraints) {
@@ -125,21 +128,21 @@ func TestSparseSolutionFeasibleAndBasic(t *testing.T) {
 			for j := range dense {
 				dense[j] = 0
 			}
-			c.scatter(dense)
+			c.Scatter(dense)
 			var dot float64
 			for j, v := range dense {
 				dot += v * s.X[j]
 			}
 			switch c.Op {
-			case LE:
+			case lp.LE:
 				if dot > c.RHS+1e-6 {
 					return false
 				}
-			case GE:
+			case lp.GE:
 				if dot < c.RHS-1e-6 {
 					return false
 				}
-			case EQ:
+			case lp.EQ:
 				if math.Abs(dot-c.RHS) > 1e-6 {
 					return false
 				}
@@ -166,7 +169,7 @@ func TestSparseDuals(t *testing.T) {
 	for trial := 0; trial < 300 && checked < 100; trial++ {
 		p := randomProblem(rng, trial%2 == 0)
 		s, err := SolveSparse(p)
-		if err != nil || s.Status != Optimal {
+		if err != nil || s.Status != lp.Optimal {
 			continue
 		}
 		checked++
@@ -178,11 +181,11 @@ func TestSparseDuals(t *testing.T) {
 			y := s.Duals[i]
 			yb += y * c.RHS
 			switch c.Op {
-			case LE:
+			case lp.LE:
 				if y > 1e-6 {
 					t.Fatalf("trial %d row %d: LE dual %g > 0", trial, i, y)
 				}
-			case GE:
+			case lp.GE:
 				if y < -1e-6 {
 					t.Fatalf("trial %d row %d: GE dual %g < 0", trial, i, y)
 				}
@@ -198,7 +201,7 @@ func TestSparseDuals(t *testing.T) {
 			for j := range dense {
 				dense[j] = 0
 			}
-			c.scatter(dense)
+			c.Scatter(dense)
 			for j, v := range dense {
 				rc[j] -= s.Duals[i] * v
 			}
@@ -218,49 +221,49 @@ func TestSparseDuals(t *testing.T) {
 // through SolveSparse.
 func TestSparseOnDenseSuite(t *testing.T) {
 	cases := []struct {
-		build func() *Problem
+		build func() *lptest.Problem
 		want  float64
 	}{
-		{func() *Problem { // min -x1-2x2, x1+x2<=4, x2<=3
-			p := NewProblem(2)
+		{func() *lptest.Problem { // min -x1-2x2, x1+x2<=4, x2<=3
+			p := lptest.NewProblem(2)
 			p.Objective = []float64{-1, -2}
-			_ = p.AddConstraint([]float64{1, 1}, LE, 4)
-			_ = p.AddConstraint([]float64{0, 1}, LE, 3)
+			_ = p.AddConstraint([]float64{1, 1}, lp.LE, 4)
+			_ = p.AddConstraint([]float64{0, 1}, lp.LE, 3)
 			return p
 		}, -7},
-		{func() *Problem { // GE pair
-			p := NewProblem(2)
+		{func() *lptest.Problem { // lp.GE pair
+			p := lptest.NewProblem(2)
 			p.Objective = []float64{1, 1}
-			_ = p.AddConstraint([]float64{1, 2}, GE, 4)
-			_ = p.AddConstraint([]float64{3, 1}, GE, 6)
+			_ = p.AddConstraint([]float64{1, 2}, lp.GE, 4)
+			_ = p.AddConstraint([]float64{3, 1}, lp.GE, 6)
 			return p
 		}, 2.8},
-		{func() *Problem { // EQ + LE
-			p := NewProblem(2)
+		{func() *lptest.Problem { // lp.EQ + lp.LE
+			p := lptest.NewProblem(2)
 			p.Objective = []float64{2, 3}
-			_ = p.AddConstraint([]float64{1, 1}, EQ, 10)
-			_ = p.AddConstraint([]float64{1, 0}, LE, 6)
+			_ = p.AddConstraint([]float64{1, 1}, lp.EQ, 10)
+			_ = p.AddConstraint([]float64{1, 0}, lp.LE, 6)
 			return p
 		}, 24},
-		{func() *Problem { // negative RHS normalization
-			p := NewProblem(1)
+		{func() *lptest.Problem { // negative RHS normalization
+			p := lptest.NewProblem(1)
 			p.Objective = []float64{1}
-			_ = p.AddConstraint([]float64{-1}, LE, -2)
+			_ = p.AddConstraint([]float64{-1}, lp.LE, -2)
 			return p
 		}, 2},
-		{func() *Problem { // redundant equality row
-			p := NewProblem(2)
+		{func() *lptest.Problem { // redundant equality row
+			p := lptest.NewProblem(2)
 			p.Objective = []float64{1, 2}
-			_ = p.AddConstraint([]float64{1, 1}, EQ, 3)
-			_ = p.AddConstraint([]float64{1, 1}, EQ, 3)
+			_ = p.AddConstraint([]float64{1, 1}, lp.EQ, 3)
+			_ = p.AddConstraint([]float64{1, 1}, lp.EQ, 3)
 			return p
 		}, 3},
-		{func() *Problem { // Beale cycling example
-			p := NewProblem(4)
+		{func() *lptest.Problem { // Beale cycling example
+			p := lptest.NewProblem(4)
 			p.Objective = []float64{-0.75, 150, -0.02, 6}
-			_ = p.AddConstraint([]float64{0.25, -60, -0.04, 9}, LE, 0)
-			_ = p.AddConstraint([]float64{0.5, -90, -0.02, 3}, LE, 0)
-			_ = p.AddConstraint([]float64{0, 0, 1, 0}, LE, 1)
+			_ = p.AddConstraint([]float64{0.25, -60, -0.04, 9}, lp.LE, 0)
+			_ = p.AddConstraint([]float64{0.5, -90, -0.02, 3}, lp.LE, 0)
+			_ = p.AddConstraint([]float64{0, 0, 1, 0}, lp.LE, 1)
 			return p
 		}, -0.05},
 	}
@@ -269,26 +272,26 @@ func TestSparseOnDenseSuite(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		if s.Status != Optimal || math.Abs(s.Objective-tc.want) > 1e-6 {
+		if s.Status != lp.Optimal || math.Abs(s.Objective-tc.want) > 1e-6 {
 			t.Fatalf("case %d: %v obj=%g, want %g", i, s.Status, s.Objective, tc.want)
 		}
 	}
 }
 
 func TestSparseInfeasibleAndUnbounded(t *testing.T) {
-	p := NewProblem(1)
+	p := lptest.NewProblem(1)
 	p.Objective = []float64{1}
-	_ = p.AddConstraint([]float64{1}, GE, 5)
-	_ = p.AddConstraint([]float64{1}, LE, 3)
+	_ = p.AddConstraint([]float64{1}, lp.GE, 5)
+	_ = p.AddConstraint([]float64{1}, lp.LE, 3)
 	s, err := SolveSparse(p)
-	if err != nil || s.Status != Infeasible {
+	if err != nil || s.Status != lp.Infeasible {
 		t.Fatalf("err=%v status=%v, want infeasible", err, s.Status)
 	}
-	p = NewProblem(1)
+	p = lptest.NewProblem(1)
 	p.Objective = []float64{-1}
-	_ = p.AddConstraint([]float64{1}, GE, 0)
+	_ = p.AddConstraint([]float64{1}, lp.GE, 0)
 	s, err = SolveSparse(p)
-	if err != nil || s.Status != Unbounded {
+	if err != nil || s.Status != lp.Unbounded {
 		t.Fatalf("err=%v status=%v, want unbounded", err, s.Status)
 	}
 }
@@ -298,7 +301,7 @@ func TestSparseInfeasibleAndUnbounded(t *testing.T) {
 // rebuilding the solver.
 func TestRevisedWarmStart(t *testing.T) {
 	// Cover demand of 3 on a single GE row; first column costs 2 per unit.
-	r, err := NewRevised([]Relation{GE}, []float64{3})
+	r, err := lp.NewRevised([]lp.Relation{lp.GE}, []float64{3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +312,7 @@ func TestRevisedWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Status != Optimal || math.Abs(s.Objective-6) > 1e-9 {
+	if s.Status != lp.Optimal || math.Abs(s.Objective-6) > 1e-9 {
 		t.Fatalf("first solve: %v obj=%g, want 6", s.Status, s.Objective)
 	}
 	if math.Abs(s.Duals[0]-2) > 1e-9 {
@@ -323,7 +326,7 @@ func TestRevisedWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Status != Optimal || math.Abs(s.Objective-4.5) > 1e-9 {
+	if s.Status != lp.Optimal || math.Abs(s.Objective-4.5) > 1e-9 {
 		t.Fatalf("warm solve: %v obj=%g, want 4.5", s.Status, s.Objective)
 	}
 	if math.Abs(s.X[1]-1.5) > 1e-9 {
@@ -337,10 +340,10 @@ func TestRevisedWarmStartEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(331))
 	for trial := 0; trial < 60; trial++ {
 		m := 2 + rng.Intn(4)
-		ops := make([]Relation, m)
+		ops := make([]lp.Relation, m)
 		rhs := make([]float64, m)
 		for i := range ops {
-			ops[i] = GE
+			ops[i] = lp.GE
 			rhs[i] = 1 + math.Round(10*rng.Float64())/10
 		}
 		ncols := 4 + rng.Intn(8)
@@ -363,11 +366,11 @@ func TestRevisedWarmStartEquivalence(t *testing.T) {
 			full[i] = int32(i)
 			ones[i] = 1
 		}
-		cold, err := NewRevised(ops, rhs)
+		cold, err := lp.NewRevised(ops, rhs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm, _ := NewRevised(ops, rhs)
+		warm, _ := lp.NewRevised(ops, rhs)
 		if _, err := cold.AddColumn(5, full, ones); err != nil {
 			t.Fatal(err)
 		}
@@ -394,7 +397,7 @@ func TestRevisedWarmStartEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sc.Status != Optimal || sw.Status != Optimal {
+		if sc.Status != lp.Optimal || sw.Status != lp.Optimal {
 			t.Fatalf("trial %d: status cold=%v warm=%v", trial, sc.Status, sw.Status)
 		}
 		if math.Abs(sc.Objective-sw.Objective) > 1e-6 {
@@ -404,20 +407,20 @@ func TestRevisedWarmStartEquivalence(t *testing.T) {
 }
 
 func TestAddSparseConstraintValidation(t *testing.T) {
-	p := NewProblem(3)
-	if err := p.AddSparseConstraint([]int32{0, 2}, []float64{1}, LE, 1); err == nil {
+	p := lptest.NewProblem(3)
+	if err := p.AddSparseConstraint([]int32{0, 2}, []float64{1}, lp.LE, 1); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if err := p.AddSparseConstraint([]int32{0, 3}, []float64{1, 1}, LE, 1); err == nil {
+	if err := p.AddSparseConstraint([]int32{0, 3}, []float64{1, 1}, lp.LE, 1); err == nil {
 		t.Error("out-of-range index accepted")
 	}
-	if err := p.AddSparseConstraint([]int32{1, 1}, []float64{1, 1}, LE, 1); err == nil {
+	if err := p.AddSparseConstraint([]int32{1, 1}, []float64{1, 1}, lp.LE, 1); err == nil {
 		t.Error("duplicate index accepted")
 	}
-	if err := p.AddSparseConstraint([]int32{2, 0}, []float64{1, 1}, LE, 1); err == nil {
+	if err := p.AddSparseConstraint([]int32{2, 0}, []float64{1, 1}, lp.LE, 1); err == nil {
 		t.Error("descending indices accepted")
 	}
-	if err := p.AddSparseConstraint([]int32{0, 2}, []float64{1, 1}, GE, 1); err != nil {
+	if err := p.AddSparseConstraint([]int32{0, 2}, []float64{1, 1}, lp.GE, 1); err != nil {
 		t.Errorf("valid sparse row rejected: %v", err)
 	}
 }
@@ -425,26 +428,26 @@ func TestAddSparseConstraintValidation(t *testing.T) {
 // TestDenseSolversAcceptSparseRows: the dense oracle and the exact solver
 // scatter sparse rows identically to their dense equivalents.
 func TestDenseSolversAcceptSparseRows(t *testing.T) {
-	sp := NewProblem(3)
+	sp := lptest.NewProblem(3)
 	sp.Objective = []float64{1, 1, 1}
-	_ = sp.AddSparseConstraint([]int32{0, 2}, []float64{1, 2}, GE, 4)
-	_ = sp.AddSparseConstraint([]int32{1}, []float64{1}, GE, 1)
-	de := NewProblem(3)
+	_ = sp.AddSparseConstraint([]int32{0, 2}, []float64{1, 2}, lp.GE, 4)
+	_ = sp.AddSparseConstraint([]int32{1}, []float64{1}, lp.GE, 1)
+	de := lptest.NewProblem(3)
 	de.Objective = []float64{1, 1, 1}
-	_ = de.AddConstraint([]float64{1, 0, 2}, GE, 4)
-	_ = de.AddConstraint([]float64{0, 1, 0}, GE, 1)
-	s1, err := Solve(sp)
+	_ = de.AddConstraint([]float64{1, 0, 2}, lp.GE, 4)
+	_ = de.AddConstraint([]float64{0, 1, 0}, lp.GE, 1)
+	s1, err := lptest.Solve(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Solve(de)
+	s2, err := lptest.Solve(de)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(s1.Objective-s2.Objective) > 1e-9 {
 		t.Fatalf("dense solver on sparse rows: %g vs %g", s1.Objective, s2.Objective)
 	}
-	e1, err := SolveExact(sp)
+	e1, err := lptest.SolveExact(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,12 +458,12 @@ func TestDenseSolversAcceptSparseRows(t *testing.T) {
 
 // batchFromProblem assembles a Problem's columns into the CSR-style batch
 // form AddColumns takes.
-func batchFromProblem(p *Problem) (costs []float64, starts []int32, idx []int32, val []float64) {
+func batchFromProblem(p *lptest.Problem) (costs []float64, starts []int32, idx []int32, val []float64) {
 	colIdx := make([][]int32, p.NumVars)
 	colVal := make([][]float64, p.NumVars)
 	for i := range p.Constraints {
 		row := i
-		p.Constraints[i].forEach(func(j int, v float64) {
+		p.Constraints[i].ForEach(func(j int, v float64) {
 			colIdx[j] = append(colIdx[j], int32(row))
 			colVal[j] = append(colVal[j], v)
 		})
@@ -476,15 +479,15 @@ func batchFromProblem(p *Problem) (costs []float64, starts []int32, idx []int32,
 }
 
 // newRevisedFromProblem builds an empty Revised over the problem's rows.
-func newRevisedFromProblem(p *Problem) *Revised {
+func newRevisedFromProblem(p *lptest.Problem) *lp.Revised {
 	m := len(p.Constraints)
-	ops := make([]Relation, m)
+	ops := make([]lp.Relation, m)
 	rhs := make([]float64, m)
 	for i, c := range p.Constraints {
 		ops[i] = c.Op
 		rhs[i] = c.RHS
 	}
-	r, err := NewRevised(ops, rhs)
+	r, err := lp.NewRevised(ops, rhs)
 	if err != nil {
 		panic(err)
 	}
@@ -527,7 +530,7 @@ func TestAddColumnsMatchesAddColumn(t *testing.T) {
 			t.Fatalf("trial %d: single %v/%g vs batch %v/%g",
 				trial, s1.Status, s1.Objective, s2.Status, s2.Objective)
 		}
-		if s1.Status != Optimal {
+		if s1.Status != lp.Optimal {
 			continue
 		}
 		for j := range s1.X {
@@ -566,8 +569,8 @@ func TestAddColumnsMatchesAddColumn(t *testing.T) {
 // TestAddColumnsValidation: malformed batches are rejected atomically — no
 // partial commit ever becomes visible.
 func TestAddColumnsValidation(t *testing.T) {
-	mk := func() *Revised {
-		r, err := NewRevised([]Relation{LE, GE}, []float64{1, 2})
+	mk := func() *lp.Revised {
+		r, err := lp.NewRevised([]lp.Relation{lp.LE, lp.GE}, []float64{1, 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -97,14 +97,20 @@ var offlineDigestCases = []struct {
 // none of those changes moved a bit. The FractionalLowerBound digest was
 // re-recorded once, when the bound's master began starting from the
 // configuration LP's crash basis: that moved 4 of the 8 bounds by 1-2
-// ulps (at most 4.3e-16 relative), LP round-off of the same optimum. It
-// is the offline analogue of internal/service's TestFleetDigestsPinned.
+// ulps (at most 4.3e-16 relative), LP round-off of the same optimum.
+// The PackKR digest was re-recorded once, when Kenyon-Rémila moved from the
+// dense tableau to release.SolveEnumerated's lp.Revised master: all 8
+// heights stayed bit-identical, FractionalHeight moved by 1 ulp on seed 1
+// (320.30053134992454 -> ...448) and on seed 4 (324.05976571396081 ->
+// ...087), and 277 and 107 placements on those two seeds moved by at most
+// 2.9e-14, LP round-off of the same basic optimum. It is the offline
+// analogue of internal/service's TestFleetDigestsPinned.
 func TestOfflineDigestsPinned(t *testing.T) {
 	want := map[string]string{
 		"PackDC":               "2b5dddc6cf7c2759f1916e64db5a0d504b2c8f644c22883de00bb391f604d403",
 		"PackReleaseAPTAS":     "2275fa2aa81e44ed29f7562cea33c172b222657468d875934a5d4837c6a7761c",
 		"FractionalLowerBound": "c76f68d70434c4741ff30ce43a555cde7287f847f6509a64f71c568233fa7ce2",
-		"PackKR":               "7627b14bc64b39d40efec070c4d137acc7cd5102f93d860588f9366cffba2b45",
+		"PackKR":               "50c06c99726dcefc9e8eb0e461117d088988d71a585e49410e54854f4f65dd4f",
 		"ScheduleOnline":       "8d91e726a5dd47ae9d679377a28dac5aef665c1f923e0aa3bca30b156dda5e1c",
 	}
 	for k, c := range offlineDigestCases {

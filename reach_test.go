@@ -43,23 +43,22 @@ import (
 // entry that names no unreached function fails the gate.
 var reachAllow = map[string]string{
 	"internal/fpga.OnlineScheduler.Complete":    "the engine's external-completion entry point; the fault harness and fault_test.go's reference engine drive it, while the served path registers lifetimes at submit",
-	"internal/lp.SolveExact":                    "the big.Rat oracle that lp's and release's tests compare the float engines against",
 	"internal/service.Client.RemoteEpoch":       "client half of the opEpoch wire op documented in internal/service/DESIGN.md; the network reaches the server half",
 	"internal/service.Client.TriggerCheckpoint": "client half of the opCheckpoint wire op documented in internal/service/DESIGN.md; the network reaches the server half",
 	"internal/workload.Burst":                   "the materialized BurstStream, shared by the fpga, fleet, service and root tests",
 	"internal/packing.Registry":                 "the list of packers that the packing and exact tests iterate over",
-	"internal/core/release.LowerBound":          "the release-time lower bound that fpga's online tests check makespans against",
 }
 
 // maxReachAllow caps reachAllow and reachTestSupport together, so the
 // lists stay short enough that each entry is a decision.
-const maxReachAllow = 8
+const maxReachAllow = 7
 
 // reachTestSupport names packages that only tests may import. Their
 // files are left out of the scan, so they neither reach nor count as
 // unreached, and a non-test file that imports one fails the gate.
 var reachTestSupport = map[string]string{
 	"internal/faultinject": "the fault-injection harness that the fpga tests drive",
+	"internal/lp/lptest":   "the dense and exact-rational reference LP solvers that lp's and release's tests check lp.Revised against",
 }
 
 // stdlibMethods are method names that the standard library calls
