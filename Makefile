@@ -61,16 +61,19 @@ bench-record:
 
 # Property-based fuzzing: the skyline hot path, the online scheduler's
 # submit/complete state machine, snapshot/restore replay fidelity, the
-# batched-submission equivalence contract, the column pool's
-# pooled-vs-fresh height equivalence across interleaved width sets, and
-# the placement-service wire codec (decoders never panic on arbitrary
-# bytes; whatever decodes re-encodes canonically).
-# (go test accepts one -fuzz pattern per invocation, hence six runs.)
+# batched-submission equivalence contract, the scheduler's task-ID index
+# against a map oracle (negative, colliding and very large IDs, growth,
+# probe-then-fill), the column pool's pooled-vs-fresh height equivalence
+# across interleaved width sets, and the placement-service wire codec
+# (decoders never panic on arbitrary bytes; whatever decodes re-encodes
+# canonically).
+# (go test accepts one -fuzz pattern per invocation, hence seven runs.)
 fuzz:
 	$(GO) test ./internal/geom -fuzz FuzzSkylinePlace -fuzztime 30s
 	$(GO) test ./internal/fpga -fuzz FuzzSubmitComplete -fuzztime 30s
 	$(GO) test ./internal/fpga -fuzz FuzzSnapshotRestore -fuzztime 30s
 	$(GO) test ./internal/fpga -fuzz FuzzSubmitBatch -fuzztime 30s
+	$(GO) test ./internal/fpga -fuzz FuzzIDIndex -fuzztime 30s
 	$(GO) test ./internal/core/release -fuzz FuzzSolverPool -fuzztime 30s
 	$(GO) test ./internal/service -fuzz FuzzServiceCodec -fuzztime 30s
 

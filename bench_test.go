@@ -475,7 +475,7 @@ func BenchmarkSubmitBatch100k(b *testing.B) {
 			if end > n {
 				end = n
 			}
-			if _, err := o.SubmitBatch(specs[j:end]); err != nil {
+			if _, err := o.SubmitBatch(nil, specs[j:end]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -653,6 +653,59 @@ func benchFleetChurn(b *testing.B, route fleet.Route) {
 func BenchmarkFleetChurn100kRR(b *testing.B)    { benchFleetChurn(b, fleet.RouteRR) }
 func BenchmarkFleetChurn100kLeast(b *testing.B) { benchFleetChurn(b, fleet.RouteLeast) }
 func BenchmarkFleetChurn100kP2C(b *testing.B)   { benchFleetChurn(b, fleet.RouteP2C) }
+
+// BenchmarkFleetRetained measures what a fleet holds per task it was
+// sent, the figure serve-churn's live_heap_mb is made of: the workload's
+// fleet shape (64 shards x 16 columns, least routing, compact, shed 64)
+// fed as many tasks as one serve-churn repeat sends (512 frames of 1,024
+// from a churn trace at load 0.8), with no transport. After a forced
+// collection it reports the heap the fleet keeps alive, per task, as
+// B/task-held. Only the submission is timed.
+func BenchmarkFleetRetained(b *testing.B) {
+	const (
+		K      = 16
+		shards = 64
+		n      = 512 * 1024
+		frame  = 1024
+	)
+	live := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	var held float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		stream, err := workload.ChurnStream(rand.New(rand.NewSource(37)), n, K, 0.8*shards, 0.3)
+		if err != nil {
+			b.Fatal(err)
+		}
+		buf := make([]workload.ChurnTask, frame)
+		before := live()
+		b.StartTimer()
+		f, err := fleet.New(fleet.Config{
+			Shards: shards, Columns: K, Policy: fpga.ReclaimCompact,
+			Admission: fpga.AdmissionConfig{Policy: fpga.AdmitShed, MaxBacklog: 64},
+			Route:     fleet.RouteLeast, Seed: 37,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for base := 0; base < n; base += frame {
+			m := stream.NextChunk(buf)
+			if _, err := f.SubmitBatch(fleet.Specs(buf[:m], base)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		held = float64(live()-before) / n
+		runtime.KeepAlive(f)
+	}
+	b.ReportMetric(held, "B/task-held")
+}
 
 // BenchmarkFleetBurstShed is the fleet stage of the serve-restart-burst
 // workload without its transport and checkpoints: one tenant's shape (32

@@ -151,12 +151,9 @@ func solveCG(in *geom.Instance, opts CGOptions, seed []Config, crash bool) (*Fra
 
 	// Trivial feasible start: the maximal single-width configuration per
 	// width (phase R is uncapped, so covering is always satisfiable).
+	// newCGSolve validated every width to at most strip+Eps, so c >= 1.
 	for i := 0; i < st.W; i++ {
 		c := int((st.strip + geom.Eps) / st.m.Widths[i])
-		if c < 1 {
-			crash = false // wider than the strip; phase 1 reports infeasible
-			continue
-		}
 		counts := st.carveCounts()
 		counts[i] = c
 		if err := st.addConfig(counts); err != nil {

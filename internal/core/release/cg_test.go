@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"strippack/internal/geom"
@@ -176,11 +177,19 @@ func TestSolveCGValidation(t *testing.T) {
 	if _, err := SolveEnumerated(empty); err == nil {
 		t.Fatal("empty instance accepted by SolveEnumerated")
 	}
-	// A rectangle wider than the strip must surface as infeasibility, like
-	// the dense model path.
+	// A rectangle wider than the strip never reaches the LP: instance
+	// validation refuses it, so both entry points return geom's width
+	// error.
 	wide := geom.NewInstance(1, []geom.Rect{{W: 2, H: 1}})
-	if _, _, err := SolveCG(wide, CGOptions{}); err == nil {
-		t.Fatal("over-wide rectangle accepted")
+	want := wide.Validate()
+	if want == nil || !strings.Contains(want.Error(), "exceeds strip width") {
+		t.Fatalf("geom accepted an over-wide rectangle: %v", want)
+	}
+	if _, _, err := SolveCG(wide, CGOptions{}); err == nil || err.Error() != want.Error() {
+		t.Fatalf("over-wide rectangle: SolveCG returned %v, want %v", err, want)
+	}
+	if _, err := SolveEnumerated(wide); err == nil || err.Error() != want.Error() {
+		t.Fatalf("over-wide rectangle: SolveEnumerated returned %v, want %v", err, want)
 	}
 }
 

@@ -741,14 +741,16 @@ func (f *Fleet) SubmitBatchTenant(ti int, specs []fpga.TaskSpec) ([]Placement, e
 		t.meter.Refused += len(specs)
 		return nil, err
 	}
+	// Each shard appends into its own buffer, kept across batches: the
+	// placements are copied into placed below, before this call returns.
 	for j := range t.placedBy {
-		t.placedBy[j] = nil
+		t.placedBy[j] = t.placedBy[j][:0]
 	}
 	err := fanOut(t.count, f.cfg.Workers, func(j int) error {
 		if len(t.subs[j]) == 0 {
 			return nil
 		}
-		tasks, err := f.shards[t.first+j].SubmitBatch(t.subs[j])
+		tasks, err := f.shards[t.first+j].SubmitBatch(t.placedBy[j], t.subs[j])
 		t.placedBy[j] = tasks
 		if err != nil {
 			return fmt.Errorf("fleet: shard %d: %w", t.first+j, err)

@@ -63,7 +63,7 @@ func TestSingleShardMatchesScheduler(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := lone.SubmitBatch(Specs(tasks, 0)); err != nil {
+		if _, err := lone.SubmitBatch(nil, Specs(tasks, 0)); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.Drain(); err != nil {

@@ -39,6 +39,11 @@ func TestAdmissionConfigValidate(t *testing.T) {
 		AdmissionConfig{Policy: AdmissionPolicy(7), MaxBacklog: 1}); err == nil {
 		t.Error("unknown admission policy accepted")
 	}
+	// Task records keep column fields in int32s.
+	if _, err := NewOnlineSchedulerAdmission(&Device{Columns: maxColumns + 1}, NoReclaim,
+		AdmissionConfig{}); err == nil {
+		t.Error("device wider than maxColumns accepted")
+	}
 }
 
 // TestAdmissionBounded fills a 1-column device and asserts the bounded
@@ -61,6 +66,11 @@ func TestAdmissionBounded(t *testing.T) {
 	_, err = o.Submit(3, "", 1, 10, 0)
 	if !errors.Is(err, ErrBacklogFull) || !errors.Is(err, ErrRejected) {
 		t.Fatalf("overflow submit: got %v, want ErrBacklogFull (and ErrRejected)", err)
+	}
+	// The refusal formats its text only when asked, and the text is the
+	// one Submit has always returned.
+	if got, want := err.Error(), "fpga: task 3 refused: 2 tasks waiting >= backlog bound 2"; got != want {
+		t.Fatalf("refusal text %q, want %q", got, want)
 	}
 	if o.Makespan() != before {
 		t.Fatal("rejected submission changed the horizon")

@@ -110,7 +110,7 @@ func TestSubmitBatchEquivalence(t *testing.T) {
 					specs := randSpecs(rng, 5+rng.Intn(60), K, idBase, rel)
 					idBase += len(specs)
 					rel = specs[len(specs)-1].Release
-					gotTasks, gotErr := batched.SubmitBatch(specs)
+					gotTasks, gotErr := batched.SubmitBatch(nil, specs)
 					wantTasks, wantErr := submitSeq(seq, specs)
 					if (gotErr == nil) != (wantErr == nil) ||
 						(gotErr != nil && gotErr.Error() != wantErr.Error()) {
@@ -135,7 +135,7 @@ func TestSubmitBatchEquivalence(t *testing.T) {
 					// a reclaimed (non-monotone) horizon.
 					if len(gotTasks) > 0 && rng.Intn(2) == 0 {
 						ct := gotTasks[rng.Intn(len(gotTasks))]
-						if idx := batched.byID[ct.ID]; !batched.done[idx] && ct.Start+0.01 > batched.now {
+						if _, idx := batched.tasks.probe(ct.ID); batched.tasks.at(idx).flags&flagDone == 0 && ct.Start+0.01 > batched.now {
 							at := ct.Start + 0.6*ct.Duration
 							errB := batched.Complete(ct.ID, at)
 							errS := seq.Complete(ct.ID, at)
@@ -164,20 +164,20 @@ func TestSubmitBatchEquivalence(t *testing.T) {
 // errors aborting mid-batch with earlier placements kept.
 func TestSubmitBatchValidation(t *testing.T) {
 	o := NewOnlineScheduler(NewDevice(4))
-	if tasks, err := o.SubmitBatch(nil); err != nil || tasks != nil {
+	if tasks, err := o.SubmitBatch(nil, nil); err != nil || tasks != nil {
 		t.Fatalf("empty batch: %v, %v", tasks, err)
 	}
-	_, err := o.SubmitBatch([]TaskSpec{
+	_, err := o.SubmitBatch(nil, []TaskSpec{
 		{ID: 0, Cols: 1, Duration: 1},
 		{ID: 1, Cols: 1, Duration: 1, Release: math.NaN()},
 	})
 	if !errors.Is(err, ErrNonFinite) {
 		t.Fatalf("NaN release: %v", err)
 	}
-	if len(o.tasks) != 0 {
-		t.Fatalf("NaN release placed %d tasks before erroring", len(o.tasks))
+	if o.tasks.n != 0 {
+		t.Fatalf("NaN release placed %d tasks before erroring", o.tasks.n)
 	}
-	placed, err := o.SubmitBatch([]TaskSpec{
+	placed, err := o.SubmitBatch(nil, []TaskSpec{
 		{ID: 0, Cols: 1, Duration: 1},
 		{ID: 0, Cols: 1, Duration: 1}, // duplicate: hard error mid-batch
 		{ID: 2, Cols: 1, Duration: 1},
@@ -189,7 +189,7 @@ func TestSubmitBatchValidation(t *testing.T) {
 		t.Fatalf("placements before the hard error: %+v", placed)
 	}
 	// A lifetime-carrying spec must behave exactly like SubmitWithLifetime.
-	if _, err := o.SubmitBatch([]TaskSpec{{ID: 9, Cols: 1, Duration: 1, Actual: 2}}); !errors.Is(err, ErrInvalidTask) {
+	if _, err := o.SubmitBatch(nil, []TaskSpec{{ID: 9, Cols: 1, Duration: 1, Actual: 2}}); !errors.Is(err, ErrInvalidTask) {
 		t.Fatalf("oversized lifetime: %v", err)
 	}
 }
@@ -257,7 +257,7 @@ func FuzzSubmitBatch(f *testing.F) {
 				return
 			}
 			gotErr := error(nil)
-			if _, gotErr = batched.SubmitBatch(specs); gotErr != nil && !errors.Is(gotErr, ErrRejected) {
+			if _, gotErr = batched.SubmitBatch(nil, specs); gotErr != nil && !errors.Is(gotErr, ErrRejected) {
 				// Hard errors must match the sequential loop too.
 			}
 			_, wantErr := submitSeq(seq, specs)

@@ -258,19 +258,20 @@ func (e *refEngine) compact() {
 // makespan.
 func compareState(t *testing.T, trial, step int, o *OnlineScheduler, e *refEngine) {
 	t.Helper()
-	if len(o.tasks) != len(e.tasks) {
-		t.Fatalf("trial %d step %d: %d tasks vs %d", trial, step, len(o.tasks), len(e.tasks))
+	if o.tasks.n != len(e.tasks) {
+		t.Fatalf("trial %d step %d: %d tasks vs %d", trial, step, o.tasks.n, len(e.tasks))
 	}
-	for i := range o.tasks {
-		got, want := o.tasks[i], e.tasks[i]
-		if got.FirstCol != want.firstCol || got.Start != want.start || got.Duration != want.duration {
+	for i := range o.tasks.n {
+		got, want := o.tasks.at(i), e.tasks[i]
+		if int(got.firstCol) != want.firstCol || got.start != want.start || got.duration != want.duration {
 			t.Fatalf("trial %d step %d task %d: (col %d start %g dur %g) vs reference (col %d start %g dur %g)",
-				trial, step, got.ID, got.FirstCol, got.Start, got.Duration,
+				trial, step, got.id, got.firstCol, got.start, got.duration,
 				want.firstCol, want.start, want.duration)
 		}
-		if o.started[i] != want.started || o.done[i] != want.done || o.shed[i] != want.shed {
+		started, done, shed := got.flags&flagStarted != 0, got.flags&flagDone != 0, got.flags&flagShed != 0
+		if started != want.started || done != want.done || shed != want.shed {
 			t.Fatalf("trial %d step %d task %d: started/done/shed %v/%v/%v vs reference %v/%v/%v",
-				trial, step, got.ID, o.started[i], o.done[i], o.shed[i], want.started, want.done, want.shed)
+				trial, step, got.id, started, done, shed, want.started, want.done, want.shed)
 		}
 	}
 	for c, got := range o.horizon.values(nil) {

@@ -125,21 +125,21 @@ func (x *colIndex) remove(c int, id int32) {
 // horizon exceeds the actual profile whenever an early completion was
 // reclaimed under the window but the sweep had nothing to slide yet).
 func (o *OnlineScheduler) linkWaiting(idx int) {
-	t := &o.tasks[idx]
-	floor := t.Release
+	r := o.tasks.at(idx)
+	floor := r.release
 	if floor < o.now {
 		floor = o.now
 	}
-	for c := t.FirstCol; c < t.FirstCol+t.Cols; c++ {
+	for c := r.firstCol; c < r.firstCol+r.cols; c++ {
 		p := o.fixedEnd[c]
 		if tl := o.cidx.tail[c]; tl >= 0 {
-			p = o.tasks[o.cidx.task[tl]].End()
+			p = o.tasks.at(int(o.cidx.task[tl])).end()
 		}
 		if p > floor {
 			floor = p
 		}
 	}
-	if floor+o.device.ReconfigDelay < t.Start-geom.Eps {
+	if floor+o.device.ReconfigDelay < r.start-geom.Eps {
 		o.slackQ = append(o.slackQ, idx)
 	}
 	o.link(idx)
@@ -147,38 +147,39 @@ func (o *OnlineScheduler) linkWaiting(idx int) {
 
 // link appends a waiting task to the tail of its columns' lists.
 func (o *OnlineScheduler) link(idx int) {
-	t := &o.tasks[idx]
-	base := o.cidx.alloc(t.Cols, idx)
-	for j := 0; j < t.Cols; j++ {
-		o.cidx.pushTail(t.FirstCol+j, base+int32(j))
+	r := o.tasks.at(idx)
+	base := o.cidx.alloc(int(r.cols), idx)
+	for j := int32(0); j < r.cols; j++ {
+		o.cidx.pushTail(int(r.firstCol+j), base+j)
 	}
-	o.taskNodes[idx] = base
+	r.node = base
 }
 
 // unlinkWaiting removes a task (promoted to started, or shed) from the
 // per-column lists.
 func (o *OnlineScheduler) unlinkWaiting(idx int) {
-	base := o.taskNodes[idx]
+	r := o.tasks.at(idx)
+	base := r.node
 	if base < 0 {
 		return
 	}
-	t := &o.tasks[idx]
-	for j := 0; j < t.Cols; j++ {
-		o.cidx.remove(t.FirstCol+j, base+int32(j))
+	for j := int32(0); j < r.cols; j++ {
+		o.cidx.remove(int(r.firstCol+j), base+j)
 	}
-	o.cidx.release(base, t.Cols)
-	o.taskNodes[idx] = -1
+	o.cidx.release(base, int(r.cols))
+	r.node = -1
 }
 
 // pushCand queues a waiting task for re-evaluation by the running
 // compaction pass, keyed by its current start (ties by submission index —
 // the sweep's sort order).
 func (o *OnlineScheduler) pushCand(idx int) {
-	if o.inCand[idx] || o.started[idx] || o.done[idx] || o.shed[idx] {
+	r := o.tasks.at(idx)
+	if r.flags&(flagInCand|flagStarted|flagDone|flagShed) != 0 {
 		return
 	}
-	o.inCand[idx] = true
-	o.candQ.push(o.tasks[idx].Start, idx)
+	r.flags |= flagInCand
+	o.candQ.push(r.start, idx)
 }
 
 // seedSlack drains the submission-time slack queue into the candidate
@@ -225,37 +226,37 @@ func (o *OnlineScheduler) runCompact() {
 	moved := false
 	for len(o.candQ) > 0 {
 		_, idx := o.candQ.pop()
-		o.inCand[idx] = false
-		if o.started[idx] || o.done[idx] || o.shed[idx] {
+		r := o.tasks.at(idx)
+		r.flags &^= flagInCand
+		if r.flags&(flagStarted|flagDone|flagShed) != 0 {
 			continue
 		}
-		t := &o.tasks[idx]
-		floor := t.Release
+		floor := r.release
 		if floor < o.now {
 			floor = o.now
 		}
-		base := o.taskNodes[idx]
-		for j := 0; j < t.Cols; j++ {
-			p := o.fixedEnd[t.FirstCol+j]
-			if pv := o.cidx.prev[base+int32(j)]; pv >= 0 {
-				p = o.tasks[o.cidx.task[pv]].End()
+		base := r.node
+		for j := int32(0); j < r.cols; j++ {
+			p := o.fixedEnd[r.firstCol+j]
+			if pv := o.cidx.prev[base+j]; pv >= 0 {
+				p = o.tasks.at(int(o.cidx.task[pv])).end()
 			}
 			if p > floor {
 				floor = p
 			}
 		}
 		s := startAfter(floor, delay)
-		if s >= t.Start-geom.Eps {
+		if s >= r.start-geom.Eps {
 			continue
 		}
-		t.Start = s
+		r.start = s
 		moved = true
 		o.tasksMoved++
 		o.startQ.push(s-delay, idx)
-		if a := o.actual[idx]; a == a { // registered lifetime (not NaN)
+		if a := r.actual; a == a { // registered lifetime (not NaN)
 			o.compQ.push(s+a, idx)
 		}
-		for n := base; n < base+int32(t.Cols); n++ {
+		for n := base; n < base+r.cols; n++ {
 			if nx := o.cidx.next[n]; nx >= 0 {
 				o.pushCand(int(o.cidx.task[nx]))
 			}

@@ -34,12 +34,12 @@ func TestCompactNodesAllocFree(t *testing.T) {
 		d := 1 + float64(i%5)
 		specs[i] = TaskSpec{ID: i, Cols: 1 + i%7, Duration: d, Actual: d / 2}
 	}
-	if _, err := o.SubmitBatch(specs); err != nil {
+	if _, err := o.SubmitBatch(nil, specs); err != nil {
 		t.Fatal(err)
 	}
 	var waiting []int
-	for idx := range o.tasks {
-		if !o.started[idx] && !o.shed[idx] {
+	for idx := range o.tasks.n {
+		if o.tasks.at(idx).flags&(flagStarted|flagShed) == 0 {
 			waiting = append(waiting, idx)
 		}
 	}
@@ -47,10 +47,10 @@ func TestCompactNodesAllocFree(t *testing.T) {
 		t.Fatalf("only %d tasks wait", len(waiting))
 	}
 	slices.SortFunc(waiting, func(a, b int) int {
-		switch {
-		case o.tasks[a].Start < o.tasks[b].Start:
+		switch sa, sb := o.tasks.at(a).start, o.tasks.at(b).start; {
+		case sa < sb:
 			return -1
-		case o.tasks[a].Start > o.tasks[b].Start:
+		case sa > sb:
 			return 1
 		}
 		return a - b

@@ -1,6 +1,9 @@
 package fpga
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+)
 
 // Error taxonomy of the online scheduler. Every rejection the engine can
 // produce wraps one of these sentinels, so callers — the churn driver, the
@@ -52,12 +55,15 @@ var (
 	ErrBadSnapshot = errors.New("fpga: invalid snapshot")
 )
 
-// errIs wraps ErrBacklogFull so that it also matches ErrRejected: the two
-// sentinels form a tiny hierarchy (every backlog-full refusal is a
-// rejection) without a custom error type.
-type admissionError struct{ msg string }
+// admissionError is an admission refusal. It matches both ErrBacklogFull
+// and ErrRejected (every backlog-full refusal is a rejection) and keeps
+// the numbers its message reports, so a refusal formats nothing unless
+// its text is asked for: the overload path skips most refusals unread.
+type admissionError struct{ id, waiting, bound int }
 
-func (e *admissionError) Error() string { return e.msg }
+func (e *admissionError) Error() string {
+	return fmt.Sprintf("fpga: task %d refused: %d tasks waiting >= backlog bound %d", e.id, e.waiting, e.bound)
+}
 
 func (e *admissionError) Is(target error) bool {
 	return target == ErrRejected || target == ErrBacklogFull

@@ -70,17 +70,17 @@ func TestFaultsAgainstReference(t *testing.T) {
 				return o.Complete(0, o.now-1), ErrTimeRegression, true
 			},
 			func() (error, error, bool) { // duplicate completion
-				for i, task := range o.tasks {
-					if o.done[i] {
-						return o.Complete(task.ID, o.now+1), ErrAlreadyCompleted, true
+				for i := range o.tasks.n {
+					if r := o.tasks.at(i); r.flags&flagDone != 0 {
+						return o.Complete(r.id, o.now+1), ErrAlreadyCompleted, true
 					}
 				}
 				return nil, nil, false
 			},
 			func() (error, error, bool) { // completion after declared end
-				for i, task := range o.tasks {
-					if !o.done[i] && task.End()+1 > o.now {
-						return o.Complete(task.ID, task.End()+1), ErrBadCompletionTime, true
+				for i := range o.tasks.n {
+					if r := o.tasks.at(i); r.flags&flagDone == 0 && r.end()+1 > o.now {
+						return o.Complete(r.id, r.end()+1), ErrBadCompletionTime, true
 					}
 				}
 				return nil, nil, false

@@ -101,18 +101,13 @@ type OnlineScheduler struct {
 	device *Device
 	// horizon holds, per column, the time it becomes free.
 	horizon   *runHorizon
-	tasks     []Task
+	tasks     taskStore // every task submitted, in submission order (store.go)
 	policy    Policy
 	admission AdmissionConfig
 
-	now     float64
-	byID    map[int]int // task ID -> index into tasks
-	done    []bool      // per task index: completed
-	shed    []bool      // per task index: evicted by admission control
-	started []bool      // per task index: occupancy begun (irrevocable)
-	actual  []float64   // registered lifetime (NaN = none)
-	compQ   taskHeap    // registered completions, keyed by Start+actual
-	startQ  taskHeap    // placed, occupancy not begun, keyed by Start-delay
+	now    float64
+	compQ  taskHeap // registered completions, keyed by Start+actual
+	startQ taskHeap // placed, occupancy not begun, keyed by Start-delay
 
 	// Backlog accounting (all policies).
 	waiting    int   // placed tasks whose occupancy has not begun
@@ -125,12 +120,10 @@ type OnlineScheduler struct {
 	waitFIFO   []int // submission-ordered waiting tasks (AdmitShed only; lazily deleted)
 
 	// Compaction state, maintained only when policy == ReclaimCompact.
-	fixedEnd  []float64 // per column: latest end among started/completed tasks
-	cidx      *colIndex // per-column waiting lists in start order
-	taskNodes []int32   // per task: its colIndex block base (-1 unless waiting)
-	candQ     taskHeap  // compaction worklist, keyed by Start
-	inCand    []bool    // per task: queued in candQ
-	slackQ    []int     // waiting tasks placed above the compacted profile
+	fixedEnd []float64 // per column: latest end among started/completed tasks
+	cidx     *colIndex // per-column waiting lists in start order
+	candQ    taskHeap  // compaction worklist, keyed by Start
+	slackQ   []int     // waiting tasks placed above the compacted profile
 
 	// Counters surfaced in ChurnStats.
 	reclaimedColTime float64
@@ -147,23 +140,28 @@ func NewOnlineScheduler(d *Device) *OnlineScheduler {
 }
 
 // NewOnlineSchedulerPolicy returns a scheduler with an explicit completion
-// policy and unbounded admission.
+// policy and unbounded admission. It panics on a device wider than
+// math.MaxInt32 columns, the one error NewOnlineSchedulerAdmission can
+// then return.
 func NewOnlineSchedulerPolicy(d *Device, p Policy) *OnlineScheduler {
 	o, err := NewOnlineSchedulerAdmission(d, p, AdmissionConfig{})
 	if err != nil {
-		panic(err) // unreachable: the zero AdmissionConfig always validates
+		panic(err)
 	}
 	return o
 }
 
 // NewOnlineSchedulerAdmission returns a scheduler with explicit completion
-// and admission policies. The zero AdmissionConfig is AdmitAll.
+// and admission policies. The zero AdmissionConfig is AdmitAll. The device
+// may have at most math.MaxInt32 columns.
 func NewOnlineSchedulerAdmission(d *Device, p Policy, ac AdmissionConfig) (*OnlineScheduler, error) {
 	if err := ac.validate(); err != nil {
 		return nil, err
 	}
-	o := &OnlineScheduler{device: d, horizon: newRunHorizon(d.Columns),
-		policy: p, admission: ac, byID: make(map[int]int)}
+	if err := checkColumns(d.Columns); err != nil {
+		return nil, err
+	}
+	o := &OnlineScheduler{device: d, horizon: newRunHorizon(d.Columns), policy: p, admission: ac}
 	if p == ReclaimCompact {
 		o.fixedEnd = make([]float64, d.Columns)
 		o.cidx = newColIndex(d.Columns)
@@ -237,7 +235,11 @@ func (o *OnlineScheduler) submit(id int, name string, cols int, duration, actual
 	if math.IsNaN(release) || math.IsInf(release, 0) {
 		return Task{}, fmt.Errorf("%w: task %d has non-finite release %g", ErrNonFinite, id, release)
 	}
-	if _, dup := o.byID[id]; dup {
+	// The one index probe: it finds the duplicate, or the empty slot the
+	// task is filed in once placed. Nothing below adds a task before then,
+	// and a refusal leaves the slot empty.
+	slot, dup := o.tasks.probe(id)
+	if dup >= 0 {
 		return Task{}, fmt.Errorf("%w: task %d", ErrDuplicateID, id)
 	}
 	// Submission advances the clock: a task cannot arrive before events
@@ -260,9 +262,7 @@ func (o *OnlineScheduler) submit(id int, name string, cols int, duration, actual
 	if bestStart > o.now+geom.Eps && o.admission.Policy != AdmitAll && o.waiting >= o.admission.MaxBacklog {
 		if o.admission.Policy == AdmitBounded || !o.shedOldest() {
 			o.rejected++
-			return Task{}, &admissionError{fmt.Sprintf(
-				"fpga: task %d refused: %d tasks waiting >= backlog bound %d",
-				id, o.waiting, o.admission.MaxBacklog)}
+			return Task{}, &admissionError{id, o.waiting, o.admission.MaxBacklog}
 		}
 		// A task was shed. Under NoReclaim/Reclaim its window returned to
 		// the placement horizon, so re-evaluate the placement; under
@@ -272,21 +272,11 @@ func (o *OnlineScheduler) submit(id int, name string, cols int, duration, actual
 		}
 	}
 	occupancy := bestStart // when the reconfiguration for this task begins
-	bestStart = startAfter(occupancy, o.device.ReconfigDelay)
-	t := Task{ID: id, Name: name, FirstCol: bestCol, Cols: cols,
-		Start: bestStart, Duration: duration, Release: release}
-	o.horizon.assign(bestCol, bestCol+cols, t.End())
-	idx := len(o.tasks)
-	o.tasks = append(o.tasks, t)
-	o.byID[id] = idx
-	o.done = append(o.done, false)
-	o.shed = append(o.shed, false)
-	o.started = append(o.started, false)
-	o.actual = append(o.actual, actual)
-	if o.policy == ReclaimCompact {
-		o.taskNodes = append(o.taskNodes, -1)
-		o.inCand = append(o.inCand, false)
-	}
+	r := taskRec{id: id, firstCol: int32(bestCol), cols: int32(cols),
+		start: startAfter(occupancy, o.device.ReconfigDelay), duration: duration,
+		release: release, actual: actual, node: -1}
+	o.horizon.assign(bestCol, bestCol+cols, r.end())
+	idx := o.tasks.add(slot, r, name)
 	if occupancy <= o.now+geom.Eps {
 		o.markStarted(idx) // occupancy begins immediately: irrevocable
 	} else {
@@ -297,7 +287,7 @@ func (o *OnlineScheduler) submit(id int, name string, cols int, duration, actual
 		// Keyed by Start-delay, not occupancy: startAfter may have stepped
 		// Start, and slides and RestoreScheduler key by Start-delay too, so
 		// a restored scheduler promotes the task at the same clock.
-		o.startQ.push(t.Start-o.device.ReconfigDelay, idx)
+		o.startQ.push(r.start-o.device.ReconfigDelay, idx)
 		if o.admission.Policy == AdmitShed {
 			o.waitFIFO = append(o.waitFIFO, idx)
 		}
@@ -306,29 +296,26 @@ func (o *OnlineScheduler) submit(id int, name string, cols int, duration, actual
 		}
 	}
 	if !math.IsNaN(actual) {
-		o.compQ.push(t.Start+actual, idx)
+		o.compQ.push(r.start+actual, idx)
 	}
 	o.trimQueues()
-	return t, nil
+	return r.task(name), nil
 }
 
 // markStarted marks a task as started: its placement becomes irrevocable
 // and, under ReclaimCompact, its declared end joins the per-column fixed
 // horizon.
 func (o *OnlineScheduler) markStarted(idx int) {
-	o.started[idx] = true
+	r := o.tasks.at(idx)
+	r.flags |= flagStarted
 	o.nStarted++
 	if o.policy == ReclaimCompact {
-		o.fix(idx)
-	}
-}
-
-// fix folds a started task's end into the per-column fixed horizon.
-func (o *OnlineScheduler) fix(idx int) {
-	t := o.tasks[idx]
-	for c := t.FirstCol; c < t.FirstCol+t.Cols; c++ {
-		if o.fixedEnd[c] < t.End() {
-			o.fixedEnd[c] = t.End()
+		// Fold the started task's end into the per-column fixed horizon.
+		end := r.end()
+		for c := r.firstCol; c < r.firstCol+r.cols; c++ {
+			if o.fixedEnd[c] < end {
+				o.fixedEnd[c] = end
+			}
 		}
 	}
 }
@@ -340,7 +327,7 @@ func (o *OnlineScheduler) fix(idx int) {
 func (o *OnlineScheduler) promote(t float64) {
 	for len(o.startQ) > 0 && o.startQ[0].key <= t+geom.Eps {
 		_, idx := o.startQ.pop()
-		if o.started[idx] || o.shed[idx] {
+		if o.tasks.at(idx).flags&(flagStarted|flagShed) != 0 {
 			continue
 		}
 		o.waiting--
@@ -357,7 +344,7 @@ func (o *OnlineScheduler) shedOldest() bool {
 	for len(o.waitFIFO) > 0 {
 		idx := o.waitFIFO[0]
 		o.waitFIFO = o.waitFIFO[1:]
-		if o.started[idx] || o.done[idx] || o.shed[idx] {
+		if o.tasks.at(idx).flags&(flagStarted|flagDone|flagShed) != 0 {
 			continue // already promoted or evicted; lazily dropped here
 		}
 		o.shedTask(idx)
@@ -375,17 +362,18 @@ func (o *OnlineScheduler) shedOldest() bool {
 // anomaly-freedom invariant) and the compacted profile drops instead:
 // successors on the shed task's columns slide down onto the vacated time.
 func (o *OnlineScheduler) shedTask(idx int) {
-	t := o.tasks[idx]
-	o.shed[idx] = true
+	r := o.tasks.at(idx)
+	r.flags |= flagShed
 	o.waiting--
 	o.sheds++
-	o.shedIDs = append(o.shedIDs, t.ID)
+	o.shedIDs = append(o.shedIDs, r.id)
 	switch o.policy {
 	case NoReclaim, Reclaim:
-		o.horizon.free(t.FirstCol, t.FirstCol+t.Cols, t.End(), t.Start-o.device.ReconfigDelay)
+		l := int(r.firstCol)
+		o.horizon.free(l, l+int(r.cols), r.end(), r.start-o.device.ReconfigDelay)
 	case ReclaimCompact:
-		base := o.taskNodes[idx]
-		for n := base; n < base+int32(t.Cols); n++ {
+		base := r.node
+		for n := base; n < base+r.cols; n++ {
 			if nx := o.cidx.next[n]; nx >= 0 {
 				o.pushCand(int(o.cidx.task[nx]))
 			}
@@ -415,59 +403,68 @@ func (o *OnlineScheduler) Complete(id int, at float64) error {
 	if at < o.now-geom.Eps {
 		return fmt.Errorf("%w: task %d completion at %g before scheduler time %g", ErrTimeRegression, id, at, o.now)
 	}
-	idx, ok := o.byID[id]
-	if !ok {
+	_, idx := o.tasks.probe(id)
+	if idx < 0 {
 		return fmt.Errorf("%w: completion for task %d", ErrUnknownTask, id)
 	}
-	if o.shed[idx] {
+	r := o.tasks.at(idx)
+	if r.flags&flagShed != 0 {
 		return fmt.Errorf("%w: task %d", ErrShedTask, id)
 	}
-	if o.done[idx] {
+	if r.flags&flagDone != 0 {
 		return fmt.Errorf("%w: task %d", ErrAlreadyCompleted, id)
 	}
 	// Validate against the current placement before advancing the clock,
 	// so a rejected completion leaves the scheduler untouched. completeAt
 	// re-validates, because AdvanceTo may slide the task meanwhile.
-	if t := o.tasks[idx]; at <= t.Start {
-		return fmt.Errorf("%w: task %d completion at %g not after its start %g", ErrBadCompletionTime, id, at, t.Start)
-	} else if at > t.End()+geom.Eps {
-		return fmt.Errorf("%w: task %d completion at %g after its declared end %g", ErrBadCompletionTime, id, at, t.End())
+	if err := completionWindow(r, at); err != nil {
+		return err
 	}
 	if err := o.AdvanceTo(at); err != nil {
 		return err
 	}
-	if o.done[idx] { // possibly completed by a registered lifetime just now
+	if r.flags&flagDone != 0 { // possibly completed by a registered lifetime just now
 		return fmt.Errorf("%w: task %d", ErrAlreadyCompleted, id)
 	}
 	return o.completeAt(idx, at)
 }
 
-func (o *OnlineScheduler) completeAt(idx int, at float64) error {
-	t := &o.tasks[idx]
-	if at <= t.Start {
-		return fmt.Errorf("%w: task %d completion at %g not after its start %g", ErrBadCompletionTime, t.ID, at, t.Start)
+// completionWindow checks that a completion at `at` falls after the
+// task's start and no later than its declared end.
+func completionWindow(r *taskRec, at float64) error {
+	if at <= r.start {
+		return fmt.Errorf("%w: task %d completion at %g not after its start %g", ErrBadCompletionTime, r.id, at, r.start)
 	}
-	if at > t.End()+geom.Eps {
-		return fmt.Errorf("%w: task %d completion at %g after its declared end %g", ErrBadCompletionTime, t.ID, at, t.End())
+	if at > r.end()+geom.Eps {
+		return fmt.Errorf("%w: task %d completion at %g after its declared end %g", ErrBadCompletionTime, r.id, at, r.end())
+	}
+	return nil
+}
+
+func (o *OnlineScheduler) completeAt(idx int, at float64) error {
+	r := o.tasks.at(idx)
+	if err := completionWindow(r, at); err != nil {
+		return err
 	}
 	if at > o.now {
 		o.now = at
 	}
-	o.done[idx] = true
+	r.flags |= flagDone
 	o.completed++
 	// Fix stragglers with their declared ends before truncating this
 	// task, so the reclaim accounting below sees the declared value (and
 	// the waiting/started accounting stays exact under every policy).
 	o.promote(o.now)
-	oldEnd := t.End()
-	t.Duration = at - t.Start
+	oldEnd := r.end()
+	r.duration = at - r.start
 	if at >= oldEnd || o.policy == NoReclaim {
 		return nil // on-time completion, or a policy that ignores it
 	}
+	l, rt := int(r.firstCol), int(r.firstCol+r.cols)
 	if o.policy == Reclaim {
 		// Opportunistic: hand the columns this task still owns straight
 		// back to the placement horizon.
-		if freed := o.horizon.free(t.FirstCol, t.FirstCol+t.Cols, oldEnd, at); freed > 0 {
+		if freed := o.horizon.free(l, rt, oldEnd, at); freed > 0 {
 			o.reclaimedColTime += (oldEnd - at) * float64(freed)
 		}
 		return nil
@@ -476,14 +473,14 @@ func (o *OnlineScheduler) completeAt(idx int, at float64) error {
 	// what makes the mode anomaly-free); the reclaimed column-time feeds
 	// the fixed per-column profile the compaction pass slides onto.
 	freed := 0
-	for c := t.FirstCol; c < t.FirstCol+t.Cols; c++ {
+	for c := l; c < rt; c++ {
 		if o.fixedEnd[c] == oldEnd {
 			o.fixedEnd[c] = at
 			freed++
 		}
 	}
 	o.reclaimedColTime += (oldEnd - at) * float64(freed)
-	o.compactRange(t.FirstCol, t.FirstCol+t.Cols)
+	o.compactRange(l, rt)
 	return nil
 }
 
@@ -495,7 +492,7 @@ func (o *OnlineScheduler) completeAt(idx int, at float64) error {
 func (o *OnlineScheduler) AdvanceTo(t float64) error {
 	for len(o.compQ) > 0 && o.compQ[0].key <= t {
 		key, idx := o.compQ.pop()
-		if o.done[idx] || o.shed[idx] {
+		if o.tasks.at(idx).flags&(flagDone|flagShed) != 0 {
 			// Stale (see compLive): completed manually ahead of its
 			// registered event, evicted by admission control, or left by
 			// a compaction slide (the slide pushed a fresh entry at the
@@ -525,13 +522,8 @@ func (o *OnlineScheduler) Now() float64 { return o.now }
 // Schedule returns the accumulated schedule for simulation/inspection.
 // Tasks evicted by admission control never ran and are excluded.
 func (o *OnlineScheduler) Schedule() *Schedule {
-	tasks := make([]Task, 0, len(o.tasks))
-	for i, t := range o.tasks {
-		if o.shed[i] {
-			continue
-		}
-		tasks = append(tasks, t)
-	}
+	tasks := make([]Task, o.tasks.n-o.sheds)
+	o.tasks.fillTasks(tasks, flagShed)
 	return &Schedule{Device: o.device, Tasks: tasks}
 }
 
@@ -576,7 +568,7 @@ func (o *OnlineScheduler) trimQueues() {
 	if len(o.waitFIFO) > 2*o.waiting+queueSlack {
 		live := o.waitFIFO[:0]
 		for _, idx := range o.waitFIFO {
-			if !o.started[idx] && !o.done[idx] && !o.shed[idx] {
+			if o.tasks.at(idx).flags&(flagStarted|flagDone|flagShed) == 0 {
 				live = append(live, idx)
 			}
 		}
@@ -589,13 +581,15 @@ func (o *OnlineScheduler) trimQueues() {
 // more than Eps, so every other entry of a waiting task has a larger key
 // and pops after the live one has started the task.
 func (o *OnlineScheduler) startLive(e taskEvent) bool {
-	return !o.started[e.idx] && !o.shed[e.idx] && e.key == o.tasks[e.idx].Start-o.device.ReconfigDelay
+	r := o.tasks.at(e.idx)
+	return r.flags&(flagStarted|flagShed) == 0 && e.key == r.start-o.device.ReconfigDelay
 }
 
 // compLive reports whether a compQ entry is live: its task has neither
 // completed nor been shed and the entry carries the task's current key.
 func (o *OnlineScheduler) compLive(e taskEvent) bool {
-	return !o.done[e.idx] && !o.shed[e.idx] && e.key == o.tasks[e.idx].Start+o.actual[e.idx]
+	r := o.tasks.at(e.idx)
+	return r.flags&(flagDone|flagShed) == 0 && e.key == r.start+r.actual
 }
 
 // taskHeap is a binary min-heap of (key, task index) pairs ordered by key,
@@ -677,6 +671,9 @@ func RunOnline(in *geom.Instance, d *Device) (*Schedule, error) {
 	if len(in.Prec) > 0 {
 		return nil, fmt.Errorf("fpga: online scheduler does not handle precedence edges")
 	}
+	if err := checkColumns(d.Columns); err != nil {
+		return nil, err
+	}
 	col := in.StripWidth() / float64(d.Columns)
 	order := make([]int, in.N())
 	for i := range order {
@@ -694,10 +691,8 @@ func RunOnline(in *geom.Instance, d *Device) (*Schedule, error) {
 			return a - b
 		}
 	})
-	// The replay submits exactly n tasks, so size the per-task state once.
 	o := NewOnlineScheduler(d)
-	o.grow(in.N())
-	o.byID = make(map[int]int, in.N())
+	o.tasks.reserve(in.N()) // the replay submits exactly n tasks
 	for _, id := range order {
 		r := in.Rects[id]
 		cols := int(r.W/col + 0.5)

@@ -280,7 +280,7 @@ func TestReconfigDelayNoDoubleBooking(t *testing.T) {
 			if err := o.Drain(); err != nil {
 				t.Fatal(err)
 			}
-			if early && p == ReclaimCompact && o.tasks[1].Start > first.Start+dur+1 {
+			if early && p == ReclaimCompact && o.tasks.at(1).start > first.Start+dur+1 {
 				t.Fatalf("policy %v: task 1 was not slid onto the early completion", p)
 			}
 			if _, err := o.Schedule().Simulate(); err != nil {
@@ -356,10 +356,10 @@ func TestRunOnlineValidAndSimulates(t *testing.T) {
 }
 
 // TestRunOnlineAllocCeiling: RunOnline knows how many tasks it replays,
-// so the per-task slices and the ID map are sized once. What still
-// allocates grows only with the map's tables and the event heaps'
-// doublings: about 100 allocations at n = 20,000, where growing the
-// per-task state by appending made 274.
+// so the ID index and the chunk directory are sized once. What still
+// allocates is one record chunk per 256 tasks (79 at n = 20,000) and the
+// event heaps' doublings: 112 allocations at n = 20,000, where growing
+// per-task slices by appending made 274.
 func TestRunOnlineAllocCeiling(t *testing.T) {
 	in := workload.FPGA(rand.New(rand.NewSource(3)), 20_000, 16, 5_000)
 	allocs := testing.AllocsPerRun(2, func() {
@@ -369,6 +369,15 @@ func TestRunOnlineAllocCeiling(t *testing.T) {
 	})
 	if allocs > 150 {
 		t.Fatalf("RunOnline made %v allocations for 20,000 tasks, ceiling 150", allocs)
+	}
+}
+
+// TestRunOnlineDeviceTooWide: a device wider than a task record's int32
+// column fields is refused with an error, not a panic.
+func TestRunOnlineDeviceTooWide(t *testing.T) {
+	in := geom.NewInstance(1, []geom.Rect{{W: 1, H: 1}})
+	if _, err := RunOnline(in, &Device{Columns: maxColumns + 1}); err == nil {
+		t.Fatal("RunOnline accepted a device wider than maxColumns")
 	}
 }
 

@@ -64,6 +64,7 @@ type Snapshot struct {
 // heaps hold different stale entries, so snapshots double as the state
 // comparison the fault-injection harness uses.
 func (o *OnlineScheduler) Snapshot() *Snapshot {
+	n := o.tasks.n
 	s := &Snapshot{
 		Version:          1,
 		Columns:          o.device.Columns,
@@ -71,10 +72,7 @@ func (o *OnlineScheduler) Snapshot() *Snapshot {
 		Policy:           o.policy,
 		Admission:        o.admission,
 		Now:              o.now,
-		Tasks:            slices.Clone(o.tasks),
-		Done:             slices.Clone(o.done),
-		Shed:             slices.Clone(o.shed),
-		Started:          slices.Clone(o.started),
+		Actual:           make([]float64, n), // non-nil even when empty, like the wire codec's
 		Horizon:          o.horizon.values(make([]float64, 0, o.device.Columns)),
 		ReclaimedColTime: o.reclaimedColTime,
 		CompactPasses:    o.compactPasses,
@@ -83,12 +81,31 @@ func (o *OnlineScheduler) Snapshot() *Snapshot {
 		Rejected:         o.rejected,
 		ShedIDs:          slices.Clone(o.shedIDs),
 	}
-	s.Actual = make([]float64, len(o.actual))
-	for i, a := range o.actual {
-		if math.IsNaN(a) {
-			s.Actual[i] = -1
-		} else {
-			s.Actual[i] = a
+	if n > 0 { // an idle scheduler's task slices stay nil
+		s.Tasks = make([]Task, n)
+		s.Done, s.Shed, s.Started = make([]bool, n), make([]bool, n), make([]bool, n)
+	}
+	// One pass over the records, a chunk at a time.
+	names := o.tasks.names
+	for ci, c := range o.tasks.chunks {
+		base := ci * chunkLen
+		recs := c[:min(chunkLen, n-base)]
+		tasks, actual := s.Tasks[base:base+len(recs)], s.Actual[base:base+len(recs)]
+		done, shed, started := s.Done[base:base+len(recs)], s.Shed[base:base+len(recs)], s.Started[base:base+len(recs)]
+		for j := range recs {
+			r := &recs[j]
+			r.fill(&tasks[j])
+			if len(names) > 0 && names[0].idx == base+j {
+				tasks[j].Name, names = names[0].name, names[1:]
+			}
+			done[j] = r.flags&flagDone != 0
+			shed[j] = r.flags&flagShed != 0
+			started[j] = r.flags&flagStarted != 0
+			if math.IsNaN(r.actual) {
+				actual[j] = -1
+			} else {
+				actual[j] = r.actual
+			}
 		}
 	}
 	if o.policy == ReclaimCompact {
@@ -98,7 +115,7 @@ func (o *OnlineScheduler) Snapshot() *Snapshot {
 		// non-semantic state and are dropped to keep snapshots canonical.
 		s.Slack = make([]int, 0, len(o.slackQ))
 		for _, idx := range o.slackQ {
-			if !o.started[idx] && !o.shed[idx] {
+			if o.tasks.at(idx).flags&(flagStarted|flagShed) == 0 {
 				s.Slack = append(s.Slack, idx)
 			}
 		}
@@ -113,8 +130,7 @@ func (o *OnlineScheduler) Snapshot() *Snapshot {
 // engine that fails later in some far-away placement. The restored
 // scheduler continues byte-identically to the one that was snapshotted.
 func RestoreScheduler(s *Snapshot) (*OnlineScheduler, error) {
-	byID, err := s.validate()
-	if err != nil {
+	if err := s.validate(); err != nil {
 		return nil, err
 	}
 	d := &Device{Columns: s.Columns, ReconfigDelay: s.ReconfigDelay}
@@ -122,19 +138,31 @@ func RestoreScheduler(s *Snapshot) (*OnlineScheduler, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	o.byID = byID
 	o.now = s.Now
-	o.tasks = slices.Clone(s.Tasks)
-	o.done = slices.Clone(s.Done)
-	o.shed = slices.Clone(s.Shed)
-	o.started = slices.Clone(s.Started)
-	o.actual = make([]float64, len(s.Actual))
-	for i, a := range s.Actual {
-		if a < 0 {
-			o.actual[i] = math.NaN()
-		} else {
-			o.actual[i] = a
+	// Refill the history through the submit path's probe and add, which
+	// also rejects duplicate IDs.
+	o.tasks.reserve(len(s.Tasks))
+	for i, t := range s.Tasks {
+		slot, dup := o.tasks.probe(t.ID)
+		if dup >= 0 {
+			return nil, fmt.Errorf("%w: duplicate task ID %d", ErrBadSnapshot, t.ID)
 		}
+		r := taskRec{id: t.ID, firstCol: int32(t.FirstCol), cols: int32(t.Cols),
+			start: t.Start, duration: t.Duration, release: t.Release,
+			actual: s.Actual[i], node: -1}
+		if r.actual < 0 {
+			r.actual = math.NaN()
+		}
+		if s.Done[i] {
+			r.flags |= flagDone
+		}
+		if s.Shed[i] {
+			r.flags |= flagShed
+		}
+		if s.Started[i] {
+			r.flags |= flagStarted
+		}
+		o.tasks.add(slot, r, t.Name)
 	}
 	o.horizon.fill(s.Horizon)
 	o.reclaimedColTime = s.ReclaimedColTime
@@ -143,45 +171,43 @@ func RestoreScheduler(s *Snapshot) (*OnlineScheduler, error) {
 	o.maxWaiting = s.MaxWaiting
 	o.rejected = s.Rejected
 	o.shedIDs = slices.Clone(s.ShedIDs)
-	// Derived state (the ID index came from validate): counters, event
-	// queues (live entries only, keyed as startLive and compLive define —
-	// pop order is a pure function of the (key, index) set, so dropping
-	// the stale entries the original queues may have held changes
-	// nothing), and the per-column waiting lists.
+	// Derived state: counters, event queues (live entries only, keyed as
+	// startLive and compLive define — pop order is a pure function of the
+	// (key, index) set, so dropping the stale entries the original queues
+	// may have held changes nothing), and the per-column waiting lists.
 	waiting := make([]int, 0)
-	for i, t := range o.tasks {
+	for i := range o.tasks.n {
+		r := o.tasks.at(i)
 		switch {
-		case o.shed[i]:
+		case r.flags&flagShed != 0:
 			o.sheds++
-		case o.started[i]:
+		case r.flags&flagStarted != 0:
 			o.nStarted++
-			if o.done[i] {
+			if r.flags&flagDone != 0 {
 				o.completed++
 			}
 		default:
 			waiting = append(waiting, i)
 			o.waiting++
-			o.startQ.push(t.Start-o.device.ReconfigDelay, i)
+			o.startQ.push(r.start-o.device.ReconfigDelay, i)
 			if o.admission.Policy == AdmitShed {
 				o.waitFIFO = append(o.waitFIFO, i)
 			}
 		}
-		if !o.done[i] && !o.shed[i] && !math.IsNaN(o.actual[i]) {
-			o.compQ.push(t.Start+o.actual[i], i)
+		if r.flags&(flagDone|flagShed) == 0 && !math.IsNaN(r.actual) {
+			o.compQ.push(r.start+r.actual, i)
 		}
 	}
 	if o.policy == ReclaimCompact {
 		o.fixedEnd = slices.Clone(s.FixedEnd)
-		o.taskNodes = slices.Repeat([]int32{-1}, len(o.tasks))
-		o.inCand = make([]bool, len(o.tasks))
 		o.slackQ = slices.Clone(s.Slack)
 		// Rebuild the per-column lists in increasing start order (ties by
 		// index — the order the engine maintained).
 		slices.SortFunc(waiting, func(a, b int) int {
-			switch {
-			case o.tasks[a].Start < o.tasks[b].Start:
+			switch sa, sb := o.tasks.at(a).start, o.tasks.at(b).start; {
+			case sa < sb:
 				return -1
-			case o.tasks[a].Start > o.tasks[b].Start:
+			case sa > sb:
 				return 1
 			default:
 				return a - b
@@ -194,12 +220,12 @@ func RestoreScheduler(s *Snapshot) (*OnlineScheduler, error) {
 	return o, nil
 }
 
-// validate checks every invariant RestoreScheduler relies on and returns
-// the task ID -> index map it builds while rejecting duplicate IDs, which
-// the restored scheduler adopts as its byID index.
-func (s *Snapshot) validate() (map[int]int, error) {
-	bad := func(format string, args ...any) (map[int]int, error) {
-		return nil, fmt.Errorf("%w: %s", ErrBadSnapshot, fmt.Sprintf(format, args...))
+// validate checks every invariant RestoreScheduler relies on but one:
+// duplicate task IDs, which RestoreScheduler finds as it refills the ID
+// index.
+func (s *Snapshot) validate() error {
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("%w: %s", ErrBadSnapshot, fmt.Sprintf(format, args...))
 	}
 	if s == nil {
 		return bad("nil snapshot")
@@ -207,7 +233,7 @@ func (s *Snapshot) validate() (map[int]int, error) {
 	if s.Version != 1 {
 		return bad("unsupported version %d", s.Version)
 	}
-	if s.Columns < 1 {
+	if s.Columns < 1 || s.Columns > maxColumns {
 		return bad("%d columns", s.Columns)
 	}
 	if !finite(s.ReconfigDelay) || s.ReconfigDelay < 0 {
@@ -237,13 +263,8 @@ func (s *Snapshot) validate() (map[int]int, error) {
 			return bad("horizon[%d] = %g", c, v)
 		}
 	}
-	byID := make(map[int]int, n)
 	for i, t := range s.Tasks {
-		if _, dup := byID[t.ID]; dup {
-			return bad("duplicate task ID %d", t.ID)
-		}
-		byID[t.ID] = i
-		if t.Cols < 1 || t.FirstCol < 0 || t.FirstCol+t.Cols > s.Columns {
+		if t.Cols < 1 || t.Cols > s.Columns || t.FirstCol < 0 || t.FirstCol > s.Columns-t.Cols {
 			return bad("task %d columns [%d, %d) on %d-column device", t.ID, t.FirstCol, t.FirstCol+t.Cols, s.Columns)
 		}
 		if !finite(t.Start) || !finite(t.Duration) || !finite(t.Release) || t.Duration <= 0 {
@@ -279,7 +300,7 @@ func (s *Snapshot) validate() (map[int]int, error) {
 	} else if len(s.FixedEnd) != 0 || len(s.Slack) != 0 {
 		return bad("compaction state under policy %v", s.Policy)
 	}
-	return byID, nil
+	return nil
 }
 
 func finite(v float64) bool {

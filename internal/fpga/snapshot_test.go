@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"maps"
 	"math"
 	"math/rand"
 	"testing"
@@ -187,10 +186,15 @@ func TestSnapshotCanonical(t *testing.T) {
 		t.Fatal("restored scheduler's snapshot differs from the original")
 	}
 	// The ID index is derived state the snapshot does not show: restore
-	// takes it from validate, and it must map every task as the
-	// original's does.
-	if !maps.Equal(r.byID, o.byID) {
-		t.Fatal("restored scheduler's ID index differs from the original's")
+	// refills it, and it must map every task as the original's does.
+	if r.tasks.n != o.tasks.n {
+		t.Fatalf("restored %d tasks, original has %d", r.tasks.n, o.tasks.n)
+	}
+	for i := range o.tasks.n {
+		id := o.tasks.at(i).id
+		if _, got := r.tasks.probe(id); got != i {
+			t.Fatalf("restored index maps task %d to %d, want %d", id, got, i)
+		}
 	}
 }
 
@@ -227,6 +231,9 @@ func TestRestoreValidation(t *testing.T) {
 		{"horizon value", func(s *Snapshot) { s.Horizon[0] = math.Inf(1) }},
 		{"duplicate ID", func(s *Snapshot) { s.Tasks[1].ID = s.Tasks[0].ID }},
 		{"task columns", func(s *Snapshot) { s.Tasks[0].Cols = 9 }},
+		// FirstCol+Cols would wrap to a negative sum and pass a naive
+		// bound check.
+		{"task first column overflow", func(s *Snapshot) { s.Tasks[0].FirstCol = math.MaxInt }},
 		{"task duration", func(s *Snapshot) { s.Tasks[0].Duration = 0 }},
 		{"done unstarted", func(s *Snapshot) { s.Done[1] = true }},
 		{"shed started", func(s *Snapshot) { s.Shed[0] = true }},
