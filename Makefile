@@ -63,17 +63,21 @@ bench-record:
 # submit/complete state machine, snapshot/restore replay fidelity, the
 # batched-submission equivalence contract, the scheduler's task-ID index
 # against a map oracle (negative, colliding and very large IDs, growth,
-# probe-then-fill), the column pool's pooled-vs-fresh height equivalence
-# across interleaved width sets, and the placement-service wire codec
-# (decoders never panic on arbitrary bytes; whatever decodes re-encodes
-# canonically).
-# (go test accepts one -fuzz pattern per invocation, hence seven runs.)
+# probe-then-fill), the snapshot byte codec differentially (the record
+# encoder against the struct encoder, and the record decoder against
+# struct decode plus RestoreScheduler on intact, truncated, bit-flipped
+# and count-corrupted bytes, with replay), the column pool's
+# pooled-vs-fresh height equivalence across interleaved width sets, and
+# the placement-service wire codec (decoders never panic on arbitrary
+# bytes; whatever decodes re-encodes canonically).
+# (go test accepts one -fuzz pattern per invocation, hence eight runs.)
 fuzz:
 	$(GO) test ./internal/geom -fuzz FuzzSkylinePlace -fuzztime 30s
 	$(GO) test ./internal/fpga -fuzz FuzzSubmitComplete -fuzztime 30s
 	$(GO) test ./internal/fpga -fuzz FuzzSnapshotRestore -fuzztime 30s
 	$(GO) test ./internal/fpga -fuzz FuzzSubmitBatch -fuzztime 30s
 	$(GO) test ./internal/fpga -fuzz FuzzIDIndex -fuzztime 30s
+	$(GO) test ./internal/fpga -fuzz FuzzSnapshotBytes -fuzztime 30s
 	$(GO) test ./internal/core/release -fuzz FuzzSolverPool -fuzztime 30s
 	$(GO) test ./internal/service -fuzz FuzzServiceCodec -fuzztime 30s
 

@@ -530,7 +530,7 @@ func benchDrainBacklog(b *testing.B, q int) {
 		b.StopTimer()
 		o := fpga.NewOnlineSchedulerPolicy(fpga.NewDevice(K), fpga.ReclaimCompact)
 		for j := 0; j < q; j++ {
-			if _, err := o.SubmitWithLifetime(j, "", K, 1, 1, 0); err != nil {
+			if _, err := o.SubmitBatch(nil, []fpga.TaskSpec{{ID: j, Cols: K, Duration: 1, Actual: 1}}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -979,7 +979,8 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 	}
 	o := fpga.NewOnlineSchedulerPolicy(fpga.NewDevice(K), fpga.ReclaimCompact)
 	for id, ct := range tasks {
-		if _, err := o.SubmitWithLifetime(id, "", ct.Cols, ct.Duration, ct.Lifetime, ct.Release); err != nil {
+		spec := fpga.TaskSpec{ID: id, Cols: ct.Cols, Duration: ct.Duration, Actual: ct.Lifetime, Release: ct.Release}
+		if _, err := o.SubmitBatch(nil, []fpga.TaskSpec{spec}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -212,7 +212,7 @@ func (h *Harness) apply(k Kind, s *fpga.Snapshot) (opErr, want error, applied bo
 		_, err := o.Submit(h.nextSpare(), "", s.Columns+1, 1, now)
 		return err, fpga.ErrInvalidTask, true
 	case BadLifetime:
-		_, err := o.SubmitWithLifetime(h.nextSpare(), "", 1, 1, 2, now)
+		_, err := o.SubmitBatch(nil, []fpga.TaskSpec{{ID: h.nextSpare(), Cols: 1, Duration: 1, Actual: 2, Release: now}})
 		return err, fpga.ErrInvalidTask, true
 	case DuplicateSubmit:
 		for _, t := range s.Tasks {

@@ -1,7 +1,6 @@
 package faultinject_test
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 
@@ -37,7 +36,8 @@ func TestHarnessOnChurn(t *testing.T) {
 			h := faultinject.New(o, 0) // stream IDs are 1..n, spares go negative
 			applied := make(map[faultinject.Kind]bool)
 			for id, ct := range tasks {
-				if _, err := h.Sched.SubmitWithLifetime(id+1, "", ct.Cols, ct.Duration, ct.Lifetime, ct.Release); err != nil && !errors.Is(err, fpga.ErrRejected) {
+				spec := fpga.TaskSpec{ID: id + 1, Cols: ct.Cols, Duration: ct.Duration, Actual: ct.Lifetime, Release: ct.Release}
+				if _, err := h.Sched.SubmitBatch(nil, []fpga.TaskSpec{spec}); err != nil {
 					t.Fatalf("%v/%v: submit %d: %v", policy, ac.Policy, id+1, err)
 				}
 				if err := h.InjectAll(); err != nil {

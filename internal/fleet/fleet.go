@@ -574,17 +574,40 @@ func (f *Fleet) RestoreShard(i int, s *fpga.Snapshot) error {
 	if err != nil {
 		return fmt.Errorf("fleet: restore shard %d: %w", i, err)
 	}
-	if s.Columns != f.cols[i] {
-		return fmt.Errorf("fleet: restore shard %d: snapshot has %d columns, shard has %d", i, s.Columns, f.cols[i])
+	return f.install(i, o)
+}
+
+// RestoreShardBytes is RestoreShard from snapshot bytes: it decodes the
+// snapshot at the front of b (fpga.DecodeScheduler) straight into a fresh
+// scheduler, swaps it into slot i under RestoreShard's checks, and returns
+// the bytes after the snapshot. Checkpoint recovery reads each shard this
+// way, with no fpga.Snapshot built.
+func (f *Fleet) RestoreShardBytes(i int, b []byte) ([]byte, error) {
+	if i < 0 || i >= len(f.shards) {
+		return nil, fmt.Errorf("fleet: shard %d out of range [0, %d)", i, len(f.shards))
 	}
-	if s.ReconfigDelay != f.cfg.ReconfigDelay {
-		return fmt.Errorf("fleet: restore shard %d: snapshot reconfig delay %g, fleet %g", i, s.ReconfigDelay, f.cfg.ReconfigDelay)
+	o, rest, err := fpga.DecodeScheduler(b)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: restore shard %d: %w", i, err)
 	}
-	if s.Policy != f.cfg.Policy {
-		return fmt.Errorf("fleet: restore shard %d: snapshot policy %v, fleet %v", i, s.Policy, f.cfg.Policy)
+	return rest, f.install(i, o)
+}
+
+// install swaps a restored scheduler into slot i once its geometry, delay,
+// policy and admission match the slot's configuration.
+func (f *Fleet) install(i int, o *fpga.OnlineScheduler) error {
+	d := o.Device()
+	if d.Columns != f.cols[i] {
+		return fmt.Errorf("fleet: restore shard %d: snapshot has %d columns, shard has %d", i, d.Columns, f.cols[i])
 	}
-	if s.Admission != f.adm[i] {
-		return fmt.Errorf("fleet: restore shard %d: snapshot admission %+v, shard %+v", i, s.Admission, f.adm[i])
+	if d.ReconfigDelay != f.cfg.ReconfigDelay {
+		return fmt.Errorf("fleet: restore shard %d: snapshot reconfig delay %g, fleet %g", i, d.ReconfigDelay, f.cfg.ReconfigDelay)
+	}
+	if p := o.Policy(); p != f.cfg.Policy {
+		return fmt.Errorf("fleet: restore shard %d: snapshot policy %v, fleet %v", i, p, f.cfg.Policy)
+	}
+	if a := o.Admission(); a != f.adm[i] {
+		return fmt.Errorf("fleet: restore shard %d: snapshot admission %+v, shard %+v", i, a, f.adm[i])
 	}
 	f.shards[i] = o
 	f.restored[i]++

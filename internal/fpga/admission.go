@@ -129,3 +129,9 @@ func (o *OnlineScheduler) Load() LoadStats {
 
 // Admission returns the scheduler's admission configuration.
 func (o *OnlineScheduler) Admission() AdmissionConfig { return o.admission }
+
+// Device returns the scheduler's device geometry (a copy).
+func (o *OnlineScheduler) Device() Device { return *o.device }
+
+// Policy returns the scheduler's completion policy.
+func (o *OnlineScheduler) Policy() Policy { return o.policy }

@@ -1,7 +1,6 @@
 package fpga
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -11,20 +10,21 @@ import (
 //
 // A service shard draining a request queue submits tasks hundreds at a
 // time. SubmitBatch sorts the batch into (release, index) order once and
-// then places every spec through the same submit path as Submit and
-// SubmitWithLifetime — one event-queue advance and one run-list window
-// search per task, no batch-only shortcut.
+// then places every spec through the same submit path as Submit — one
+// event-queue advance and one run-list window search per task, no
+// batch-only shortcut.
 //
 // Equivalence contract: SubmitBatch(specs) leaves the scheduler in a state
-// byte-identical (per Snapshot) to calling Submit/SubmitWithLifetime for
-// the same specs one at a time in (release, index) order, skipping
-// submissions refused by admission control — including every reject and
-// shed outcome along the way. TestSubmitBatchEquivalence and
-// FuzzSubmitBatch enforce this.
+// byte-identical (per Snapshot) to submitting the same specs one at a time
+// in (release, index) order, with Submit or, for a spec with a lifetime,
+// the tests' sequential SubmitWithLifetime, skipping submissions refused
+// by admission control — including every reject and shed outcome along
+// the way. TestSubmitBatchEquivalence and FuzzSubmitBatch enforce this.
 
 // TaskSpec describes one submission of a batch. Actual == 0 (the zero
 // value) submits by declared duration only, exactly like Submit; a
-// positive Actual registers the lifetime, exactly like SubmitWithLifetime.
+// positive Actual registers the lifetime (0 < Actual <= Duration), which
+// AdvanceTo then completes the task by.
 type TaskSpec struct {
 	ID       int
 	Name     string
@@ -39,8 +39,8 @@ type TaskSpec struct {
 // appends the placed tasks to dst in that submission order, returning the
 // extended slice. A caller that passes a reused buffer (buf[:0]) places a
 // batch without allocating its result. Submissions refused by admission
-// control (errors matching ErrRejected) are skipped, visible in
-// Load().Rejected and ShedIDs() just as for sequential submission. Any
+// control are skipped without allocating, visible in Load().Rejected and
+// ShedIDs() just as for sequential submission. Any
 // other error aborts the batch at the offending spec: earlier placements
 // stay (identical to a sequential loop stopping at the first hard error)
 // and dst with the tasks placed so far is returned alongside the error.
@@ -74,14 +74,14 @@ func (o *OnlineScheduler) SubmitBatch(dst []Task, specs []TaskSpec) ([]Task, err
 		var t Task
 		var err error
 		if sp.Actual != 0 {
-			t, err = o.SubmitWithLifetime(sp.ID, sp.Name, sp.Cols, sp.Duration, sp.Actual, sp.Release)
+			t, err = o.submitLifetime(sp.ID, sp.Name, sp.Cols, sp.Duration, sp.Actual, sp.Release)
 		} else {
-			t, err = o.Submit(sp.ID, sp.Name, sp.Cols, sp.Duration, sp.Release)
+			t, err = o.submit(sp.ID, sp.Name, sp.Cols, sp.Duration, math.NaN(), sp.Release)
+		}
+		if err == errRefused {
+			continue
 		}
 		if err != nil {
-			if errors.Is(err, ErrRejected) {
-				continue
-			}
 			return dst, err
 		}
 		dst = append(dst, t)

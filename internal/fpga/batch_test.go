@@ -8,6 +8,16 @@ import (
 	"testing"
 )
 
+// SubmitWithLifetime is Submit with a registered lifetime: the sequential,
+// one-task form of a TaskSpec with Actual set. SubmitBatch is checked
+// against it, and the fpga tests drive churn through it; production
+// registers lifetimes through SubmitBatch and RunChurnAdmission. Like
+// Submit, it returns an admission refusal as an *admissionError.
+func (o *OnlineScheduler) SubmitWithLifetime(id int, name string, cols int, duration, actual, release float64) (Task, error) {
+	t, err := o.submitLifetime(id, name, cols, duration, actual, release)
+	return t, o.refusal(id, err)
+}
+
 // randSpecs draws a batch of specs: clustered releases (so batches hold
 // tied floors), occasional duplicate IDs and invalid geometry (so
 // the error paths are compared too), and a mix of plain and lifetime

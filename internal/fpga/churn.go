@@ -1,7 +1,6 @@
 package fpga
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 
@@ -49,8 +48,8 @@ func RunChurn(tasks []workload.ChurnTask, d *Device, p Policy) (*Schedule, *Chur
 }
 
 // RunChurnAdmission is RunChurn under an explicit admission policy:
-// submissions refused at the gate (errors.Is ErrRejected) are counted and
-// skipped — the overload regime E14 measures — and tasks shed from the
+// submissions refused at the gate are counted and skipped, without
+// allocating — the overload regime E14 measures — and tasks shed from the
 // backlog are reported in the stats. Any other submission error is still
 // fatal.
 func RunChurnAdmission(tasks []workload.ChurnTask, d *Device, p Policy, ac AdmissionConfig) (*Schedule, *ChurnStats, error) {
@@ -79,10 +78,7 @@ func RunChurnAdmission(tasks []workload.ChurnTask, d *Device, p Policy, ac Admis
 	}
 	for _, id := range order {
 		ct := tasks[id]
-		if _, err := o.SubmitWithLifetime(id, "", ct.Cols, ct.Duration, ct.Lifetime, ct.Release); err != nil {
-			if errors.Is(err, ErrRejected) {
-				continue
-			}
+		if _, err := o.submitLifetime(id, "", ct.Cols, ct.Duration, ct.Lifetime, ct.Release); err != nil && err != errRefused {
 			return nil, nil, err
 		}
 	}

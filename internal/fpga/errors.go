@@ -15,7 +15,7 @@ var (
 	// submission that was valid but not admitted. ErrBacklogFull wraps it.
 	ErrRejected = errors.New("fpga: submission rejected by admission control")
 
-	// ErrBacklogFull is returned by Submit/SubmitWithLifetime when the
+	// ErrBacklogFull is returned by Submit when the
 	// admission policy bounds the waiting queue and the bound is reached
 	// (AdmitBounded always; AdmitShed when there is no waiting task left
 	// to shed). errors.Is(err, ErrRejected) also holds.
@@ -53,6 +53,10 @@ var (
 
 	// ErrBadSnapshot marks a snapshot that fails validation on restore.
 	ErrBadSnapshot = errors.New("fpga: invalid snapshot")
+
+	// ErrMalformedSnapshot marks snapshot bytes that do not decode:
+	// truncated, overlong or holding a count larger than the bytes left.
+	ErrMalformedSnapshot = errors.New("fpga: malformed snapshot bytes")
 )
 
 // admissionError is an admission refusal. It matches both ErrBacklogFull

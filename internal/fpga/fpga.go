@@ -12,7 +12,7 @@
 //
 // Beyond one-shot schedules, the package models the steady-state operating
 // system of the paper's §1: OnlineScheduler processes task completion
-// events (Complete / SubmitWithLifetime + AdvanceTo) and can reclaim the
+// events (Complete, or a lifetime registered at submission + AdvanceTo) and can reclaim the
 // columns of early-finishing tasks and compact waiting tasks onto the
 // reclaimed time (Policy). Completion events mean the per-column horizon
 // is no longer monotone — see DESIGN.md in this directory for the model,

@@ -1,6 +1,7 @@
 package fpga
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -74,11 +75,11 @@ func ParsePolicy(s string) (Policy, error) {
 //
 // The horizon is kept as its maximal constant runs, so a Submit costs O(S)
 // in the current run count S instead of the former O(K·cols) full scan —
-// see runHorizon. Placements are identical to the scan's. Submit,
-// SubmitWithLifetime and SubmitBatch share one placement path.
+// see runHorizon. Placements are identical to the scan's. Submit and
+// SubmitBatch share one placement path.
 //
 // Beyond Submit, the scheduler processes completion events: Complete (or a
-// lifetime registered via SubmitWithLifetime and driven by AdvanceTo)
+// lifetime registered with TaskSpec.Actual and driven by AdvanceTo)
 // truncates a task to its actual end and, under Reclaim/ReclaimCompact,
 // returns its columns to the pool. Time advances monotonically through
 // Submit and Complete; decisions for started tasks stay irrevocable, but
@@ -185,16 +186,34 @@ func NewOnlineSchedulerAdmission(d *Device, p Policy, ac AdmissionConfig) (*Onli
 // ErrBacklogFull (and ErrRejected); AdmitShed instead evicts the oldest
 // waiting task to admit the new one.
 func (o *OnlineScheduler) Submit(id int, name string, cols int, duration, release float64) (Task, error) {
-	return o.submit(id, name, cols, duration, math.NaN(), release)
+	t, err := o.submit(id, name, cols, duration, math.NaN(), release)
+	return t, o.refusal(id, err)
 }
 
-// SubmitWithLifetime places a task by its declared duration and registers
-// its actual lifetime (0 < actual <= duration): AdvanceTo completes the
-// task at Start+actual. This is the churn interface — the lifetime is
-// revealed to the placement logic only when the completion event fires,
-// and a task that finishes early frees its columns under
-// Reclaim/ReclaimCompact.
-func (o *OnlineScheduler) SubmitWithLifetime(id int, name string, cols int, duration, actual, release float64) (Task, error) {
+// errRefused is what submit returns for an admission refusal. It is one
+// value, so a refusal allocates nothing: SubmitBatch and
+// RunChurnAdmission skip it, and only Submit, which hands the refusal to
+// its caller, builds its *admissionError (refusal).
+var errRefused = errors.New("fpga: admission refusal")
+
+// refusal turns submit's errRefused for task id into the *admissionError
+// Submit returns. A refusal changes no backlog, so the waiting count is
+// the one the refusal saw. Other errors pass through.
+func (o *OnlineScheduler) refusal(id int, err error) error {
+	if err == errRefused {
+		return &admissionError{id, o.waiting, o.admission.MaxBacklog}
+	}
+	return err
+}
+
+// submitLifetime places a task by its declared duration and registers its
+// actual lifetime (0 < actual <= duration): AdvanceTo completes the task
+// at Start+actual. This is the churn interface — the lifetime is revealed
+// to the placement logic only when the completion event fires, and a task
+// that finishes early frees its columns under Reclaim/ReclaimCompact.
+// SubmitBatch reaches it through TaskSpec.Actual, and RunChurnAdmission
+// directly. An admission refusal returns errRefused.
+func (o *OnlineScheduler) submitLifetime(id int, name string, cols int, duration, actual, release float64) (Task, error) {
 	if math.IsNaN(actual) || math.IsInf(actual, 0) {
 		return Task{}, fmt.Errorf("%w: task %d has non-finite actual lifetime %g", ErrNonFinite, id, actual)
 	}
@@ -222,6 +241,8 @@ func startAfter(occupancy, delay float64) float64 {
 	return s
 }
 
+// submit is the one placement path. An admission refusal returns
+// errRefused.
 func (o *OnlineScheduler) submit(id int, name string, cols int, duration, actual, release float64) (Task, error) {
 	if cols < 1 || cols > o.device.Columns {
 		return Task{}, fmt.Errorf("%w: task %d needs %d of %d columns", ErrInvalidTask, id, cols, o.device.Columns)
@@ -262,7 +283,7 @@ func (o *OnlineScheduler) submit(id int, name string, cols int, duration, actual
 	if bestStart > o.now+geom.Eps && o.admission.Policy != AdmitAll && o.waiting >= o.admission.MaxBacklog {
 		if o.admission.Policy == AdmitBounded || !o.shedOldest() {
 			o.rejected++
-			return Task{}, &admissionError{id, o.waiting, o.admission.MaxBacklog}
+			return Task{}, errRefused
 		}
 		// A task was shed. Under NoReclaim/Reclaim its window returned to
 		// the placement horizon, so re-evaluate the placement; under

@@ -66,13 +66,13 @@ type Snapshot struct {
 func (o *OnlineScheduler) Snapshot() *Snapshot {
 	n := o.tasks.n
 	s := &Snapshot{
-		Version:          1,
+		Version:          snapshotVersion,
 		Columns:          o.device.Columns,
 		ReconfigDelay:    o.device.ReconfigDelay,
 		Policy:           o.policy,
 		Admission:        o.admission,
 		Now:              o.now,
-		Actual:           make([]float64, n), // non-nil even when empty, like the wire codec's
+		Actual:           make([]float64, n), // non-nil even when empty, like DecodeSnapshot's
 		Horizon:          o.horizon.values(make([]float64, 0, o.device.Columns)),
 		ReclaimedColTime: o.reclaimedColTime,
 		CompactPasses:    o.compactPasses,
@@ -87,9 +87,9 @@ func (o *OnlineScheduler) Snapshot() *Snapshot {
 	}
 	// One pass over the records, a chunk at a time.
 	names := o.tasks.names
-	for ci, c := range o.tasks.chunks {
+	for ci := range o.tasks.chunks {
 		base := ci * chunkLen
-		recs := c[:min(chunkLen, n-base)]
+		recs := o.tasks.chunk(ci)
 		tasks, actual := s.Tasks[base:base+len(recs)], s.Actual[base:base+len(recs)]
 		done, shed, started := s.Done[base:base+len(recs)], s.Shed[base:base+len(recs)], s.Started[base:base+len(recs)]
 		for j := range recs {
@@ -110,12 +110,9 @@ func (o *OnlineScheduler) Snapshot() *Snapshot {
 	}
 	if o.policy == ReclaimCompact {
 		s.FixedEnd = slices.Clone(o.fixedEnd)
-		// slackQ may hold stale entries for tasks promoted or shed since
-		// they were parked; the engine skips those on drain, so they are
-		// non-semantic state and are dropped to keep snapshots canonical.
 		s.Slack = make([]int, 0, len(o.slackQ))
 		for _, idx := range o.slackQ {
-			if o.tasks.at(idx).flags&(flagStarted|flagShed) == 0 {
+			if o.slackLive(idx) {
 				s.Slack = append(s.Slack, idx)
 			}
 		}
@@ -129,52 +126,23 @@ func (o *OnlineScheduler) Snapshot() *Snapshot {
 // any violation, so a corrupted or hand-edited snapshot cannot produce an
 // engine that fails later in some far-away placement. The restored
 // scheduler continues byte-identically to the one that was snapshotted.
+//
+// It restores through the snapshot's bytes, with DecodeScheduler, so a
+// Snapshot and its bytes are held to the same rules by the same code.
 func RestoreScheduler(s *Snapshot) (*OnlineScheduler, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
+	if s == nil {
+		return nil, fmt.Errorf("%w: nil snapshot", ErrBadSnapshot)
 	}
-	d := &Device{Columns: s.Columns, ReconfigDelay: s.ReconfigDelay}
-	o, err := NewOnlineSchedulerAdmission(d, s.Policy, s.Admission)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	o.now = s.Now
-	// Refill the history through the submit path's probe and add, which
-	// also rejects duplicate IDs.
-	o.tasks.reserve(len(s.Tasks))
-	for i, t := range s.Tasks {
-		slot, dup := o.tasks.probe(t.ID)
-		if dup >= 0 {
-			return nil, fmt.Errorf("%w: duplicate task ID %d", ErrBadSnapshot, t.ID)
-		}
-		r := taskRec{id: t.ID, firstCol: int32(t.FirstCol), cols: int32(t.Cols),
-			start: t.Start, duration: t.Duration, release: t.Release,
-			actual: s.Actual[i], node: -1}
-		if r.actual < 0 {
-			r.actual = math.NaN()
-		}
-		if s.Done[i] {
-			r.flags |= flagDone
-		}
-		if s.Shed[i] {
-			r.flags |= flagShed
-		}
-		if s.Started[i] {
-			r.flags |= flagStarted
-		}
-		o.tasks.add(slot, r, t.Name)
-	}
-	o.horizon.fill(s.Horizon)
-	o.reclaimedColTime = s.ReclaimedColTime
-	o.compactPasses = s.CompactPasses
-	o.tasksMoved = s.TasksMoved
-	o.maxWaiting = s.MaxWaiting
-	o.rejected = s.Rejected
-	o.shedIDs = slices.Clone(s.ShedIDs)
-	// Derived state: counters, event queues (live entries only, keyed as
-	// startLive and compLive define — pop order is a pure function of the
-	// (key, index) set, so dropping the stale entries the original queues
-	// may have held changes nothing), and the per-column waiting lists.
+	o, _, err := DecodeScheduler(AppendSnapshot(nil, s))
+	return o, err
+}
+
+// rebuild derives what a snapshot leaves out from the restored records:
+// the counters, the event queues (live entries only, keyed as startLive
+// and compLive define — pop order is a pure function of the (key, index)
+// set, so dropping the stale entries the original queues may have held
+// changes nothing), the shed FIFO and the per-column waiting lists.
+func (o *OnlineScheduler) rebuild() {
 	waiting := make([]int, 0)
 	for i := range o.tasks.n {
 		r := o.tasks.at(i)
@@ -199,8 +167,6 @@ func RestoreScheduler(s *Snapshot) (*OnlineScheduler, error) {
 		}
 	}
 	if o.policy == ReclaimCompact {
-		o.fixedEnd = slices.Clone(s.FixedEnd)
-		o.slackQ = slices.Clone(s.Slack)
 		// Rebuild the per-column lists in increasing start order (ties by
 		// index — the order the engine maintained).
 		slices.SortFunc(waiting, func(a, b int) int {
@@ -217,90 +183,6 @@ func RestoreScheduler(s *Snapshot) (*OnlineScheduler, error) {
 			o.link(idx)
 		}
 	}
-	return o, nil
-}
-
-// validate checks every invariant RestoreScheduler relies on but one:
-// duplicate task IDs, which RestoreScheduler finds as it refills the ID
-// index.
-func (s *Snapshot) validate() error {
-	bad := func(format string, args ...any) error {
-		return fmt.Errorf("%w: %s", ErrBadSnapshot, fmt.Sprintf(format, args...))
-	}
-	if s == nil {
-		return bad("nil snapshot")
-	}
-	if s.Version != 1 {
-		return bad("unsupported version %d", s.Version)
-	}
-	if s.Columns < 1 || s.Columns > maxColumns {
-		return bad("%d columns", s.Columns)
-	}
-	if !finite(s.ReconfigDelay) || s.ReconfigDelay < 0 {
-		return bad("reconfig delay %g", s.ReconfigDelay)
-	}
-	switch s.Policy {
-	case NoReclaim, Reclaim, ReclaimCompact:
-	default:
-		return bad("unknown policy %d", int(s.Policy))
-	}
-	if err := s.Admission.validate(); err != nil {
-		return bad("%v", err)
-	}
-	if !finite(s.Now) || s.Now < 0 {
-		return bad("clock %g", s.Now)
-	}
-	n := len(s.Tasks)
-	if len(s.Done) != n || len(s.Shed) != n || len(s.Started) != n || len(s.Actual) != n {
-		return bad("flag slices %d/%d/%d/%d for %d tasks",
-			len(s.Done), len(s.Shed), len(s.Started), len(s.Actual), n)
-	}
-	if len(s.Horizon) != s.Columns {
-		return bad("%d horizon values for %d columns", len(s.Horizon), s.Columns)
-	}
-	for c, v := range s.Horizon {
-		if !finite(v) || v < 0 {
-			return bad("horizon[%d] = %g", c, v)
-		}
-	}
-	for i, t := range s.Tasks {
-		if t.Cols < 1 || t.Cols > s.Columns || t.FirstCol < 0 || t.FirstCol > s.Columns-t.Cols {
-			return bad("task %d columns [%d, %d) on %d-column device", t.ID, t.FirstCol, t.FirstCol+t.Cols, s.Columns)
-		}
-		if !finite(t.Start) || !finite(t.Duration) || !finite(t.Release) || t.Duration <= 0 {
-			return bad("task %d geometry start=%g duration=%g release=%g", t.ID, t.Start, t.Duration, t.Release)
-		}
-		if s.Done[i] && !s.Started[i] {
-			return bad("task %d done but not started", t.ID)
-		}
-		if s.Shed[i] && (s.Started[i] || s.Done[i]) {
-			return bad("task %d both shed and started", t.ID)
-		}
-		if a := s.Actual[i]; a != -1 && (!finite(a) || a <= 0) {
-			return bad("task %d actual lifetime %g", t.ID, a)
-		}
-	}
-	if s.Policy == ReclaimCompact {
-		if len(s.FixedEnd) != s.Columns {
-			return bad("%d fixed ends for %d columns", len(s.FixedEnd), s.Columns)
-		}
-		for c, v := range s.FixedEnd {
-			if !finite(v) || v < 0 {
-				return bad("fixedEnd[%d] = %g", c, v)
-			}
-		}
-		for _, idx := range s.Slack {
-			if idx < 0 || idx >= n {
-				return bad("slack entry %d out of range", idx)
-			}
-			if s.Started[idx] || s.Shed[idx] {
-				return bad("slack entry %d is not waiting", idx)
-			}
-		}
-	} else if len(s.FixedEnd) != 0 || len(s.Slack) != 0 {
-		return bad("compaction state under policy %v", s.Policy)
-	}
-	return nil
 }
 
 func finite(v float64) bool {

@@ -17,7 +17,7 @@ import (
 const chunkLen = 256
 
 // maxColumns bounds Device.Columns so that a record's column fields fit
-// in int32s. NewOnlineSchedulerAdmission, RunOnline and RestoreScheduler
+// in int32s. NewOnlineSchedulerAdmission, RunOnline and DecodeScheduler
 // check it.
 const maxColumns = math.MaxInt32
 
@@ -65,8 +65,7 @@ func (r *taskRec) task(name string) Task {
 
 // fill writes the record's fields into t, all but the name. It stores no
 // pointer, so filling a zeroed Task in a heap slice takes no write
-// barrier: Snapshot fills one per task of the history on every
-// checkpoint.
+// barrier: Snapshot and Schedule fill one per task of the history.
 func (r *taskRec) fill(t *Task) {
 	t.ID, t.FirstCol, t.Cols = r.id, int(r.firstCol), int(r.cols)
 	t.Start, t.Duration, t.Release = r.start, r.duration, r.release
@@ -109,6 +108,11 @@ func (s *taskStore) at(idx int) *taskRec {
 	return &s.chunks[uint(idx)/chunkLen][uint(idx)%chunkLen]
 }
 
+// chunk returns chunk ci's filled records.
+func (s *taskStore) chunk(ci int) []taskRec {
+	return s.chunks[ci][:min(chunkLen, s.n-ci*chunkLen)]
+}
+
 // add appends a record with its name and files its ID in slot, which
 // probe must have returned for that ID with no add in between. It returns
 // the task's index.
@@ -135,7 +139,7 @@ func (s *taskStore) add(slot int, r taskRec, name string) int {
 
 // reserve sizes the empty store for n tasks: the chunk directory, and the
 // ID index at the table size n adds would grow it to, so a caller that
-// knows its task count (RestoreScheduler, RunOnline) pays no rehash.
+// knows its task count (DecodeScheduler, RunOnline) pays no rehash.
 func (s *taskStore) reserve(n int) {
 	s.chunks = make([]*taskChunk, 0, (n+chunkLen-1)/chunkLen)
 	size := minIndexSlots

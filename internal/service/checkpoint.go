@@ -29,10 +29,15 @@ package service
 // replays routing cursors/rngs/meters, and `make determinism` pins
 // kill+recover+replay against the uninterrupted run.
 //
-// The file is streamed, never built whole in memory: writeCheckpoint
-// encodes the shard snapshots on worker goroutines into a small pool of
-// reused buffers and hashes and writes them in shard order as they come
-// back, so at most 2 × GOMAXPROCS shard encodings are held at once.
+// A checkpoint is read and written straight from the shards' task
+// records, with no fpga.Snapshot built. CaptureCheckpoint sizes every
+// shard's snapshot bytes (fpga.OnlineScheduler.SnapshotLen), allocates
+// them as one buffer and encodes the shards into their exact slices on
+// up to GOMAXPROCS goroutines. WriteCheckpoint then only hashes and
+// writes: the manifest, the shard bytes in shard order, the sha256.
+// Recover checks the checksum, epoch and shape first, then decodes each
+// shard's bytes straight into a fresh scheduler's records
+// (fleet.RestoreShardBytes).
 
 import (
 	"crypto/sha256"
@@ -47,7 +52,6 @@ import (
 	"sync/atomic"
 
 	"strippack/internal/fleet"
-	"strippack/internal/fpga"
 )
 
 // checkpointVersion is the on-disk format version.
@@ -71,18 +75,21 @@ var (
 
 // Checkpoint is the in-memory image of a checkpoint file: the run
 // manifest (epoch, write sequence, fleet shape, per-tenant lane states
-// with their cumulative meters) plus every shard's canonical snapshot.
+// with their cumulative meters) plus every shard's canonical snapshot
+// bytes, in shard order.
 type Checkpoint struct {
-	Epoch uint64
-	Seq   uint64
-	Shape *Info
-	Lanes []fleet.LaneState
-	Snaps []*fpga.Snapshot
+	Epoch  uint64
+	Seq    uint64
+	Shape  *Info
+	Lanes  []fleet.LaneState
+	Shards [][]byte
 }
 
-// CaptureCheckpoint snapshots a quiescent fleet into a Checkpoint.
+// CaptureCheckpoint captures a quiescent fleet into a Checkpoint.
 // Requires exclusive access to the fleet (the server's Checkpoint method
-// holds every lane while calling this).
+// holds every lane while calling this). The shards' snapshot bytes share
+// one allocation of exactly their total size: each shard is sized, then
+// encoded into its own slice of it, both on up to GOMAXPROCS goroutines.
 func CaptureCheckpoint(f *fleet.Fleet, epoch, seq uint64) (*Checkpoint, error) {
 	in, err := (Local{Fleet: f}).Info()
 	if err != nil {
@@ -95,97 +102,78 @@ func CaptureCheckpoint(f *fleet.Fleet, epoch, seq uint64) (*Checkpoint, error) {
 			return nil, err
 		}
 	}
-	ck.Snaps = make([]*fpga.Snapshot, f.Shards())
-	for i := range ck.Snaps {
-		if ck.Snaps[i], err = f.SnapshotShard(i); err != nil {
-			return nil, err
-		}
+	n := f.Shards()
+	off := make([]int, n+1) // shard i's bytes are buf[off[i]:off[i+1]]
+	forEachShard(n, func(i int) { off[i+1] = f.Shard(i).SnapshotLen() })
+	for i := range n {
+		off[i+1] += off[i]
 	}
+	buf := make([]byte, off[n])
+	ck.Shards = make([][]byte, n)
+	forEachShard(n, func(i int) {
+		// The capacity stops at the shard's end, so an encoding longer
+		// than SnapshotLen would move out rather than overrun its neighbor.
+		ck.Shards[i] = f.Shard(i).AppendSnapshot(buf[off[i]:off[i]:off[i+1]])
+	})
 	return ck, nil
 }
 
-// encodeClaimed, when non-nil, runs on the encode worker right after it
-// claims shard i and before it encodes it. Tests set it to stall a worker
-// inside that window; it is nil otherwise.
-var encodeClaimed func(i int)
-
-// writeCheckpoint streams the checkpoint file to w: the manifest, every
-// shard's snapshot in shard order, then the sha256 of everything before
-// it. Up to GOMAXPROCS workers encode snapshots ahead of the caller. A
-// worker first takes a buffer from a pool of 2×workers, then claims the
-// next shard index from an atomic counter and hands the encoding back on
-// that shard's own channel, so a claimed shard always owns its buffer and
-// at most 2×workers encodings exist at once. The caller hashes and writes
-// each encoding in shard order and returns its buffer to the pool. On a
-// write error it stops the workers, waits for them and returns the error.
-func writeCheckpoint(w io.Writer, ck *Checkpoint) error {
-	h := sha256.New()
-	put := func(b []byte) error {
-		h.Write(b) // a hash.Hash never fails a write
-		_, err := w.Write(b)
-		return err
-	}
-	if err := put(checkpointManifest(ck)); err != nil {
-		return err
-	}
-
-	n := len(ck.Snaps)
+// forEachShard calls fn(i) for every i in [0, n) on up to GOMAXPROCS
+// goroutines, which claim indices from a shared counter. Each call must
+// touch only shard i's state.
+func forEachShard(n int, fn func(i int)) {
 	workers := min(runtime.GOMAXPROCS(0), n)
-	depth := min(2*workers, n)
-	pool := make(chan []byte, depth)
-	for range depth {
-		pool <- nil
-	}
-	ready := make([]chan []byte, n)
-	for i := range ready {
-		ready[i] = make(chan []byte, 1)
-	}
-	stop := make(chan struct{})
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
+	var next atomic.Int64
+	var wg sync.WaitGroup
 	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				var buf []byte
-				select {
-				case buf = <-pool:
-				case <-stop:
-					return
-				}
-				select {
-				case <-stop: // stop wins over a free buffer
-					return
-				default:
-				}
-				i := int(next.Add(1) - 1)
-				if i >= n {
-					return
-				}
-				if encodeClaimed != nil {
-					encodeClaimed(i)
-				}
-				e := enc{b: buf[:0]}
-				e.snapshot(ck.Snaps[i])
-				ready[i] <- e.b // never blocks: shard i is claimed once
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				fn(i)
 			}
 		}()
 	}
-	for i := range n {
-		buf := <-ready[i]
-		if err := put(buf); err != nil {
-			close(stop)
-			wg.Wait()
+	wg.Wait()
+}
+
+// writeCheckpoint writes the checkpoint file to w: the manifest, every
+// shard's snapshot bytes in shard order, then the sha256 of everything
+// before it. It only hashes and writes; the bytes are CaptureCheckpoint's.
+// A second goroutine hashes while this one writes, and is always waited
+// for, so a failed write leaves no goroutine behind.
+func writeCheckpoint(w io.Writer, ck *Checkpoint) error {
+	manifest := checkpointManifest(ck)
+	sum := make(chan []byte, 1)
+	go func() {
+		h := sha256.New()
+		h.Write(manifest) // a hash.Hash never fails a write
+		for _, b := range ck.Shards {
+			h.Write(b)
+		}
+		sum <- h.Sum(nil)
+	}()
+	err := writeAll(w, manifest, ck.Shards)
+	trailer := <-sum
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(trailer)
+	return err
+}
+
+// writeAll writes head and then each of parts to w, stopping at the first
+// error.
+func writeAll(w io.Writer, head []byte, parts [][]byte) error {
+	if _, err := w.Write(head); err != nil {
+		return err
+	}
+	for _, b := range parts {
+		if _, err := w.Write(b); err != nil {
 			return err
 		}
-		pool <- buf // never blocks: at most depth buffers exist
 	}
-	wg.Wait()
-	_, err := w.Write(h.Sum(nil))
-	return err
+	return nil
 }
 
 // checkpointManifest encodes the payload's head: version, epoch, seq,
@@ -200,26 +188,27 @@ func checkpointManifest(ck *Checkpoint) []byte {
 	for i := range ck.Lanes {
 		e.laneState(&ck.Lanes[i])
 	}
-	e.count(len(ck.Snaps))
+	e.count(len(ck.Shards))
 	return e.b
 }
 
-// DecodeCheckpoint decodes a checkpoint file's bytes, verifying the
-// checksum and exact consumption. Structural only; Recover adds the
-// semantic validation.
-func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
+// decodeManifest checks a checkpoint file's sha256 trailer and decodes
+// its manifest. It returns the Checkpoint without its shards, the shard
+// count, and the payload bytes after the manifest, which hold the shards'
+// snapshot bytes back to back.
+func decodeManifest(b []byte) (ck *Checkpoint, shards int, rest []byte, err error) {
 	if len(b) < sha256.Size {
-		return nil, fmt.Errorf("%w: %d bytes is shorter than the checksum", ErrBadCheckpoint, len(b))
+		return nil, 0, nil, fmt.Errorf("%w: %d bytes is shorter than the checksum", ErrBadCheckpoint, len(b))
 	}
 	payload, trailer := b[:len(b)-sha256.Size], b[len(b)-sha256.Size:]
 	if sum := sha256.Sum256(payload); [sha256.Size]byte(trailer) != sum {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadCheckpoint)
+		return nil, 0, nil, fmt.Errorf("%w: checksum mismatch", ErrBadCheckpoint)
 	}
 	d := &dec{b: payload}
 	if v := d.uint(); d.err == nil && v != checkpointVersion {
-		return nil, fmt.Errorf("%w: version %d, want %d", ErrBadCheckpoint, v, checkpointVersion)
+		return nil, 0, nil, fmt.Errorf("%w: version %d, want %d", ErrBadCheckpoint, v, checkpointVersion)
 	}
-	ck := &Checkpoint{}
+	ck = &Checkpoint{}
 	ck.Epoch = d.uint()
 	ck.Seq = d.uint()
 	ck.Shape = d.info()
@@ -230,17 +219,11 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 			ck.Lanes[i] = d.laneState()
 		}
 	}
-	n = d.count(8)
-	if n > 0 {
-		ck.Snaps = make([]*fpga.Snapshot, n)
-		for i := range ck.Snaps {
-			ck.Snaps[i] = d.snapshot()
-		}
+	shards = d.count(1)
+	if d.err != nil {
+		return nil, 0, nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, d.err)
 	}
-	if err := d.done(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
-	}
-	return ck, nil
+	return ck, shards, d.b, nil
 }
 
 // WriteCheckpoint atomically writes the checkpoint file: stream it to a
@@ -271,26 +254,25 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 	return err
 }
 
-// ReadCheckpoint reads and structurally decodes a checkpoint file.
-func ReadCheckpoint(path string) (*Checkpoint, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
-	}
-	return DecodeCheckpoint(b)
-}
-
 // Recover reads the checkpoint at path, validates it against cfg, and
 // returns a freshly built fleet with every shard and lane restored —
 // the daemon's -recover path. minEpoch rejects checkpoints older than
 // the caller will accept (pass 1 to accept any daemon-written one;
-// epoch 0 is always stale — no daemon runs at epoch 0).
+// epoch 0 is always stale — no daemon runs at epoch 0). The checksum,
+// epoch and shape are checked before any shard is decoded; each shard's
+// bytes then decode straight into its scheduler. The returned Checkpoint
+// holds the manifest only: its shards live in the fleet, so Shards is
+// nil.
 //
 // All-or-nothing: every restore happens on the fresh fleet, which is
 // only returned after the last one succeeds, so a refused checkpoint
 // (any typed error above) cannot leave partial state anywhere.
 func Recover(path string, cfg fleet.Config, minEpoch uint64) (*fleet.Fleet, *Checkpoint, error) {
-	ck, err := ReadCheckpoint(path)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
+	}
+	ck, shards, rest, err := decodeManifest(b)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -311,16 +293,19 @@ func Recover(path string, cfg fleet.Config, minEpoch uint64) (*fleet.Fleet, *Che
 	if !reflect.DeepEqual(ck.Shape, want.Shape()) {
 		return nil, nil, fmt.Errorf("%w: checkpoint %+v, configured %+v", ErrCheckpointShape, ck.Shape, want.Shape())
 	}
-	if len(ck.Snaps) != f.Shards() {
-		return nil, nil, fmt.Errorf("%w: %d snapshots for %d shards", ErrBadCheckpoint, len(ck.Snaps), f.Shards())
+	if shards != f.Shards() {
+		return nil, nil, fmt.Errorf("%w: %d snapshots for %d shards", ErrBadCheckpoint, shards, f.Shards())
 	}
 	if len(ck.Lanes) != f.Tenants() {
 		return nil, nil, fmt.Errorf("%w: %d lane states for %d tenants", ErrBadCheckpoint, len(ck.Lanes), f.Tenants())
 	}
-	for i, s := range ck.Snaps {
-		if err := f.RestoreShard(i, s); err != nil {
+	for i := range shards {
+		if rest, err = f.RestoreShardBytes(i, rest); err != nil {
 			return nil, nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 		}
+	}
+	if len(rest) != 0 {
+		return nil, nil, fmt.Errorf("%w: %d trailing bytes", ErrBadCheckpoint, len(rest))
 	}
 	for ti, ls := range ck.Lanes {
 		if err := f.RestoreLane(ti, ls); err != nil {

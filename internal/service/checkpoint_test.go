@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -26,6 +27,53 @@ func EncodeCheckpoint(ck *Checkpoint) []byte {
 	var b bytes.Buffer
 	writeCheckpoint(&b, ck) // a bytes.Buffer never fails a write
 	return b.Bytes()
+}
+
+// DecodeCheckpoint decodes a checkpoint file's bytes, verifying the
+// checksum and exact consumption: the structural reader the tests check
+// files with. Each shard's bytes decode into a snapshot
+// (fpga.DecodeSnapshot) and are stored re-encoded, so a decoded
+// checkpoint is canonical; Recover adds the semantic validation.
+func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
+	ck, shards, rest, err := decodeManifest(b)
+	if err != nil {
+		return nil, err
+	}
+	if shards > 0 {
+		ck.Shards = make([][]byte, shards)
+	}
+	for i := range ck.Shards {
+		s, r, err := fpga.DecodeSnapshot(rest)
+		if err != nil {
+			return nil, fmt.Errorf("%w: shard %d: %v", ErrBadCheckpoint, i, err)
+		}
+		ck.Shards[i], rest = EncodeSnapshot(s), r
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadCheckpoint, len(rest))
+	}
+	return ck, nil
+}
+
+// ReadCheckpoint reads and structurally decodes a checkpoint file.
+func ReadCheckpoint(path string) (*Checkpoint, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
+	}
+	return DecodeCheckpoint(b)
+}
+
+// corruptShard re-encodes shard i of ck with its Done slice emptied: a
+// snapshot that decodes but fails validation.
+func corruptShard(t *testing.T, ck *Checkpoint, i int) {
+	t.Helper()
+	s, _, err := fpga.DecodeSnapshot(ck.Shards[i])
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Done = s.Done[:0] // length no longer matches Tasks
+	ck.Shards[i] = EncodeSnapshot(s)
 }
 
 // ckptConfig is the three-route tenant fleet the checkpoint tests
@@ -265,11 +313,13 @@ func TestCheckpointCorruption(t *testing.T) {
 		mut(&c)
 		return c
 	}
-	// Content mutations for the resealed ErrBadCheckpoint cases.
+	// Content mutations for the resealed ErrBadCheckpoint cases. A shard
+	// is swapped or corrupted by encoding the altered snapshot into its
+	// slot.
 	remake := func(mut func(ck *Checkpoint)) []byte {
 		c := *ck
 		c.Lanes = append([]fleet.LaneState(nil), ck.Lanes...)
-		c.Snaps = append([]*fpga.Snapshot(nil), ck.Snaps...)
+		c.Shards = append([][]byte(nil), ck.Shards...)
 		shape := *ck.Shape
 		c.Shape = &shape
 		mut(&c)
@@ -310,7 +360,7 @@ func TestCheckpointCorruption(t *testing.T) {
 		{"wrong tenant route", good, reshape(func(c *fleet.Config) { c.Tenants[1].Route = fleet.RouteP2C }), 1, ErrCheckpointShape},
 		{"wrong tenant quota", good, reshape(func(c *fleet.Config) { c.Tenants[0].MaxBacklog = 1 }), 1, ErrCheckpointShape},
 		{"lane count mismatch", remake(func(c *Checkpoint) { c.Lanes = c.Lanes[:2] }), cfg, 1, ErrBadCheckpoint},
-		{"snapshot count mismatch", remake(func(c *Checkpoint) { c.Snaps = c.Snaps[:5] }), cfg, 1, ErrBadCheckpoint},
+		{"snapshot count mismatch", remake(func(c *Checkpoint) { c.Shards = c.Shards[:5] }), cfg, 1, ErrBadCheckpoint},
 		{"lane name mismatch", remake(func(c *Checkpoint) { c.Lanes[0].Name = "delta" }), cfg, 1, ErrBadCheckpoint},
 		{"rr cursor out of range", remake(func(c *Checkpoint) { c.Lanes[0].RR = 9 }), cfg, 1, ErrBadCheckpoint},
 		{"rng draws on rr lane", remake(func(c *Checkpoint) { c.Lanes[0].RNGDraws = 4 }), cfg, 1, ErrBadCheckpoint},
@@ -318,13 +368,9 @@ func TestCheckpointCorruption(t *testing.T) {
 		{"snapshot wrong geometry", remake(func(c *Checkpoint) {
 			// A structurally valid snapshot from a narrower device.
 			o := fpga.NewOnlineSchedulerPolicy(&fpga.Device{Columns: 4}, fpga.ReclaimCompact)
-			c.Snaps[0] = o.Snapshot()
+			c.Shards[0] = EncodeSnapshot(o.Snapshot())
 		}), cfg, 1, ErrBadCheckpoint},
-		{"snapshot internally corrupt", remake(func(c *Checkpoint) {
-			s := *c.Snaps[0]
-			s.Done = s.Done[:0] // length no longer matches Tasks
-			c.Snaps[0] = &s
-		}), cfg, 1, ErrBadCheckpoint},
+		{"snapshot internally corrupt", remake(func(c *Checkpoint) { corruptShard(t, c, 0) }), cfg, 1, ErrBadCheckpoint},
 	}
 	dir := t.TempDir()
 	for i, tc := range cases {
@@ -347,9 +393,7 @@ func TestCheckpointCorruption(t *testing.T) {
 	// the fleet's worker count.
 	twoBad := remake(func(c *Checkpoint) {
 		for _, i := range []int{4, 1} {
-			s := *c.Snaps[i]
-			s.Done = s.Done[:0]
-			c.Snaps[i] = &s
+			corruptShard(t, c, i)
 		}
 	})
 	twoBadPath := filepath.Join(dir, "shards 1 and 4 invalid")
@@ -427,8 +471,8 @@ func TestWriteCheckpointAtomic(t *testing.T) {
 	}
 }
 
-// wideCkptConfig is a 64-shard fleet: many more shards than the streamed
-// writer has encode buffers, so each buffer is reused many times.
+// wideCkptConfig is a 64-shard fleet: many more shards than capture has
+// encode goroutines, so each goroutine encodes many shards.
 func wideCkptConfig() fleet.Config {
 	return fleet.Config{
 		Shards: 64, Columns: 8, Policy: fpga.ReclaimCompact,
@@ -453,19 +497,46 @@ func wideCkptFleet(t *testing.T) *fleet.Fleet {
 	return f
 }
 
-// TestEncodeCheckpointMatchesWrite: EncodeCheckpoint and WriteCheckpoint
-// share one streamed encoder, so the file holds exactly EncodeCheckpoint's
-// bytes — with one encode worker or several, for one shard or 64.
-func TestEncodeCheckpointMatchesWrite(t *testing.T) {
+// ckptFleets returns the checkpoint tests' 1-, 6- and 64-shard fleets,
+// each with some history.
+func ckptFleets(t *testing.T) map[string]*fleet.Fleet {
+	t.Helper()
 	one, err := fleet.New(fleet.Config{Shards: 1, Columns: 8, Policy: fpga.ReclaimCompact})
 	if err != nil {
 		t.Fatal(err)
 	}
 	churnFleet(t, one, 0, 0, 600)
-	fleets := map[string]*fleet.Fleet{"1 shard": one, "64 shards": wideCkptFleet(t)}
+	six, err := fleet.New(ckptConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ti := 0; ti < six.Tenants(); ti++ {
+		churnFleet(t, six, ti, 0, 900)
+	}
+	return map[string]*fleet.Fleet{"1 shard": one, "6 shards": six, "64 shards": wideCkptFleet(t)}
+}
+
+// serialCheckpoint is f's checkpoint file encoded on one goroutine from
+// snapshots, shard after shard, with ck's manifest: the reference capture
+// and write must reproduce.
+func serialCheckpoint(f *fleet.Fleet, ck *Checkpoint) []byte {
+	b := checkpointManifest(ck)
+	for i := 0; i < f.Shards(); i++ {
+		b = append(b, EncodeSnapshot(f.Shard(i).Snapshot())...)
+	}
+	sum := sha256.Sum256(b)
+	return append(b, sum[:]...)
+}
+
+// TestEncodeCheckpointMatchesWrite: capturing on one goroutine or
+// several, for 1, 6 or 64 shards, gives exactly the file a serial encode
+// of the shards' snapshots gives, and WriteCheckpoint writes exactly
+// EncodeCheckpoint's bytes.
+func TestEncodeCheckpointMatchesWrite(t *testing.T) {
+	fleets := ckptFleets(t)
 	dir := t.TempDir()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{1, runtime.GOMAXPROCS(0)} {
+	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
 		for name, f := range fleets {
 			ck, err := CaptureCheckpoint(f, 2, 9)
@@ -483,44 +554,68 @@ func TestEncodeCheckpointMatchesWrite(t *testing.T) {
 			if !bytes.Equal(EncodeCheckpoint(ck), file) {
 				t.Errorf("GOMAXPROCS %d, %s: EncodeCheckpoint differs from the written file", procs, name)
 			}
+			if !bytes.Equal(serialCheckpoint(f, ck), file) {
+				t.Errorf("GOMAXPROCS %d, %s: the written file differs from the serial encode", procs, name)
+			}
 		}
 	}
 }
 
-// serialCheckpoint is the checkpoint file encoded on one goroutine, shard
-// after shard: the reference the streamed writer must reproduce.
-func serialCheckpoint(ck *Checkpoint) []byte {
-	b := checkpointManifest(ck)
-	for _, s := range ck.Snaps {
-		b = append(b, EncodeSnapshot(s)...)
+// TestCaptureCheckpointFromRecords: capture encodes every shard straight
+// from its records, so each shard's captured bytes are exactly
+// EncodeSnapshot(f.SnapshotShard(i)) (on the 1-, 6- and 64-shard
+// fleets), and it allocates little beyond them: at most 1.1 times the
+// shards' total bytes plus 64 KiB for the manifest's values and the
+// goroutines. A capture that built each shard's fpga.Snapshot first would
+// allocate about 2.2 times the shard bytes.
+func TestCaptureCheckpointFromRecords(t *testing.T) {
+	for name, f := range ckptFleets(t) {
+		ck, err := CaptureCheckpoint(f, 2, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ck.Shards) != f.Shards() {
+			t.Fatalf("%s: captured %d shards of %d", name, len(ck.Shards), f.Shards())
+		}
+		for i := range ck.Shards {
+			snap, err := f.SnapshotShard(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := EncodeSnapshot(snap); !bytes.Equal(ck.Shards[i], want) {
+				t.Errorf("%s: shard %d captured %d bytes, EncodeSnapshot gives %d", name, i, len(ck.Shards[i]), len(want))
+			}
+			if len(ck.Shards[i]) != f.Shard(i).SnapshotLen() {
+				t.Errorf("%s: shard %d: SnapshotLen %d, encoding %d bytes", name, i, f.Shard(i).SnapshotLen(), len(ck.Shards[i]))
+			}
+		}
 	}
-	sum := sha256.Sum256(b)
-	return append(b, sum[:]...)
-}
 
-// TestWriteCheckpointStalledWorker: an encode worker that stalls between
-// claiming a shard and encoding it, while the other workers run ahead and
-// reuse every other buffer, delays the stream but cannot move its shard.
-// Each run stalls the worker holding one shard at GOMAXPROCS 4 (4 workers,
-// 8 buffers) on 64 shards and compares the bytes with a serial encode.
-func TestWriteCheckpointStalledWorker(t *testing.T) {
-	ck, err := CaptureCheckpoint(wideCkptFleet(t), 2, 9)
+	f := wideCkptFleet(t)
+	ck, err := CaptureCheckpoint(f, 2, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := serialCheckpoint(ck)
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	defer func() { encodeClaimed = nil }()
-	for _, stalled := range []int{0, 3, 8, 30, 63} {
-		encodeClaimed = func(i int) {
-			if i == stalled {
-				time.Sleep(20 * time.Millisecond)
-			}
-		}
-		if !bytes.Equal(EncodeCheckpoint(ck), want) {
-			t.Errorf("shard %d's worker stalled: encoding differs from the serial encode", stalled)
-		}
+	total := 0
+	for _, b := range ck.Shards {
+		total += len(b)
 	}
+	// The least of three captures, so an allocation elsewhere in the
+	// process cannot fail the test.
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := CaptureCheckpoint(f, 2, 9); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if limit := uint64(total)*11/10 + 64<<10; least > limit {
+		t.Errorf("capture of %d shard bytes allocated %d bytes, over the %d ceiling", total, least, limit)
+	}
+	t.Logf("capture of %d shard bytes allocated %d bytes (%.3f x)", total, least, float64(least)/float64(total))
 }
 
 // errInjected is the failure failWriter injects.
@@ -583,10 +678,10 @@ func failedWriteIntact(t *testing.T, name, dir string, goroutines int, cfg fleet
 func streamFaults(t *testing.T, label string, cfg fleet.Config, path string, prev, ck *Checkpoint) {
 	t.Helper()
 	trailer := len(EncodeCheckpoint(ck)) - sha256.Size
-	shard := make([]int, len(ck.Snaps)+1) // shard i's bytes are [shard[i], shard[i+1])
-	shard[len(ck.Snaps)] = trailer
-	for i := len(ck.Snaps) - 1; i >= 0; i-- {
-		shard[i] = shard[i+1] - len(EncodeSnapshot(ck.Snaps[i]))
+	shard := make([]int, len(ck.Shards)+1) // shard i's bytes are [shard[i], shard[i+1])
+	shard[len(ck.Shards)] = trailer
+	for i := len(ck.Shards) - 1; i >= 0; i-- {
+		shard[i] = shard[i+1] - len(ck.Shards[i])
 	}
 	inside := func(i int) int { return (shard[i] + shard[i+1]) / 2 }
 	offsets := []struct {
@@ -596,8 +691,8 @@ func streamFaults(t *testing.T, label string, cfg fleet.Config, path string, pre
 		{"byte 0", 0},
 		{"inside the manifest", shard[0] / 2},
 		{"inside the first shard", inside(0)},
-		{"inside a middle shard", inside(len(ck.Snaps) / 2)},
-		{"inside the last shard", inside(len(ck.Snaps) - 1)},
+		{"inside a middle shard", inside(len(ck.Shards) / 2)},
+		{"inside the last shard", inside(len(ck.Shards) - 1)},
 		{"at the trailer", trailer},
 	}
 	prevFile := EncodeCheckpoint(prev)
@@ -618,10 +713,10 @@ func streamFaults(t *testing.T, label string, cfg fleet.Config, path string, pre
 // that fails anywhere in the stream (through the io.Writer seam, under
 // WriteCheckpoint's own temp-file handling), a temp file that cannot be
 // created and a rename that cannot happen. Every failure returns its
-// error, leaves no temp file and no encoder goroutine behind, and leaves
-// the previous checkpoint byte-identical and recoverable. The stream
-// faults run on 6 shards at one and four encode workers, and on 64 shards
-// at four, where the workers outrun the writer and wait for buffers.
+// error, leaves no temp file and no goroutine behind, and leaves the
+// previous checkpoint byte-identical and recoverable. The stream faults
+// run on 6 shards captured at GOMAXPROCS 1 and 4, and on 64 shards
+// captured at 4.
 func TestWriteCheckpointFaults(t *testing.T) {
 	cfg := ckptConfig()
 	f, err := fleet.New(cfg)
@@ -639,10 +734,6 @@ func TestWriteCheckpointFaults(t *testing.T) {
 	for ti := 0; ti < f.Tenants(); ti++ {
 		churnFleet(t, f, ti, 900, 1500)
 	}
-	ck, err := CaptureCheckpoint(f, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	dir := t.TempDir()
 	path := filepath.Join(dir, "checkpoint.ckpt")
@@ -650,8 +741,12 @@ func TestWriteCheckpointFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var ck *Checkpoint
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
+		if ck, err = CaptureCheckpoint(f, 1, 2); err != nil {
+			t.Fatal(err)
+		}
 		streamFaults(t, fmt.Sprintf("6 shards, GOMAXPROCS %d", procs), cfg, path, prev, ck)
 	}
 

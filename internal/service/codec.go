@@ -21,8 +21,10 @@ import (
 // names — over four primitives: uvarint for counts and non-negative
 // ints, zigzag varint for signed ints, 8-byte little-endian IEEE bits
 // for float64 (exact, so canonical snapshots survive the wire
-// bit-for-bit), and uvarint-length-prefixed bytes for strings. Encoding
-// is deterministic: equal values produce equal bytes, which is what lets
+// bit-for-bit), and uvarint-length-prefixed bytes for strings. A shard
+// snapshot's bytes are internal/fpga's (fpga.AppendSnapshot), built from
+// the same primitives plus a 0/1 byte per bool. Encoding is
+// deterministic: equal values produce equal bytes, which is what lets
 // the harness hash transported snapshots and compare them across the
 // in-process and daemon paths.
 
@@ -141,15 +143,8 @@ func (e *enc) uint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
 func (e *enc) int(v int)     { e.b = binary.AppendVarint(e.b, int64(v)) }
 func (e *enc) i64(v int64)   { e.b = binary.AppendVarint(e.b, v) }
 func (e *enc) f64(v float64) { e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v)) }
-func (e *enc) bool(v bool) {
-	var x byte
-	if v {
-		x = 1
-	}
-	e.b = append(e.b, x)
-}
-func (e *enc) str(s string) { e.uint(uint64(len(s))); e.b = append(e.b, s...) }
-func (e *enc) count(n int)  { e.uint(uint64(n)) }
+func (e *enc) str(s string)  { e.uint(uint64(len(s))); e.b = append(e.b, s...) }
+func (e *enc) count(n int)   { e.uint(uint64(n)) }
 
 // dec consumes primitives from a buffer with a sticky error: after the
 // first failure every getter returns the zero value, so decoders can be
@@ -203,19 +198,6 @@ func (d *dec) f64() float64 {
 	}
 	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b))
 	d.b = d.b[8:]
-	return v
-}
-
-func (d *dec) bool() bool {
-	if d.err != nil {
-		return false
-	}
-	if len(d.b) < 1 || d.b[0] > 1 {
-		d.fail()
-		return false
-	}
-	v := d.b[0] == 1
-	d.b = d.b[1:]
 	return v
 }
 
@@ -338,116 +320,31 @@ func (d *dec) ints() []int {
 	return out
 }
 
-func (e *enc) f64s(v []float64) {
-	e.count(len(v))
-	for _, x := range v {
-		e.f64(x)
-	}
-}
+// snapshot appends a shard snapshot's bytes, which internal/fpga defines
+// (fpga.AppendSnapshot).
+func (e *enc) snapshot(s *fpga.Snapshot) { e.b = fpga.AppendSnapshot(e.b, s) }
 
-func (d *dec) f64s() []float64 {
-	n := d.count(8)
-	if n == 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.f64()
-	}
-	return out
-}
-
-func (e *enc) bools(v []bool) {
-	e.count(len(v))
-	for _, x := range v {
-		e.bool(x)
-	}
-}
-
-func (d *dec) bools() []bool {
-	n := d.count(1)
-	if n == 0 {
-		return nil
-	}
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = d.bool()
-	}
-	return out
-}
-
-func (e *enc) snapshot(s *fpga.Snapshot) {
-	e.int(s.Version)
-	e.int(s.Columns)
-	e.f64(s.ReconfigDelay)
-	e.int(int(s.Policy))
-	e.admission(s.Admission)
-	e.f64(s.Now)
-	e.count(len(s.Tasks))
-	for i := range s.Tasks {
-		e.task(&s.Tasks[i])
-	}
-	e.bools(s.Done)
-	e.bools(s.Shed)
-	e.bools(s.Started)
-	e.f64s(s.Actual)
-	e.f64s(s.Horizon)
-	e.f64s(s.FixedEnd)
-	e.ints(s.Slack)
-	e.f64(s.ReclaimedColTime)
-	e.int(s.CompactPasses)
-	e.int(s.TasksMoved)
-	e.int(s.MaxWaiting)
-	e.int(s.Rejected)
-	e.ints(s.ShedIDs)
-}
-
+// snapshot decodes a shard snapshot (fpga.DecodeSnapshot); bytes that do
+// not decode fail the decoder like any other malformed body.
 func (d *dec) snapshot() *fpga.Snapshot {
-	s := &fpga.Snapshot{}
-	s.Version = d.int()
-	s.Columns = d.int()
-	s.ReconfigDelay = d.f64()
-	s.Policy = fpga.Policy(d.int())
-	s.Admission = d.admission()
-	s.Now = d.f64()
-	n := d.count(1)
-	if n > 0 {
-		s.Tasks = make([]fpga.Task, n)
-		for i := range s.Tasks {
-			s.Tasks[i] = d.task()
-		}
+	if d.err != nil {
+		return nil
 	}
-	s.Done = d.bools()
-	s.Shed = d.bools()
-	s.Started = d.bools()
-	s.Actual = d.f64s()
-	if s.Actual == nil {
-		// Snapshot() always materializes Actual (even for an idle shard),
-		// so the round trip must too, or idle-shard snapshots fetched over
-		// the wire would not be byte-identical to direct ones.
-		s.Actual = []float64{}
+	s, rest, err := fpga.DecodeSnapshot(d.b)
+	if err != nil {
+		d.fail()
+		return nil
 	}
-	s.Horizon = d.f64s()
-	s.FixedEnd = d.f64s()
-	s.Slack = d.ints()
-	s.ReclaimedColTime = d.f64()
-	s.CompactPasses = d.int()
-	s.TasksMoved = d.int()
-	s.MaxWaiting = d.int()
-	s.Rejected = d.int()
-	s.ShedIDs = d.ints()
+	d.b = rest
 	return s
 }
 
 // EncodeSnapshot returns the deterministic wire encoding of a canonical
 // shard snapshot — the bytes opSnapData/opRestore carry, exported so the
 // harness can hash shard state identically on the in-process and daemon
-// paths.
-func EncodeSnapshot(s *fpga.Snapshot) []byte {
-	var e enc
-	e.snapshot(s)
-	return e.b
-}
+// paths. A live scheduler's bytes come without a Snapshot from
+// fpga.OnlineScheduler.AppendSnapshot.
+func EncodeSnapshot(s *fpga.Snapshot) []byte { return fpga.AppendSnapshot(nil, s) }
 
 func (e *enc) loadStats(l *fpga.LoadStats) {
 	e.f64(l.Now)

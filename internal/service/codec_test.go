@@ -19,8 +19,9 @@ import (
 )
 
 // DecodeSnapshot decodes EncodeSnapshot's output, the reader the tests
-// check the snapshot encoding with. The snapshot is only structurally
-// decoded here; semantic validation happens in fpga.RestoreScheduler.
+// check the snapshot encoding with, through the decoder the wire ops use.
+// The snapshot is only structurally decoded here; semantic validation
+// happens in fpga.RestoreScheduler.
 func DecodeSnapshot(b []byte) (*fpga.Snapshot, error) {
 	d := &dec{b: b}
 	s := d.snapshot()
@@ -127,6 +128,9 @@ func TestReadFrameBoundedAllocation(t *testing.T) {
 	}
 }
 
+// TestPrimitiveRoundTrip covers the wire primitives; the bool byte, which
+// only snapshots use, is covered with the snapshot primitives in
+// internal/fpga (TestSnapshotPrimitives).
 func TestPrimitiveRoundTrip(t *testing.T) {
 	var e enc
 	e.uint(0)
@@ -136,8 +140,6 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 	e.f64(0.1)
 	e.f64(math.Inf(-1))
 	e.f64(math.Copysign(0, -1)) // -0.0 must survive: floats travel as bits
-	e.bool(true)
-	e.bool(false)
 	e.str("")
 	e.str("héllo\x00world")
 	d := &dec{b: e.b}
@@ -150,20 +152,11 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 	if z := d.f64(); z != 0 || !math.Signbit(z) {
 		t.Fatal("-0.0 did not survive")
 	}
-	if !d.bool() || d.bool() {
-		t.Fatal("bool round trip")
-	}
 	if d.str() != "" || d.str() != "héllo\x00world" {
 		t.Fatal("string round trip")
 	}
 	if err := d.done(); err != nil {
 		t.Fatal(err)
-	}
-	// A bool byte other than 0/1 is malformed, not coerced.
-	d = &dec{b: []byte{2}}
-	d.bool()
-	if d.err == nil {
-		t.Fatal("bool byte 2 accepted")
 	}
 	// Truncated varint / float / string are sticky errors.
 	for _, b := range [][]byte{{0x80}, {1, 2, 3}, {5, 'h', 'i'}} {
@@ -212,8 +205,9 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 	}
 	for i := 0; i < 40; i++ {
 		dur := 1 + float64(i%3)
-		if _, err := o.SubmitWithLifetime(i, "t", 1+i%5, dur,
-			dur*(0.5+0.1*float64(i%4)), float64(i)*0.3); err != nil {
+		spec := fpga.TaskSpec{ID: i, Name: "t", Cols: 1 + i%5, Duration: dur,
+			Actual: dur * (0.5 + 0.1*float64(i%4)), Release: float64(i) * 0.3}
+		if _, err := o.SubmitBatch(nil, []fpga.TaskSpec{spec}); err != nil {
 			t.Fatal(err)
 		}
 	}
