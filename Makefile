@@ -34,11 +34,12 @@ fmt:
 # packing; TestDCParallelMatchesSerial runs 8 workers) under the race
 # detector. The experiments tests exercise E13/E14/E15 with their default
 # fan-outs, the fleet tests drive distinct tenant lanes from concurrent
-# goroutines (TestTenantLanesDisjoint), the service tests hammer
-# fleet-wide reads against per-tenant submissions across connections
-# (TestServiceLoadsSubmitRace), and the placementd tests run the periodic
-# checkpoint loop under concurrent tenant load, so the shard pool, the
-# lane locks and the checkpointer run genuinely concurrent under -race.
+# goroutines (TestTenantLanesDisjoint), the service tests hammer Info
+# and snapshot reads against per-tenant submissions across connections
+# (TestServiceInfoSnapshotSubmitRace), and the placementd tests run the
+# periodic checkpoint loop under concurrent tenant load, so the shard
+# pool, the lane locks and the checkpointer run genuinely concurrent
+# under -race.
 race:
 	$(GO) test -race ./internal/fpga ./internal/faultinject ./internal/fleet ./internal/service ./internal/experiments ./internal/core/release ./internal/core/precedence ./cmd/placementd
 
@@ -65,11 +66,11 @@ bench-record:
 # against a map oracle (negative, colliding and very large IDs, growth,
 # probe-then-fill), the snapshot byte codec differentially (the record
 # encoder against the struct encoder, and the record decoder against
-# struct decode plus RestoreScheduler on intact, truncated, bit-flipped
-# and count-corrupted bytes, with replay), the column pool's
-# pooled-vs-fresh height equivalence across interleaved width sets, and
-# the placement-service wire codec (decoders never panic on arbitrary
-# bytes; whatever decodes re-encodes canonically).
+# struct decode plus a restore through the re-encoded bytes on intact,
+# truncated, bit-flipped and count-corrupted bytes, with replay), the
+# column pool's pooled-vs-fresh height equivalence across interleaved
+# width sets, and the placement-service wire codec (decoders never panic
+# on arbitrary bytes; whatever decodes re-encodes canonically).
 # (go test accepts one -fuzz pattern per invocation, hence eight runs.)
 fuzz:
 	$(GO) test ./internal/geom -fuzz FuzzSkylinePlace -fuzztime 30s
@@ -88,8 +89,10 @@ fuzz:
 # — a pooled solve still reaches the LP optimum, so the fixed-precision
 # tables cannot move), E13's per-policy simulation fan-out
 # (-churn-workers), E14's per-admission-policy fan-out (-admission) and
-# E15's fleet shard-execution fan-out (-fleet-workers); the fleet load
-# harness must stream 1M tasks across 64 shards byte-identically at
+# E15's fleet shard-execution fan-out (-fleet-workers), and they must
+# equal the committed internal/experiments/testdata/tables.golden, the
+# pin TestTablesGolden checks in tier-1; the fleet load harness must
+# stream 1M tasks across 64 shards byte-identically at
 # -fleet-workers 1 vs 8, for both a load-blind and a load-aware -route,
 # and 300k tasks with a 0.05 reconfiguration delay under reclaim + shed
 # + p2c (the horizon's free path) and under compact (whose Finish
@@ -123,6 +126,7 @@ determinism:
 	cmp $$dir/tables-serial.txt $$dir/tables-par.txt && \
 	cmp $$dir/tables-serial.txt $$dir/tables-dcpar.txt && \
 	cmp $$dir/tables-serial.txt $$dir/tables-poolless.txt && \
+	cmp $$dir/tables-serial.txt internal/experiments/testdata/tables.golden && \
 	$(GO) build -o $$dir/fleetload ./cmd/fleetload && \
 	$$dir/fleetload -n 1000000 -shards 64 -route rr -fleet-workers 1 > $$dir/fleet-rr-serial.txt && \
 	$$dir/fleetload -n 1000000 -shards 64 -route rr -fleet-workers 8 > $$dir/fleet-rr-par.txt && \

@@ -803,7 +803,7 @@ func BenchmarkServiceSubmitLoopback100k(b *testing.B) {
 			perTask = append(perTask, float64(el.Nanoseconds())/float64(m))
 			base += m
 		}
-		if err := client.Drain(); err != nil {
+		if _, err := client.Finish(); err != nil {
 			b.Fatal(err)
 		}
 		client.Close()
@@ -967,9 +967,10 @@ func BenchmarkRecover64Shards(b *testing.B) {
 	b.ReportMetric(float64(f.Shards()), "shards")
 }
 
-// BenchmarkSnapshotRestore measures the crash-recovery round trip
-// (Snapshot -> RestoreScheduler, without the JSON encode) on a scheduler
-// carrying a 10k-task history with a live backlog.
+// BenchmarkSnapshotRestore measures the crash-recovery round trip that
+// checkpoint and recovery run (the records' AppendSnapshot ->
+// DecodeScheduler) on a scheduler carrying a 10k-task history with a
+// live backlog.
 func BenchmarkSnapshotRestore(b *testing.B) {
 	const K = 64
 	rng := rand.New(rand.NewSource(23))
@@ -984,10 +985,12 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	var buf []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fpga.RestoreScheduler(o.Snapshot()); err != nil {
+		buf = o.AppendSnapshot(buf[:0])
+		if _, _, err := fpga.DecodeScheduler(buf); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -38,8 +38,9 @@
 // state; the `tenant <name> ...` lines surface each driven tenant's
 // meter (submitted/placed/refused/col-time) and the hash of its own
 // shard range. -timing adds wall-clock throughput, placement-latency
-// percentiles, and per-shard shed/rejected/restored counters; those lines
-// are (or may be) non-deterministic and are what `make bench` records.
+// percentiles, and per-shard shed/rejected counters; the throughput and
+// latency lines are non-deterministic, so determinism diffs leave
+// -timing off.
 package main
 
 import (
@@ -254,13 +255,8 @@ func main() {
 			fmt.Printf("tenant %s sustained %.0f tasks/s  p50 %d ns/task  p99 %d ns/task  wall %s\n",
 				final.Tenants[ti].Name, tm.rate, tm.p50, tm.p99, tm.wall.Round(time.Millisecond))
 		}
-		restored, err := placer.Restored()
-		if err != nil {
-			fatal(err)
-		}
 		for i, ps := range st.PerShard {
-			fmt.Printf("shard %d  shed %d  rejected %d  restored %d\n",
-				i, ps.Shed, ps.Rejected, restored[i])
+			fmt.Printf("shard %d  shed %d  rejected %d\n", i, ps.Shed, ps.Rejected)
 		}
 	}
 	if c, ok := placer.(*service.Client); ok {

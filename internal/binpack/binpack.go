@@ -28,24 +28,6 @@ type Assignment struct {
 	NumBins int
 }
 
-// Validate checks that no bin exceeds capacity 1 for the given sizes.
-func (a *Assignment) Validate(sizes []float64) error {
-	if len(a.Bin) != len(sizes) {
-		return fmt.Errorf("binpack: %d assignments for %d items", len(a.Bin), len(sizes))
-	}
-	load := make([]float64, a.NumBins)
-	for i, b := range a.Bin {
-		if b < 0 || b >= a.NumBins {
-			return fmt.Errorf("binpack: item %d in bin %d of %d", i, b, a.NumBins)
-		}
-		load[b] += sizes[i]
-		if load[b] > 1+Eps {
-			return fmt.Errorf("binpack: bin %d overfull (%g)", b, load[b])
-		}
-	}
-	return nil
-}
-
 func checkSizes(sizes []float64) error {
 	for i, s := range sizes {
 		if !(s > 0) || s > 1+Eps || math.IsNaN(s) {

@@ -10,6 +10,24 @@ import (
 
 func sizesOf(vals ...float64) []float64 { return vals }
 
+// Validate checks that no bin exceeds capacity 1 for the given sizes.
+func (a *Assignment) Validate(sizes []float64) error {
+	if len(a.Bin) != len(sizes) {
+		return fmt.Errorf("binpack: %d assignments for %d items", len(a.Bin), len(sizes))
+	}
+	load := make([]float64, a.NumBins)
+	for i, b := range a.Bin {
+		if b < 0 || b >= a.NumBins {
+			return fmt.Errorf("binpack: item %d in bin %d of %d", i, b, a.NumBins)
+		}
+		load[b] += sizes[i]
+		if load[b] > 1+Eps {
+			return fmt.Errorf("binpack: bin %d overfull (%g)", b, load[b])
+		}
+	}
+	return nil
+}
+
 // NextFit packs items in the given order, opening a new bin whenever the
 // current bin cannot hold the next item (2-approximation). It is the
 // reference that PrecNextFit must match on an edgeless graph.

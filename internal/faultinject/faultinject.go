@@ -248,7 +248,7 @@ func (h *Harness) Crash() error {
 	if err := json.Unmarshal(blob, &snap); err != nil {
 		return fmt.Errorf("faultinject: crash decode: %w", err)
 	}
-	restored, err := fpga.RestoreScheduler(&snap)
+	restored, _, err := fpga.DecodeScheduler(fpga.AppendSnapshot(nil, &snap))
 	if err != nil {
 		return fmt.Errorf("faultinject: restore: %w", err)
 	}

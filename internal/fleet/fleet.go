@@ -15,10 +15,10 @@
 // the tenant the concurrency unit: SubmitBatchTenant, DrainTenant and
 // LaneState for distinct tenants may run concurrently from different
 // goroutines with zero shared mutable state (TestTenantLanesDisjoint
-// pins this under -race). Fleet-wide operations — Drain, Finish, Loads
-// over all shards, RestoreShard, Config mutation — require exclusive
-// access: no lane may be active while they run. The service layer's
-// lane locks enforce exactly this discipline.
+// pins this under -race). Fleet-wide operations — Drain, Finish,
+// RestoreShardBytes, Config mutation — require exclusive access: no lane
+// may be active while they run. The service layer's lane locks enforce
+// exactly this discipline.
 //
 // Determinism contract: every routing decision is made in a single
 // sequential pass over the batch, before any shard work runs. Round-robin
@@ -38,14 +38,14 @@
 // and multi-tenant-concurrent vs single-tenant-serial runs.
 //
 // Failover rides the same contract: SnapshotShard captures a shard's
-// canonical fpga.Snapshot and RestoreShard swaps a freshly restored
-// scheduler into the slot between batch barriers; LaneState/RestoreLane
-// do the same for the lane's routing state (cursor, rng position,
-// meters), which is what lets a daemon checkpoint and recover a whole
-// fleet byte-identically (see internal/service). Because snapshots are
-// canonical and load scores are barrier-refreshed from shard state, a
-// crash+restore at a batch boundary continues byte-identically to the
-// uninterrupted run (see DESIGN.md).
+// canonical fpga.Snapshot, and RestoreShardBytes swaps a scheduler
+// decoded from a snapshot's bytes into the slot between batch barriers;
+// LaneState/RestoreLane do the same for the lane's routing state
+// (cursor, rng position, meters), which is what lets a daemon checkpoint
+// and recover a whole fleet byte-identically (see internal/service).
+// Because snapshots are canonical and load scores are barrier-refreshed
+// from shard state, a crash+restore at a batch boundary continues
+// byte-identically to the uninterrupted run (see DESIGN.md).
 package fleet
 
 import (
@@ -291,16 +291,15 @@ type lane struct {
 // tenant lanes. Methods on the same lane (SubmitBatchTenant, DrainTenant,
 // LaneState, RestoreLane with equal ti) are not safe for
 // concurrent use with each other; methods on distinct lanes are. All
-// other methods (Drain, Finish, Loads-style iteration over Shard,
-// SnapshotShard, RestoreShard, ...) require exclusive access to the whole
-// fleet. The internal worker pool is invisible to callers.
+// other methods (Drain, Finish, iteration over Shard, SnapshotShard,
+// RestoreShardBytes, ...) require exclusive access to the whole fleet.
+// The internal worker pool is invisible to callers.
 type Fleet struct {
-	cfg      Config
-	shards   []*fpga.OnlineScheduler
-	cols     []int                  // resolved per-shard column count
-	adm      []fpga.AdmissionConfig // resolved per-shard admission
-	lanes    []lane
-	restored []int // per-shard RestoreShard count
+	cfg    Config
+	shards []*fpga.OnlineScheduler
+	cols   []int                  // resolved per-shard column count
+	adm    []fpga.AdmissionConfig // resolved per-shard admission
+	lanes  []lane
 }
 
 func validRoute(r Route) bool {
@@ -338,11 +337,10 @@ func New(cfg Config) (*Fleet, error) {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	f := &Fleet{
-		cfg:      cfg,
-		shards:   make([]*fpga.OnlineScheduler, cfg.Shards),
-		cols:     make([]int, cfg.Shards),
-		adm:      make([]fpga.AdmissionConfig, cfg.Shards),
-		restored: make([]int, cfg.Shards),
+		cfg:    cfg,
+		shards: make([]*fpga.OnlineScheduler, cfg.Shards),
+		cols:   make([]int, cfg.Shards),
+		adm:    make([]fpga.AdmissionConfig, cfg.Shards),
 	}
 	// Tenant partition: explicit list or the implicit all-shards default.
 	decl := cfg.Tenants
@@ -543,8 +541,8 @@ func (f *Fleet) RestoreLane(ti int, ls LaneState) error {
 // router and is the caller's responsibility.
 func (f *Fleet) Shard(i int) *fpga.OnlineScheduler { return f.shards[i] }
 
-// SnapshotShard captures shard i's canonical state — the serialization
-// RestoreShard (and any durable store between the two) consumes. The
+// SnapshotShard captures shard i's canonical state — whose bytes
+// (fpga.AppendSnapshot) RestoreShardBytes consumes. The
 // fpga.Snapshot is canonical: equal-behavior shards snapshot
 // byte-identically, which is what makes the failover replay argument in
 // DESIGN.md work. Safe to call concurrently with other tenants' lane
@@ -556,32 +554,18 @@ func (f *Fleet) SnapshotShard(i int) (*fpga.Snapshot, error) {
 	return f.shards[i].Snapshot(), nil
 }
 
-// RestoreShard swaps a freshly restored scheduler into slot i — the
-// failover hook: after a shard crash, restore its last durable snapshot
-// in place without stopping the fleet. The snapshot is fully validated
-// (fpga.RestoreScheduler) and must match the slot's geometry and policy
-// configuration, so a snapshot from a different shard shape cannot
-// silently change the fleet. Requires exclusive access (it mutates the
-// shard table); the continuation is then byte-identical to the
-// uninterrupted run — routing state lives in the owning lane, and the
-// next batch barrier re-reads the restored shard's (canonical, hence
-// identical) load. RestoredCounts reports per-slot restore totals.
-func (f *Fleet) RestoreShard(i int, s *fpga.Snapshot) error {
-	if i < 0 || i >= len(f.shards) {
-		return fmt.Errorf("fleet: shard %d out of range [0, %d)", i, len(f.shards))
-	}
-	o, err := fpga.RestoreScheduler(s)
-	if err != nil {
-		return fmt.Errorf("fleet: restore shard %d: %w", i, err)
-	}
-	return f.install(i, o)
-}
-
-// RestoreShardBytes is RestoreShard from snapshot bytes: it decodes the
-// snapshot at the front of b (fpga.DecodeScheduler) straight into a fresh
-// scheduler, swaps it into slot i under RestoreShard's checks, and returns
-// the bytes after the snapshot. Checkpoint recovery reads each shard this
-// way, with no fpga.Snapshot built.
+// RestoreShardBytes swaps a freshly restored scheduler into slot i and
+// returns the bytes after its snapshot — the failover hook: restore a
+// shard's last durable snapshot in place without stopping the fleet. It
+// decodes the snapshot at the front of b (fpga.DecodeScheduler, which
+// validates it fully) straight into a fresh scheduler, with no
+// fpga.Snapshot built, and the scheduler must match the slot's geometry
+// and policy configuration, so a snapshot from a different shard shape
+// cannot silently change the fleet. Checkpoint recovery reads each shard
+// this way. Requires exclusive access (it mutates the shard table); the
+// continuation is then byte-identical to the uninterrupted run —
+// routing state lives in the owning lane, and the next batch barrier
+// re-reads the restored shard's (canonical, hence identical) load.
 func (f *Fleet) RestoreShardBytes(i int, b []byte) ([]byte, error) {
 	if i < 0 || i >= len(f.shards) {
 		return nil, fmt.Errorf("fleet: shard %d out of range [0, %d)", i, len(f.shards))
@@ -590,37 +574,22 @@ func (f *Fleet) RestoreShardBytes(i int, b []byte) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: restore shard %d: %w", i, err)
 	}
-	return rest, f.install(i, o)
-}
-
-// install swaps a restored scheduler into slot i once its geometry, delay,
-// policy and admission match the slot's configuration.
-func (f *Fleet) install(i int, o *fpga.OnlineScheduler) error {
 	d := o.Device()
-	if d.Columns != f.cols[i] {
-		return fmt.Errorf("fleet: restore shard %d: snapshot has %d columns, shard has %d", i, d.Columns, f.cols[i])
+	switch {
+	case d.Columns != f.cols[i]:
+		err = fmt.Errorf("snapshot has %d columns, shard has %d", d.Columns, f.cols[i])
+	case d.ReconfigDelay != f.cfg.ReconfigDelay:
+		err = fmt.Errorf("snapshot reconfig delay %g, fleet %g", d.ReconfigDelay, f.cfg.ReconfigDelay)
+	case o.Policy() != f.cfg.Policy:
+		err = fmt.Errorf("snapshot policy %v, fleet %v", o.Policy(), f.cfg.Policy)
+	case o.Admission() != f.adm[i]:
+		err = fmt.Errorf("snapshot admission %+v, shard %+v", o.Admission(), f.adm[i])
 	}
-	if d.ReconfigDelay != f.cfg.ReconfigDelay {
-		return fmt.Errorf("fleet: restore shard %d: snapshot reconfig delay %g, fleet %g", i, d.ReconfigDelay, f.cfg.ReconfigDelay)
-	}
-	if p := o.Policy(); p != f.cfg.Policy {
-		return fmt.Errorf("fleet: restore shard %d: snapshot policy %v, fleet %v", i, p, f.cfg.Policy)
-	}
-	if a := o.Admission(); a != f.adm[i] {
-		return fmt.Errorf("fleet: restore shard %d: snapshot admission %+v, shard %+v", i, a, f.adm[i])
+	if err != nil {
+		return nil, fmt.Errorf("fleet: restore shard %d: %w", i, err)
 	}
 	f.shards[i] = o
-	f.restored[i]++
-	return nil
-}
-
-// RestoredCounts returns how many times each shard slot has been swapped
-// by RestoreShard (a copy). Deliberately not part of Stats: a restored
-// fleet's Stats must stay byte-identical to the uninterrupted run's.
-func (f *Fleet) RestoredCounts() []int {
-	out := make([]int, len(f.restored))
-	copy(out, f.restored)
-	return out
+	return rest, nil
 }
 
 // route picks the lane's shard for one spec and charges the routing

@@ -247,7 +247,7 @@ func TestLaneStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, s := range snaps {
-		if err := b.RestoreShard(i, s); err != nil {
+		if err := restoreShard(b, i, s); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -40,7 +40,7 @@ type TaskSpec struct {
 // extended slice. A caller that passes a reused buffer (buf[:0]) places a
 // batch without allocating its result. Submissions refused by admission
 // control are skipped without allocating, visible in Load().Rejected and
-// ShedIDs() just as for sequential submission. Any
+// the snapshot's ShedIDs just as for sequential submission. Any
 // other error aborts the batch at the offending spec: earlier placements
 // stay (identical to a sequential loop stopping at the first hard error)
 // and dst with the tasks placed so far is returned alongside the error.

@@ -8,8 +8,8 @@ import (
 )
 
 // Snapshot bytes. A snapshot has one byte encoding: the bytes the
-// placement service carries in opSnapData and opRestore, stores shard
-// after shard in a checkpoint file, and hashes for its digests. It is
+// placement service carries in opSnapData, stores shard after shard in a
+// checkpoint file, and hashes for its digests. It is
 // built from four primitives: a zigzag varint for a signed int, a uvarint
 // for a count, the 8 little-endian bytes of a float64's IEEE bits (exact,
 // so a canonical snapshot survives bit for bit) and one byte, 0 or 1, for
@@ -33,9 +33,9 @@ import (
 // straight from the task records, which builds no Snapshot. Two decoders
 // read it: DecodeSnapshot into a Snapshot, structurally only, and
 // DecodeScheduler straight into a fresh scheduler's records, applying
-// every validation rule on the way. RestoreScheduler restores a Snapshot
-// through its bytes, so the rules and the rebuild of derived state exist
-// once, in DecodeScheduler.
+// every validation rule on the way. DecodeScheduler is the one way to
+// restore a scheduler: a Snapshot is restored through its bytes, so the
+// rules and the rebuild of derived state exist once.
 
 // snapshotVersion is the only snapshot format version.
 const snapshotVersion = 1
@@ -456,7 +456,7 @@ func (d *snapDec) counters() (c snapCounters) {
 
 // DecodeSnapshot decodes one snapshot encoding from the front of b and
 // returns it with the bytes after it. It checks the structure only: a
-// decoded snapshot may still break a rule RestoreScheduler checks. Bytes
+// decoded snapshot may still break a rule DecodeScheduler checks. Bytes
 // that do not decode give an error matching ErrMalformedSnapshot.
 func DecodeSnapshot(b []byte) (*Snapshot, []byte, error) {
 	d := &snapDec{b: b}

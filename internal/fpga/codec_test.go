@@ -186,13 +186,13 @@ func snapErrClass(err error) string {
 }
 
 // restoreViaStruct is the struct path: decode into a Snapshot, then
-// RestoreScheduler.
+// restore it through its re-encoded bytes (restoreScheduler).
 func restoreViaStruct(b []byte) (*OnlineScheduler, []byte, error) {
 	s, rest, err := DecodeSnapshot(b)
 	if err != nil {
 		return nil, nil, err
 	}
-	o, err := RestoreScheduler(s)
+	o, err := restoreScheduler(s)
 	return o, rest, err
 }
 
@@ -203,7 +203,7 @@ func restoreViaStruct(b []byte) (*OnlineScheduler, []byte, error) {
 // struct encoder's, and SnapshotLen their length. Then, on those bytes
 // and on a truncated, a bit-flipped and a count-corrupted copy,
 // DecodeScheduler must accept exactly when DecodeSnapshot plus
-// RestoreScheduler does, with the same error class and the same bytes
+// restoreScheduler does, with the same error class and the same bytes
 // left over; two schedulers so restored must snapshot identically and
 // replay the rest of the stream identically — and, from the intact bytes,
 // exactly as the live scheduler does.

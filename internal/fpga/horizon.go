@@ -163,7 +163,7 @@ func (h *runHorizon) free(l, r int, from, to float64) int {
 }
 
 // fill rebuilds the run list from a flat per-column horizon in O(K) —
-// the inverse of values, used by RestoreScheduler. Columns beyond
+// the inverse of values, used by DecodeScheduler. Columns beyond
 // len(vals) reset to 0, matching the initial state.
 func (h *runHorizon) fill(vals []float64) {
 	h.runs = h.runs[:0]

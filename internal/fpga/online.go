@@ -91,8 +91,8 @@ func ParsePolicy(s string) (Policy, error) {
 // bounds it — rejecting (AdmitBounded) or shedding the oldest waiting task
 // (AdmitShed) once MaxBacklog tasks wait. Load() exposes saturation
 // accounting so callers can observe overload before submitting, and
-// Snapshot()/RestoreScheduler serialize the full engine state for crash
-// recovery (see snapshot.go).
+// Snapshot()/AppendSnapshot and DecodeScheduler serialize and restore the
+// full engine state for crash recovery (see snapshot.go and codec.go).
 //
 // The scheduler is non-clairvoyant: it never uses information about tasks
 // not yet released (registered lifetimes are only acted on when their
@@ -306,7 +306,7 @@ func (o *OnlineScheduler) submit(id int, name string, cols int, duration, actual
 			o.maxWaiting = o.waiting
 		}
 		// Keyed by Start-delay, not occupancy: startAfter may have stepped
-		// Start, and slides and RestoreScheduler key by Start-delay too, so
+		// Start, and slides and DecodeScheduler key by Start-delay too, so
 		// a restored scheduler promotes the task at the same clock.
 		o.startQ.push(r.start-o.device.ReconfigDelay, idx)
 		if o.admission.Policy == AdmitShed {
@@ -404,12 +404,6 @@ func (o *OnlineScheduler) shedTask(idx int) {
 		o.runCompact()
 	}
 }
-
-// ShedIDs returns the IDs evicted by the AdmitShed policy so far, in
-// eviction order. The returned slice is a copy: handing out the internal
-// slice would let a caller overwrite eviction history (or have it mutated
-// under them by a later shed's append), corrupting snapshots and stats.
-func (o *OnlineScheduler) ShedIDs() []int { return slices.Clone(o.shedIDs) }
 
 // Complete records that the task actually finished at time `at`, with
 // Start < at <= declared End and at no earlier than the scheduler clock
@@ -537,22 +531,12 @@ func (o *OnlineScheduler) Drain() error {
 	return o.AdvanceTo(math.Inf(1))
 }
 
-// Now returns the scheduler clock: the latest event time processed.
-func (o *OnlineScheduler) Now() float64 { return o.now }
-
 // Schedule returns the accumulated schedule for simulation/inspection.
 // Tasks evicted by admission control never ran and are excluded.
 func (o *OnlineScheduler) Schedule() *Schedule {
 	tasks := make([]Task, o.tasks.n-o.sheds)
 	o.tasks.fillTasks(tasks, flagShed)
 	return &Schedule{Device: o.device, Tasks: tasks}
-}
-
-// Makespan returns the latest column horizon — the time the last committed
-// column is promised free. Under Reclaim policies this can decrease when
-// tasks complete early.
-func (o *OnlineScheduler) Makespan() float64 {
-	return o.horizon.maxAll()
 }
 
 // ReclaimStats reports the cumulative reclamation counters: column-time

@@ -3,12 +3,25 @@ package fpga
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"strippack/internal/core/release"
 	"strippack/internal/geom"
 	"strippack/internal/workload"
 )
+
+// Now returns the scheduler clock: the latest event time processed.
+func (o *OnlineScheduler) Now() float64 { return o.now }
+
+// Makespan returns the latest column horizon — the time the last committed
+// column is promised free. Under Reclaim policies this can decrease when
+// tasks complete early.
+func (o *OnlineScheduler) Makespan() float64 { return o.horizon.maxAll() }
+
+// ShedIDs returns a copy of the IDs evicted by the AdmitShed policy so
+// far, in eviction order.
+func (o *OnlineScheduler) ShedIDs() []int { return slices.Clone(o.shedIDs) }
 
 func TestOnlineSubmitValidation(t *testing.T) {
 	o := NewOnlineScheduler(NewDevice(4))

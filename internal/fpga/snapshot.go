@@ -1,7 +1,6 @@
 package fpga
 
 import (
-	"fmt"
 	"math"
 	"slices"
 )
@@ -23,7 +22,7 @@ import (
 // event is keyed by Start-ReconfigDelay, which the task state holds, so
 // the rebuilt keys are the live scheduler's keys bit for bit.
 type Snapshot struct {
-	// Version guards the format; RestoreScheduler rejects others.
+	// Version guards the format; DecodeScheduler rejects others.
 	Version int
 	// Device geometry.
 	Columns       int
@@ -118,23 +117,6 @@ func (o *OnlineScheduler) Snapshot() *Snapshot {
 		}
 	}
 	return s
-}
-
-// RestoreScheduler reconstructs a scheduler from a snapshot. The snapshot
-// is validated first (every finite-ness and consistency invariant the
-// engine maintains) and rejected with an error matching ErrBadSnapshot on
-// any violation, so a corrupted or hand-edited snapshot cannot produce an
-// engine that fails later in some far-away placement. The restored
-// scheduler continues byte-identically to the one that was snapshotted.
-//
-// It restores through the snapshot's bytes, with DecodeScheduler, so a
-// Snapshot and its bytes are held to the same rules by the same code.
-func RestoreScheduler(s *Snapshot) (*OnlineScheduler, error) {
-	if s == nil {
-		return nil, fmt.Errorf("%w: nil snapshot", ErrBadSnapshot)
-	}
-	o, _, err := DecodeScheduler(AppendSnapshot(nil, s))
-	return o, err
 }
 
 // rebuild derives what a snapshot leaves out from the restored records:

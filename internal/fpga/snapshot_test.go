@@ -12,6 +12,14 @@ import (
 	"strippack/internal/workload"
 )
 
+// restoreScheduler restores a Snapshot the way production restores a
+// shard: through its bytes and DecodeScheduler, which holds them to every
+// validation rule.
+func restoreScheduler(s *Snapshot) (*OnlineScheduler, error) {
+	o, _, err := DecodeScheduler(AppendSnapshot(nil, s))
+	return o, err
+}
+
 // runTrace drives a scheduler through a churn trace from submission index
 // `from` on, skipping admission rejections, and drains it.
 func runTrace(t *testing.T, o *OnlineScheduler, tasks []workload.ChurnTask, from int) {
@@ -74,7 +82,7 @@ func TestSnapshotRestoreReplay(t *testing.T) {
 				if err := json.Unmarshal(blob, &snap); err != nil {
 					t.Fatal(err)
 				}
-				restored, err := RestoreScheduler(&snap)
+				restored, err := restoreScheduler(&snap)
 				if err != nil {
 					t.Fatalf("policy %v admission %v cut %d: restore: %v", policy, ac.Policy, cut, err)
 				}
@@ -94,7 +102,7 @@ func TestSnapshotRestoreReplay(t *testing.T) {
 
 // TestRestoreDelayStartKey: with a reconfiguration delay, startAfter can
 // step a queued task's Start, so Start-delay lies ulps above the
-// occupancy the window search returned. RestoreScheduler keys the task's
+// occupancy the window search returned. DecodeScheduler keys the task's
 // start event by Start-delay, so the live scheduler must too: otherwise,
 // at a clock between the two keys, only the live one starts the task and
 // a kill+recover+replay diverges from the uninterrupted run.
@@ -127,7 +135,7 @@ func TestRestoreDelayStartKey(t *testing.T) {
 			t.Fatalf("policy %v: a ends at %.17g, b starts at %.17g: the case no longer steps b's start",
 				policy, a.End(), b.Start)
 		}
-		restored, err := RestoreScheduler(live.Snapshot())
+		restored, err := restoreScheduler(live.Snapshot())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +185,7 @@ func TestSnapshotCanonical(t *testing.T) {
 	if err := json.Unmarshal(a, &snap); err != nil {
 		t.Fatal(err)
 	}
-	r, err := RestoreScheduler(&snap)
+	r, err := restoreScheduler(&snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,14 +220,13 @@ func TestRestoreValidation(t *testing.T) {
 		}
 		return o.Snapshot()
 	}
-	if _, err := RestoreScheduler(base()); err != nil {
+	if _, err := restoreScheduler(base()); err != nil {
 		t.Fatalf("pristine snapshot rejected: %v", err)
 	}
 	cases := []struct {
 		name    string
 		corrupt func(*Snapshot)
 	}{
-		{"nil", nil},
 		{"version", func(s *Snapshot) { s.Version = 2 }},
 		{"columns", func(s *Snapshot) { s.Columns = 0 }},
 		{"delay", func(s *Snapshot) { s.ReconfigDelay = math.Inf(1) }},
@@ -244,12 +251,9 @@ func TestRestoreValidation(t *testing.T) {
 		{"stray compaction state", func(s *Snapshot) { s.Policy = NoReclaim }},
 	}
 	for _, tc := range cases {
-		var s *Snapshot
-		if tc.corrupt != nil {
-			s = base()
-			tc.corrupt(s)
-		}
-		_, err := RestoreScheduler(s)
+		s := base()
+		tc.corrupt(s)
+		_, err := restoreScheduler(s)
 		if !errors.Is(err, ErrBadSnapshot) {
 			t.Errorf("%s: got %v, want ErrBadSnapshot", tc.name, err)
 		}
@@ -303,7 +307,7 @@ func FuzzSnapshotRestore(f *testing.F) {
 		if err := json.Unmarshal(blob, &snap); err != nil {
 			t.Fatal(err)
 		}
-		restored, err := RestoreScheduler(&snap)
+		restored, err := restoreScheduler(&snap)
 		if err != nil {
 			t.Fatal(err)
 		}

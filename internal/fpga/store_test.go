@@ -146,7 +146,7 @@ func FuzzIDIndex(f *testing.F) {
 }
 
 // TestTaskNamesRoundTrip runs named and unnamed tasks across a chunk
-// boundary through Submit, SubmitBatch, Snapshot, RestoreScheduler and
+// boundary through Submit, SubmitBatch, Snapshot, restoreScheduler and
 // Schedule: every name must come back on its own task, in every view,
 // and a restored scheduler must keep adding names where the original
 // left off.
@@ -214,7 +214,7 @@ func TestTaskNamesRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(blob, &decoded); err != nil {
 		t.Fatal(err)
 	}
-	r, err := RestoreScheduler(&decoded)
+	r, err := restoreScheduler(&decoded)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,6 @@
 package geom
 
-import (
-	"fmt"
-	"math"
-	"strings"
-)
+import "math"
 
 // Skyline maintains the upper contour of a partial packing: a sequence of
 // horizontal segments spanning the strip from x=0 to x=width. It supports
@@ -43,9 +39,6 @@ type skySeg struct {
 func NewSkyline(width float64) *Skyline {
 	return &Skyline{width: width, segs: []skySeg{{x: 0, w: width, y: 0}}}
 }
-
-// Width returns the strip width the skyline spans.
-func (s *Skyline) Width() float64 { return s.width }
 
 // MaxY returns the highest contour level.
 func (s *Skyline) MaxY() float64 { return s.maxY }
@@ -192,16 +185,4 @@ func (s *Skyline) Place(x, w, y, h float64) {
 	}
 	s.maxY = maxY
 	s.minY = minY
-}
-
-// String renders the contour compactly for debugging.
-func (s *Skyline) String() string {
-	var b strings.Builder
-	for i, g := range s.segs {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "[%.3g,%.3g)@%.3g", g.x, g.x+g.w, g.y)
-	}
-	return b.String()
 }

@@ -1,11 +1,28 @@
 package geom
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// Width returns the strip width the skyline spans.
+func (s *Skyline) Width() float64 { return s.width }
+
+// String renders the contour compactly for failure messages.
+func (s *Skyline) String() string {
+	var b strings.Builder
+	for i, g := range s.segs {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "[%.3g,%.3g)@%.3g", g.x, g.x+g.w, g.y)
+	}
+	return b.String()
+}
 
 // MinY returns the lowest contour level.
 func (s *Skyline) MinY() float64 { return s.minY }

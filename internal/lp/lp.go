@@ -14,14 +14,14 @@
 //
 // Revised keeps the constraint matrix as sparse columns, added column by
 // column; only the m×m basis inverse is dense, so memory is O(nnz + m²).
-// It accepts new columns between Solve calls and re-optimizes from the
+// It accepts new columns between SolveInto calls and re-optimizes from the
 // current basis, which is what column generation needs.
 //
 // The reference solvers that the tests check Revised against, a dense
 // tableau simplex and the same method in exact big.Rat arithmetic over a
 // row-form program, live in the test-support package internal/lp/lptest.
 //
-// Dual extraction: Revised.Solve reports the simplex multipliers
+// Dual extraction: Revised.SolveInto reports the simplex multipliers
 // y = c_B·B⁻¹ on Solution.Duals, one entry per constraint in insertion
 // order, with signs relative to the constraints as given: the reduced cost
 // of any column a with cost c is exactly c − y·a. At an optimum y is
@@ -51,18 +51,6 @@ const (
 	GE                 // A·x >= b
 	EQ                 // A·x == b
 )
-
-func (r Relation) String() string {
-	switch r {
-	case LE:
-		return "<="
-	case GE:
-		return ">="
-	case EQ:
-		return "=="
-	}
-	return "?"
-}
 
 // Status reports the outcome of a solve.
 type Status int

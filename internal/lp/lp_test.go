@@ -283,15 +283,6 @@ func TestSolutionFeasibility(t *testing.T) {
 	}
 }
 
-func TestRelationString(t *testing.T) {
-	if lp.LE.String() != "<=" || lp.GE.String() != ">=" || lp.EQ.String() != "==" {
-		t.Fatal("Relation.String wrong")
-	}
-	if lp.Relation(9).String() != "?" {
-		t.Fatal("unknown relation")
-	}
-}
-
 func TestStatusString(t *testing.T) {
 	if lp.Optimal.String() != "optimal" || lp.Infeasible.String() != "infeasible" || lp.Unbounded.String() != "unbounded" {
 		t.Fatal("Status.String wrong")

@@ -16,11 +16,12 @@ const (
 )
 
 // Revised is a revised primal simplex over a sparse column-major matrix.
-// The rows (senses and right-hand sides) are fixed at construction; columns
-// arrive through AddColumn, possibly between Solve calls: after new columns
-// are added, Solve re-optimizes from the current basis instead of starting
-// over, which makes the solver the restricted master of a column-generation
-// loop (Gilmore–Gomory style, see internal/core/release.SolveCG).
+// The rows (senses and right-hand sides) are fixed at construction;
+// columns arrive through AddColumn, possibly between SolveInto calls:
+// after new columns are added, SolveInto re-optimizes from the current
+// basis instead of starting over, which makes the solver the restricted
+// master of a column-generation loop (Gilmore–Gomory style, see
+// internal/core/release.SolveCG).
 //
 // Storage is compressed sparse columns in append-only arenas — column c
 // occupies colIdx[colStart[c]:colStart[c+1]] / colVal[...] — so adding a
@@ -45,7 +46,7 @@ type Revised struct {
 	poss     []int32 // position among structural columns, -1 otherwise
 	nStruct  int
 
-	start    []int // SetStartBasis hint for the first Solve; nil when unset
+	start    []int // SetStartBasis hint for the first SolveInto; nil when unset
 	inited   bool
 	feasible bool // phase 1 certified a feasible basis; it stays feasible
 	basis    []int
@@ -119,7 +120,8 @@ func (r *Revised) NumColumns() int { return r.nStruct }
 // NumRows returns the number of constraints.
 func (r *Revised) NumRows() int { return r.m }
 
-// Iterations returns the simplex pivots accumulated across all Solve calls.
+// Iterations returns the simplex pivots accumulated across all SolveInto
+// calls.
 func (r *Revised) Iterations() int { return r.iters }
 
 // numCols is the total column count including logical columns.
@@ -133,9 +135,9 @@ func (r *Revised) col(c int) ([]int32, []float64) {
 
 // AddColumn appends a structural column with the given cost and sparse
 // entries (strictly ascending row indices); the entries are copied into the
-// solver's arenas. It returns the column's position in Solution.X. Columns
-// may be added between Solve calls; the current basis remains valid and the
-// next Solve continues from it.
+// solver's arenas. It returns the column's position in Solution.X.
+// Columns may be added between SolveInto calls; the current basis remains
+// valid and the next SolveInto continues from it.
 func (r *Revised) AddColumn(cost float64, idx []int32, val []float64) (int, error) {
 	if len(idx) != len(val) {
 		return 0, fmt.Errorf("lp: column has %d indices for %d values", len(idx), len(val))
@@ -241,22 +243,22 @@ const RowLogical = -1
 // ErrBadStartBasis reports a starting basis SetStartBasis rejects.
 var ErrBadStartBasis = errors.New("lp: invalid start basis")
 
-// SetStartBasis gives the first Solve a starting basis to try before phase
-// 1: start[i] is the structural column basic on row i (its position in
+// SetStartBasis gives the first SolveInto a starting basis to try before
+// phase 1: start[i] is the structural column basic on row i (its position in
 // Solution.X, as AddColumn returned it) or RowLogical. The entries must
 // name distinct columns that exist already, an EQ row has no logical to
-// name, and the hint must come before the first Solve; otherwise the
+// name, and the hint must come before the first SolveInto; otherwise the
 // error wraps ErrBadStartBasis and the solver is left unchanged. A later
 // call replaces an earlier hint.
 //
-// Solve factorizes the hinted basis once and starts phase 2 from it when
+// SolveInto factorizes the hinted basis once and starts phase 2 from it when
 // it is nonsingular with every basic value >= -tol. Otherwise it falls
 // back to the all-artificial start and runs phase 1 as without a hint. A
 // hint can therefore change the simplex path, and with it which basic
 // optimum is returned, but not the status or the optimal value.
 func (r *Revised) SetStartBasis(start []int) error {
 	if r.inited {
-		return fmt.Errorf("%w: set after Solve", ErrBadStartBasis)
+		return fmt.Errorf("%w: set after SolveInto", ErrBadStartBasis)
 	}
 	if len(start) != r.m {
 		return fmt.Errorf("%w: %d entries for %d rows", ErrBadStartBasis, len(start), r.m)
@@ -606,22 +608,14 @@ func (r *Revised) driveOutArtificials() {
 	}
 }
 
-// Solve optimizes the program over the columns added so far and returns a
-// basic solution with duals. The first call runs two-phase simplex, or
-// phase 2 alone from an accepted SetStartBasis hint; later calls (after
-// AddColumn) warm-start from the current basis and only run phase 2.
-func (r *Revised) Solve() (*Solution, error) {
-	sol := &Solution{}
-	if err := r.SolveInto(sol); err != nil {
-		return nil, err
-	}
-	return sol, nil
-}
-
-// SolveInto is Solve writing the result into a caller-owned Solution,
+// SolveInto optimizes the program over the columns added so far and
+// writes a basic solution with duals into a caller-owned Solution,
 // reusing its X and Duals slices when their capacity allows — the
 // allocation-free form a column-generation loop calls once per round. X
-// and Duals are nil unless the status is Optimal.
+// and Duals are nil unless the status is Optimal. The first call runs
+// two-phase simplex, or phase 2 alone from an accepted SetStartBasis
+// hint; later calls (after AddColumn) warm-start from the current basis
+// and only run phase 2.
 func (r *Revised) SolveInto(sol *Solution) error {
 	sol.Status = Optimal
 	sol.Objective = 0

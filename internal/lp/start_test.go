@@ -8,6 +8,16 @@ import (
 	"testing"
 )
 
+// Solve is SolveInto into a fresh Solution, the form the tests compare
+// solvers with.
+func (r *Revised) Solve() (*Solution, error) {
+	sol := &Solution{}
+	if err := r.SolveInto(sol); err != nil {
+		return nil, err
+	}
+	return sol, nil
+}
+
 // startProgram is a random program with a starting basis that is feasible
 // by construction: the right-hand sides are the row activities of chosen
 // basic values, so the hinted basis, when nonsingular, reproduces them.

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -193,12 +194,11 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTriggerCheckpointOverWire drives opCheckpoint from a dialing
-// Client: each call runs the server's checkpointer once, under every lane,
-// and returns the server's epoch with the checkpointer's sequence number;
-// the file it wrote recovers the served fleet byte for byte. Without a
-// checkpointer the call fails as a remote error on the same connection.
-func TestTriggerCheckpointOverWire(t *testing.T) {
+// TestServerCheckpoint: each Server.Checkpoint runs the server's
+// checkpointer once, under every lane, and returns the server's epoch
+// with the checkpointer's sequence number; the file it wrote recovers the
+// served fleet byte for byte. Without a checkpointer the call fails.
+func TestServerCheckpoint(t *testing.T) {
 	cfg := ckptConfig()
 	f, err := fleet.New(cfg)
 	if err != nil {
@@ -207,24 +207,23 @@ func TestTriggerCheckpointOverWire(t *testing.T) {
 	for ti := 0; ti < f.Tenants(); ti++ {
 		churnFleet(t, f, ti, 0, 600)
 	}
+	const epoch = 5
 	srv := NewServer(Local{Fleet: f})
-	srv.SetEpoch(5)
+	srv.SetEpoch(epoch)
 	path := filepath.Join(t.TempDir(), "checkpoint.ckpt")
 	var runs, seq uint64
 	srv.SetCheckpointer(func() (uint64, error) {
 		runs++
-		ck, err := CaptureCheckpoint(f, srv.Epoch(), runs+10)
+		ck, err := CaptureCheckpoint(f, epoch, runs+10)
 		if err != nil {
 			return 0, err
 		}
 		seq = ck.Seq
 		return seq, WriteCheckpoint(path, ck)
 	})
-	rd := &redialer{srv: srv}
-	c, err := Dial(rd.dial, fastRetry(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cc, sc := net.Pipe()
+	go srv.Serve(sc)
+	c := NewClient(cc)
 	defer c.Close()
 
 	tasks := churnTrace(t, 901, 3000, 8, 0.8*2)
@@ -235,12 +234,12 @@ func TestTriggerCheckpointOverWire(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		epoch, got, err := c.TriggerCheckpoint()
+		gotEpoch, got, err := srv.Checkpoint()
 		if err != nil {
 			t.Fatalf("call %d: %v", call, err)
 		}
-		if epoch != 5 || got != seq {
-			t.Fatalf("call %d: TriggerCheckpoint = epoch %d seq %d, want 5 %d", call, epoch, got, seq)
+		if gotEpoch != epoch || got != seq {
+			t.Fatalf("call %d: Checkpoint = epoch %d seq %d, want %d %d", call, gotEpoch, got, epoch, seq)
 		}
 		if runs != call {
 			t.Fatalf("call %d: checkpointer ran %d times", call, runs)
@@ -251,8 +250,8 @@ func TestTriggerCheckpointOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck.Epoch != 5 || ck.Seq != seq {
-		t.Fatalf("file holds epoch %d seq %d, want 5 %d", ck.Epoch, ck.Seq, seq)
+	if ck.Epoch != epoch || ck.Seq != seq {
+		t.Fatalf("file holds epoch %d seq %d, want %d %d", ck.Epoch, ck.Seq, epoch, seq)
 	}
 	for i := 0; i < f.Shards(); i++ {
 		if !bytes.Equal(EncodeSnapshot(b.Shard(i).Snapshot()), EncodeSnapshot(f.Shard(i).Snapshot())) {
@@ -263,17 +262,8 @@ func TestTriggerCheckpointOverWire(t *testing.T) {
 		t.Fatalf("meters diverge: served %+v, recovered %+v", f.Meters(), b.Meters())
 	}
 
-	bare := &redialer{srv: NewServer(Local{Fleet: f})}
-	c2, err := Dial(bare.dial, fastRetry(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	if _, _, err := c2.TriggerCheckpoint(); !errors.Is(err, ErrRemote) {
-		t.Fatalf("no checkpointer: got %v, want ErrRemote", err)
-	}
-	if n := bare.dialCount(); n != 1 {
-		t.Fatalf("no checkpointer: dialed %d times, want 1 (no reconnect)", n)
+	if _, _, err := NewServer(Local{Fleet: f}).Checkpoint(); err == nil {
+		t.Fatal("Checkpoint without a checkpointer succeeded")
 	}
 }
 

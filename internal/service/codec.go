@@ -29,29 +29,21 @@ import (
 // in-process and daemon paths.
 
 // Request and response opcodes. Every request gets exactly one response:
-// the op-specific success payload or opErr carrying a message.
+// the op-specific success payload or opErr carrying a message. Request
+// numbers 3, 4, 6, 8, 9 and 10 (drain, load, restore, restored, epoch and
+// checkpoint) and response numbers 64, 68 and 71-73 are retired, not
+// reused: a retired request gets the unknown-opcode opErr.
 const (
-	opHello      byte = 1  // -> opInfo
-	opSubmit     byte = 2  // tenant + specs -> opPlacements
-	opDrain      byte = 3  // -> opOK
-	opLoad       byte = 4  // -> opLoads (per-shard LoadStats)
-	opSnapshot   byte = 5  // shard -> opSnapData
-	opRestore    byte = 6  // shard + snapshot -> opOK
-	opFinish     byte = 7  // -> opStats
-	opRestored   byte = 8  // -> opCounts (per-shard restore totals)
-	opEpoch      byte = 9  // -> opEpochVal (the server's run epoch)
-	opCheckpoint byte = 10 // -> opCkptOK (force a durable checkpoint now)
+	opHello    byte = 1 // -> opInfo
+	opSubmit   byte = 2 // tenant + specs -> opPlacements
+	opSnapshot byte = 5 // shard -> opSnapData
+	opFinish   byte = 7 // -> opStats
 
-	opOK         byte = 64
 	opErr        byte = 65
 	opInfo       byte = 66
 	opPlacements byte = 67
-	opLoads      byte = 68
 	opSnapData   byte = 69
 	opStats      byte = 70
-	opCounts     byte = 71
-	opEpochVal   byte = 72 // epoch:uvarint
-	opCkptOK     byte = 73 // epoch:uvarint seq:uvarint
 )
 
 // maxFrame bounds a frame payload (1 GiB): large enough for a snapshot
@@ -340,40 +332,11 @@ func (d *dec) snapshot() *fpga.Snapshot {
 }
 
 // EncodeSnapshot returns the deterministic wire encoding of a canonical
-// shard snapshot — the bytes opSnapData/opRestore carry, exported so the
+// shard snapshot — the bytes opSnapData carries, exported so the
 // harness can hash shard state identically on the in-process and daemon
 // paths. A live scheduler's bytes come without a Snapshot from
 // fpga.OnlineScheduler.AppendSnapshot.
 func EncodeSnapshot(s *fpga.Snapshot) []byte { return fpga.AppendSnapshot(nil, s) }
-
-func (e *enc) loadStats(l *fpga.LoadStats) {
-	e.f64(l.Now)
-	e.f64(l.Horizon)
-	e.f64(l.Window)
-	e.f64(l.CommittedColTime)
-	e.f64(l.Load)
-	e.int(l.Waiting)
-	e.int(l.Running)
-	e.int(l.Done)
-	e.int(l.Shed)
-	e.int(l.Rejected)
-	e.int(l.MaxWaiting)
-}
-
-func (d *dec) loadStats() (l fpga.LoadStats) {
-	l.Now = d.f64()
-	l.Horizon = d.f64()
-	l.Window = d.f64()
-	l.CommittedColTime = d.f64()
-	l.Load = d.f64()
-	l.Waiting = d.int()
-	l.Running = d.int()
-	l.Done = d.int()
-	l.Shed = d.int()
-	l.Rejected = d.int()
-	l.MaxWaiting = d.int()
-	return l
-}
 
 func (e *enc) churnStats(c *fpga.ChurnStats) {
 	e.f64(c.Makespan)

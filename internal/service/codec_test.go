@@ -21,7 +21,7 @@ import (
 // DecodeSnapshot decodes EncodeSnapshot's output, the reader the tests
 // check the snapshot encoding with, through the decoder the wire ops use.
 // The snapshot is only structurally decoded here; semantic validation
-// happens in fpga.RestoreScheduler.
+// happens in fpga.DecodeScheduler.
 func DecodeSnapshot(b []byte) (*fpga.Snapshot, error) {
 	d := &dec{b: b}
 	s := d.snapshot()
@@ -117,14 +117,14 @@ func TestReadFrameBoundedAllocation(t *testing.T) {
 	defer cc.Close()
 	go NewServer(stubPlacer{}).Serve(sc)
 	c := NewClient(cc)
-	if err := c.RestoreShard(0, &fpga.Snapshot{Horizon: make([]float64, maxKeptBuf/8)}); err != nil {
+	if _, err := c.Submit(0, make([]fpga.TaskSpec, maxKeptBuf/minSpecBytes+1)); err != nil {
 		t.Fatal(err)
 	}
 	if c.req.b != nil {
-		t.Fatalf("a %d-byte restore request was kept after its call", cap(c.req.b))
+		t.Fatalf("a %d-byte submit request was kept after its call", cap(c.req.b))
 	}
-	if err := c.RestoreShard(0, &fpga.Snapshot{}); err != nil || cap(c.req.b) == 0 {
-		t.Fatalf("a small restore request was not kept for reuse (err %v)", err)
+	if _, err := c.Submit(0, make([]fpga.TaskSpec, 1)); err != nil || cap(c.req.b) == 0 {
+		t.Fatalf("a small submit request was not kept for reuse (err %v)", err)
 	}
 }
 
@@ -224,8 +224,8 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 	if !bytes.Equal(EncodeSnapshot(got), b) {
 		t.Fatal("snapshot encoding is not deterministic")
 	}
-	// The decoded snapshot must still restore.
-	if _, err := fpga.RestoreScheduler(got); err != nil {
+	// The decoded snapshot's bytes must still restore.
+	if _, _, err := fpga.DecodeScheduler(b); err != nil {
 		t.Fatal(err)
 	}
 	// Trailing garbage after a valid snapshot is malformed.
@@ -270,15 +270,6 @@ func TestStatsAndInfoCodecRoundTrip(t *testing.T) {
 	if got := d.info(); d.done() != nil || !reflect.DeepEqual(got, in) {
 		t.Fatal("info round trip diverges")
 	}
-
-	l := fpga.LoadStats{Now: 3, Horizon: 9, Window: 6, CommittedColTime: 24,
-		Load: 0.5, Waiting: 1, Running: 2, Done: 3, Shed: 4, Rejected: 5, MaxWaiting: 6}
-	e = enc{}
-	e.loadStats(&l)
-	d = &dec{b: e.b}
-	if got := d.loadStats(); d.done() != nil || got != l {
-		t.Fatal("load stats round trip diverges")
-	}
 }
 
 // FuzzServiceCodec hammers every decoder reachable from the wire with
@@ -307,7 +298,7 @@ func FuzzServiceCodec(f *testing.F) {
 	f.Add(byte(4), []byte{opSubmit, 2, 1})
 	f.Add(byte(4), submitPayload(0, []fpga.TaskSpec{{ID: 1, Cols: 2, Duration: 1}, {ID: 2, Name: "x", Cols: 1, Duration: 2}}))
 	f.Add(byte(4), []byte{opHello})
-	f.Add(byte(4), []byte{opEpoch})
+	f.Add(byte(4), []byte{9}) // the retired epoch request: an unknown op
 	// Checkpoint payloads (case 5 appends the sha256 trailer): an empty
 	// fleet's, and the one TestCheckpointFileRoundTrip pins.
 	fl, err := fleet.New(ckptConfig())
@@ -430,11 +421,7 @@ func (stubPlacer) Info() (*Info, error) { return &Info{}, nil }
 func (stubPlacer) Submit(int, []fpga.TaskSpec) ([]fleet.Placement, error) {
 	return nil, nil
 }
-func (stubPlacer) Drain() error                     { return nil }
-func (stubPlacer) Loads() ([]fpga.LoadStats, error) { return nil, nil }
 func (stubPlacer) SnapshotShard(int) (*fpga.Snapshot, error) {
 	return &fpga.Snapshot{}, nil
 }
-func (stubPlacer) RestoreShard(int, *fpga.Snapshot) error { return nil }
-func (stubPlacer) Restored() ([]int, error)               { return nil, nil }
-func (stubPlacer) Finish() (*fleet.Stats, error)          { return &fleet.Stats{}, nil }
+func (stubPlacer) Finish() (*fleet.Stats, error) { return &fleet.Stats{}, nil }

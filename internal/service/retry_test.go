@@ -71,8 +71,9 @@ func fastRetry(attempts int) RetryConfig {
 }
 
 // TestClientIdempotentRetry: idempotent requests survive a severed
-// connection transparently — the caller sees a successful Loads, not a
-// transport error — and the epoch sticks while the same daemon serves.
+// connection transparently — the caller sees a successful Info or
+// SnapshotShard, not a transport error — and the epoch sticks while the
+// same daemon serves.
 func TestClientIdempotentRetry(t *testing.T) {
 	f, err := fleet.New(ckptConfig())
 	if err != nil {
@@ -89,33 +90,43 @@ func TestClientIdempotentRetry(t *testing.T) {
 	if c.Epoch() != 1 {
 		t.Fatalf("handshake epoch %d, want 1", c.Epoch())
 	}
-	if _, err := c.Loads(); err != nil {
+	if _, err := c.Info(); err != nil {
 		t.Fatal(err)
 	}
 	rd.kill(false)
-	loads, err := c.Loads()
+	in, err := c.Info()
 	if err != nil {
-		t.Fatalf("Loads after severed connection: %v", err)
+		t.Fatalf("Info after severed connection: %v", err)
 	}
-	if len(loads) != 6 {
-		t.Fatalf("Loads returned %d shards", len(loads))
+	if in.Shards != 6 {
+		t.Fatalf("Info reports %d shards", in.Shards)
 	}
 	if got := rd.dialCount(); got != 2 {
 		t.Fatalf("dialed %d times, want 2 (initial + one reconnect)", got)
+	}
+	rd.kill(false)
+	if _, err := c.SnapshotShard(5); err != nil {
+		t.Fatalf("SnapshotShard after severed connection: %v", err)
+	}
+	if got := rd.dialCount(); got != 3 {
+		t.Fatalf("dialed %d times, want 3 (initial + two reconnects)", got)
 	}
 	// Same epoch after reconnect: Submit is not disturbed.
 	if _, err := c.Submit(0, []fpga.TaskSpec{{ID: 1, Cols: 2, Duration: 3}}); err != nil {
 		t.Fatal(err)
 	}
-	if ep, err := c.RemoteEpoch(); err != nil || ep != 1 {
-		t.Fatalf("RemoteEpoch = %d, %v", ep, err)
+	if in, err = c.Info(); err != nil {
+		t.Fatal(err)
+	}
+	if in.Epoch != 1 {
+		t.Fatalf("Info().Epoch = %d, want 1", in.Epoch)
 	}
 	// Remote errors pass through without consuming a reconnect.
 	if _, err := c.Submit(9, nil); !errors.Is(err, ErrRemote) {
 		t.Fatalf("out-of-range tenant: %v", err)
 	}
-	if got := rd.dialCount(); got != 2 {
-		t.Fatalf("dialed %d times after remote error, want still 2", got)
+	if got := rd.dialCount(); got != 3 {
+		t.Fatalf("dialed %d times after remote error, want still 3", got)
 	}
 }
 
@@ -240,10 +251,10 @@ func TestClientEpochResync(t *testing.T) {
 	if err := send(c, resume, n); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Drain(); err != nil {
+	if _, err := c.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.Drain(); err != nil {
+	if _, err := ref.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < ref.Shards(); i++ {
@@ -262,12 +273,12 @@ func TestClientEpochResync(t *testing.T) {
 	}
 }
 
-// TestServiceLoadsSubmitRace hammers fleet-wide reads (Loads, Info,
-// per-shard snapshots) against concurrent per-tenant submissions from
-// separate connections. The server's lane locks are what make this safe:
-// opLoad takes every lane, opSubmit only its tenant's. `make race` runs
-// this; the detector is the assertion.
-func TestServiceLoadsSubmitRace(t *testing.T) {
+// TestServiceInfoSnapshotSubmitRace hammers reads (Info and per-shard
+// snapshots) against concurrent per-tenant submissions from separate
+// connections. The server's lane locks are what make this safe: opHello
+// takes every lane, opSnapshot the shard owner's, opSubmit only its
+// tenant's. `make race` runs this; the detector is the assertion.
+func TestServiceInfoSnapshotSubmitRace(t *testing.T) {
 	cfg := ckptConfig()
 	f, err := fleet.New(cfg)
 	if err != nil {
@@ -301,19 +312,13 @@ func TestServiceLoadsSubmitRace(t *testing.T) {
 		defer wg.Done()
 		defer reader.Close()
 		for j := 0; j < 200; j++ {
-			if _, err := reader.Loads(); err != nil {
+			if _, err := reader.Info(); err != nil {
 				t.Error(err)
 				return
 			}
-			if j%10 == 0 {
-				if _, err := reader.Info(); err != nil {
-					t.Error(err)
-					return
-				}
-				if _, err := reader.SnapshotShard(j % 6); err != nil {
-					t.Error(err)
-					return
-				}
+			if _, err := reader.SnapshotShard(j % 6); err != nil {
+				t.Error(err)
+				return
 			}
 		}
 	}()

@@ -12,10 +12,10 @@
 // bits, and the server serializes requests per tenant lane — one lock
 // per tenant, resolved from the request before locking, so distinct
 // tenants' submissions run concurrently on the fleet's disjoint lanes
-// while fleet-wide operations (Info, Drain, Loads, Restore, Finish,
-// Checkpoint) take every lane in ascending order. Per-tenant request
-// order is what the fleet's determinism contract keys on, so the wire
-// adds latency and cross-tenant interleaving but no behavior. See
+// while fleet-wide operations (Info, Finish, Checkpoint) take every lane
+// in ascending order. Per-tenant request order is what the fleet's
+// determinism contract keys on, so the wire adds latency and
+// cross-tenant interleaving but no behavior. See
 // DESIGN.md for the frame format, the lane-locking rules, the checkpoint
 // file format and the epoch/retry semantics.
 package service
@@ -36,11 +36,13 @@ import (
 	"strippack/internal/fpga"
 )
 
-// Placer is the placement-service surface: everything the load harness
-// and the failover machinery need from a fleet, in-process or remote.
+// Placer is the placement-service surface: the four requests the load
+// harness and the benchmark send to a fleet, in-process or remote.
 // Implementations must allow Submit calls for distinct tenants to run
 // concurrently (fleet lanes guarantee this for Local); everything else
-// may assume the exclusive access Server's lane locks provide.
+// may assume the exclusive access Server's lane locks provide. Restoring
+// shards is not part of it: a daemon restores a whole fleet from a
+// checkpoint (Recover) before it serves.
 type Placer interface {
 	// Info returns the fleet shape, tenant endpoints and per-tenant
 	// meters.
@@ -50,16 +52,8 @@ type Placer interface {
 	// anything pointing into it, after it returns: Server decodes every
 	// frame into the same per-connection slice.
 	Submit(ti int, specs []fpga.TaskSpec) ([]fleet.Placement, error)
-	// Drain processes every registered completion on every shard.
-	Drain() error
-	// Loads returns every shard's live load accounting, in shard order.
-	Loads() ([]fpga.LoadStats, error)
 	// SnapshotShard returns shard i's canonical snapshot.
 	SnapshotShard(i int) (*fpga.Snapshot, error)
-	// RestoreShard swaps a restored scheduler into slot i.
-	RestoreShard(i int, s *fpga.Snapshot) error
-	// Restored returns the per-shard RestoreShard totals.
-	Restored() ([]int, error)
 	// Finish drains, re-verifies and aggregates the run's stats.
 	Finish() (*fleet.Stats, error)
 }
@@ -96,32 +90,18 @@ func (l Local) Submit(ti int, specs []fpga.TaskSpec) ([]fleet.Placement, error) 
 	return l.Fleet.SubmitBatchTenant(ti, specs)
 }
 
-func (l Local) Drain() error { return l.Fleet.Drain() }
-
-func (l Local) Loads() ([]fpga.LoadStats, error) {
-	out := make([]fpga.LoadStats, l.Fleet.Shards())
-	for i := range out {
-		out[i] = l.Fleet.Shard(i).Load()
-	}
-	return out, nil
-}
-
 func (l Local) SnapshotShard(i int) (*fpga.Snapshot, error) { return l.Fleet.SnapshotShard(i) }
-
-func (l Local) RestoreShard(i int, s *fpga.Snapshot) error { return l.Fleet.RestoreShard(i, s) }
-
-func (l Local) Restored() ([]int, error) { return l.Fleet.RestoredCounts(), nil }
 
 func (l Local) Finish() (*fleet.Stats, error) { return l.Fleet.Finish() }
 
-// Server relays the wire protocol onto a Placer. One Server may serve
-// many connections. Requests are serialized per tenant lane: the lane is
+// Server relays the wire protocol's four requests (opHello, opSubmit,
+// opSnapshot and opFinish) onto a Placer. One Server may serve many
+// connections. Requests are serialized per tenant lane: the lane is
 // resolved from the request payload (the tenant for opSubmit, the
 // owning tenant for opSnapshot) before any lock is taken, so requests
-// for distinct tenants execute concurrently. Fleet-wide requests
-// (opHello, opDrain, opLoad, opRestore, opFinish, opRestored,
-// opCheckpoint) take every lane lock in ascending index order — the
-// total order that makes the mixed locking deadlock-free.
+// for distinct tenants execute concurrently. opHello, opFinish and
+// Checkpoint are fleet-wide and take every lane lock in ascending index
+// order — the total order that makes the mixed locking deadlock-free.
 type Server struct {
 	p     Placer
 	lanes []sync.Mutex
@@ -154,13 +134,10 @@ func NewServer(p Placer) *Server {
 	return s
 }
 
-// SetEpoch sets the run epoch reported in every opHello/opEpoch
-// response. Must be called before Serve; a daemon bumps it on every
+// SetEpoch sets the run epoch reported in every opHello response (Info's
+// Epoch). Must be called before Serve; a daemon bumps it on every
 // restart so clients can detect recoveries.
 func (s *Server) SetEpoch(e uint64) { s.epoch = e }
-
-// Epoch returns the server's run epoch.
-func (s *Server) Epoch() uint64 { return s.epoch }
 
 // SetCheckpointer installs the daemon's checkpoint function. It runs
 // with every lane held (the fleet is quiescent) and returns the
@@ -175,9 +152,8 @@ func (s *Server) AfterSubmit(fn func(total uint64)) { s.afterSubmit = fn }
 
 // Checkpoint takes every lane (waiting out in-flight requests) and runs
 // the configured checkpointer, returning the epoch and checkpoint
-// sequence number. The daemon's periodic loop and the opCheckpoint
-// handler both funnel through here, so checkpoints always observe a
-// quiescent fleet at a batch barrier.
+// sequence number. The daemon's periodic loop calls it, so checkpoints
+// always observe a quiescent fleet at a batch barrier.
 func (s *Server) Checkpoint() (epoch, seq uint64, err error) {
 	if s.ckpt == nil {
 		return 0, 0, errors.New("service: no checkpointer configured")
@@ -326,32 +302,6 @@ func (s *Server) handle(cb *connBuf, payload []byte) []byte {
 		if total := s.nSubmits.Add(1); s.afterSubmit != nil {
 			s.afterSubmit(total)
 		}
-	case opDrain:
-		if err := d.done(); err != nil {
-			return fail(err)
-		}
-		unlock := s.lockAll()
-		err := s.p.Drain()
-		unlock()
-		if err != nil {
-			return fail(err)
-		}
-		e.op(opOK)
-	case opLoad:
-		if err := d.done(); err != nil {
-			return fail(err)
-		}
-		unlock := s.lockAll()
-		loads, err := s.p.Loads()
-		unlock()
-		if err != nil {
-			return fail(err)
-		}
-		e.op(opLoads)
-		e.count(len(loads))
-		for i := range loads {
-			e.loadStats(&loads[i])
-		}
 	case opSnapshot:
 		i := d.int()
 		if err := d.done(); err != nil {
@@ -365,19 +315,6 @@ func (s *Server) handle(cb *connBuf, payload []byte) []byte {
 		}
 		e.op(opSnapData)
 		e.snapshot(snap)
-	case opRestore:
-		i := d.int()
-		snap := d.snapshot()
-		if err := d.done(); err != nil {
-			return fail(err)
-		}
-		unlock := s.lockAll()
-		err := s.p.RestoreShard(i, snap)
-		unlock()
-		if err != nil {
-			return fail(err)
-		}
-		e.op(opOK)
 	case opFinish:
 		if err := d.done(); err != nil {
 			return fail(err)
@@ -390,35 +327,6 @@ func (s *Server) handle(cb *connBuf, payload []byte) []byte {
 		}
 		e.op(opStats)
 		e.stats(st)
-	case opRestored:
-		if err := d.done(); err != nil {
-			return fail(err)
-		}
-		unlock := s.lockAll()
-		counts, err := s.p.Restored()
-		unlock()
-		if err != nil {
-			return fail(err)
-		}
-		e.op(opCounts)
-		e.ints(counts)
-	case opEpoch:
-		if err := d.done(); err != nil {
-			return fail(err)
-		}
-		e.op(opEpochVal)
-		e.uint(s.epoch)
-	case opCheckpoint:
-		if err := d.done(); err != nil {
-			return fail(err)
-		}
-		epoch, seq, err := s.Checkpoint()
-		if err != nil {
-			return fail(err)
-		}
-		e.op(opCkptOK)
-		e.uint(epoch)
-		e.uint(seq)
 	default:
 		return fail(fmt.Errorf("%w: unknown opcode %d", ErrProtocol, op))
 	}
@@ -709,35 +617,6 @@ func (c *Client) Info() (*Info, error) {
 	return in, nil
 }
 
-// RemoteEpoch queries the daemon's current epoch over the wire (the
-// cheap liveness probe; Epoch() reports the handshake-cached value).
-func (c *Client) RemoteEpoch() (uint64, error) {
-	d, err := c.do([]byte{opEpoch}, opEpochVal, true)
-	if err != nil {
-		return 0, err
-	}
-	epoch := d.uint()
-	if err := d.done(); err != nil {
-		return 0, err
-	}
-	return epoch, nil
-}
-
-// TriggerCheckpoint asks the daemon to write a durable checkpoint now
-// and returns the epoch and checkpoint sequence number it recorded.
-func (c *Client) TriggerCheckpoint() (epoch, seq uint64, err error) {
-	d, err := c.do([]byte{opCheckpoint}, opCkptOK, true)
-	if err != nil {
-		return 0, 0, err
-	}
-	epoch = d.uint()
-	seq = d.uint()
-	if err := d.done(); err != nil {
-		return 0, 0, err
-	}
-	return epoch, seq, nil
-}
-
 func (c *Client) Submit(ti int, specs []fpga.TaskSpec) ([]fleet.Placement, error) {
 	e := c.request(opSubmit)
 	e.int(ti)
@@ -764,30 +643,6 @@ func (c *Client) Submit(ti int, specs []fpga.TaskSpec) ([]fleet.Placement, error
 	return placed, nil
 }
 
-func (c *Client) Drain() error {
-	d, err := c.do([]byte{opDrain}, opOK, true)
-	if err != nil {
-		return err
-	}
-	return d.done()
-}
-
-func (c *Client) Loads() ([]fpga.LoadStats, error) {
-	d, err := c.do([]byte{opLoad}, opLoads, true)
-	if err != nil {
-		return nil, err
-	}
-	n := d.count(1)
-	loads := make([]fpga.LoadStats, n)
-	for i := range loads {
-		loads[i] = d.loadStats()
-	}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return loads, nil
-}
-
 func (c *Client) SnapshotShard(i int) (*fpga.Snapshot, error) {
 	e := c.request(opSnapshot)
 	e.int(i)
@@ -800,32 +655,6 @@ func (c *Client) SnapshotShard(i int) (*fpga.Snapshot, error) {
 		return nil, err
 	}
 	return snap, nil
-}
-
-func (c *Client) RestoreShard(i int, s *fpga.Snapshot) error {
-	e := c.request(opRestore)
-	e.int(i)
-	e.snapshot(s)
-	d, err := c.do(e.b, opOK, true)
-	if err != nil {
-		return err
-	}
-	return d.done()
-}
-
-func (c *Client) Restored() ([]int, error) {
-	d, err := c.do([]byte{opRestored}, opCounts, true)
-	if err != nil {
-		return nil, err
-	}
-	counts := d.ints()
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	if counts == nil {
-		counts = []int{}
-	}
-	return counts, nil
 }
 
 func (c *Client) Finish() (*fleet.Stats, error) {

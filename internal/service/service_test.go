@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math/rand"
 	"net"
 	"reflect"
@@ -111,10 +113,11 @@ func TestLoopbackEquivalence(t *testing.T) {
 	}
 }
 
-// TestServiceFailover: crash + restore through the wire protocol
-// mid-churn replays byte-identically against an uninterrupted in-process
-// run — opSnapshot/opRestore between opSubmit frames is exactly the
-// fleet's swap-at-a-batch-barrier requirement.
+// TestServiceFailover: a shard snapshot fetched over the wire mid-churn,
+// restored into the served fleet between two opSubmit frames (a batch
+// barrier, as recovery requires), replays byte-identically against an
+// uninterrupted in-process run — the wire's snapshot bytes are the ones
+// recovery restores from.
 func TestServiceFailover(t *testing.T) {
 	const K, shards, chunk = 8, 4, 250
 	tasks := churnTrace(t, 83, 5000, K, 0.85*shards)
@@ -129,22 +132,30 @@ func TestServiceFailover(t *testing.T) {
 	}
 	wantStats, wantSnaps, _ := drive(t, Local{Fleet: lf}, tasks, chunk)
 
-	client, _ := loopback(t, cfg)
+	f, err := fleet.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc, sc := net.Pipe()
+	go NewServer(Local{Fleet: f}).Serve(sc)
+	client := NewClient(cc)
+	defer client.Close()
 	crashAt := len(tasks) / 2 / chunk * chunk
 	for base := 0; base < len(tasks); base += chunk {
 		if base == crashAt {
-			// The snapshot round-trips through the codec twice (fetch +
-			// push), standing in for a durable store between the two.
+			// The snapshot's bytes stand in for a durable store between
+			// the fetch and the restore. The client's previous frame has
+			// been answered, so the fleet is at a batch barrier.
 			snap, err := client.SnapshotShard(2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			decoded, err := DecodeSnapshot(EncodeSnapshot(snap))
-			if err != nil {
+			old := f.Shard(2)
+			if _, err := f.RestoreShardBytes(2, EncodeSnapshot(snap)); err != nil {
 				t.Fatal(err)
 			}
-			if err := client.RestoreShard(2, decoded); err != nil {
-				t.Fatal(err)
+			if f.Shard(2) == old {
+				t.Fatal("restore did not swap shard 2")
 			}
 		}
 		end := min(base+chunk, len(tasks))
@@ -169,17 +180,11 @@ func TestServiceFailover(t *testing.T) {
 			t.Fatalf("shard %d snapshot diverges after failover over the wire", i)
 		}
 	}
-	counts, err := client.Restored()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(counts, []int{0, 0, 1, 0}) {
-		t.Fatalf("Restored() = %v", counts)
-	}
 }
 
 // TestServiceInfoAndLoads: the handshake carries the fleet shape and
-// tenant endpoints, and opLoad exports live per-shard saturation.
+// tenant endpoints, and per-shard snapshots over the wire show a
+// tenant's load only on its own shards.
 func TestServiceInfoAndLoads(t *testing.T) {
 	shed := fpga.AdmissionConfig{Policy: fpga.AdmitShed, MaxBacklog: 8}
 	cfg := fleet.Config{
@@ -208,22 +213,46 @@ func TestServiceInfoAndLoads(t *testing.T) {
 	if !reflect.DeepEqual(info, want) {
 		t.Fatalf("Info() = %+v, want %+v", info, want)
 	}
-	// Submit to beta (tenant 1, shard 2 only), then read the live loads.
+	// Submit to beta (tenant 1, shard 2 only), then read every shard.
 	if _, err := client.Submit(1, []fpga.TaskSpec{{ID: 1, Cols: 2, Duration: 5}}); err != nil {
 		t.Fatal(err)
 	}
-	loads, err := client.Loads()
-	if err != nil {
-		t.Fatal(err)
+	var committed [3]float64
+	for i := range committed {
+		snap, err := client.SnapshotShard(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, task := range snap.Tasks {
+			committed[i] += float64(task.Cols) * task.Duration
+		}
 	}
-	if len(loads) != 3 {
-		t.Fatalf("Loads() returned %d shards", len(loads))
-	}
-	if loads[0].CommittedColTime != 0 || loads[1].CommittedColTime != 0 {
+	if committed[0] != 0 || committed[1] != 0 {
 		t.Fatal("tenant beta's submission leaked onto alpha's shards")
 	}
-	if loads[2].CommittedColTime != 10 {
-		t.Fatalf("shard 2 committed %g col-time, want 10", loads[2].CommittedColTime)
+	if committed[2] != 10 {
+		t.Fatalf("shard 2 committed %g col-time, want 10", committed[2])
+	}
+}
+
+// TestRetiredOpsRefused: each retired request opcode (drain, load,
+// restore, restored, epoch and checkpoint) gets the unknown-opcode error,
+// and the connection goes on serving.
+func TestRetiredOpsRefused(t *testing.T) {
+	client, _ := loopback(t, fleet.Config{Shards: 2, Columns: 4, Route: fleet.RouteRR})
+	snap := EncodeSnapshot(fpga.NewOnlineScheduler(fpga.NewDevice(4)).Snapshot())
+	for i, op := range []byte{3, 4, 6, 8, 9, 10} {
+		req := []byte{op}
+		if op == 6 { // the restore request carried a shard and a snapshot
+			req = append(append(req, 0), snap...)
+		}
+		_, err := client.call(req, opInfo)
+		if !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), fmt.Sprintf("unknown opcode %d", op)) {
+			t.Fatalf("retired opcode %d: got %v, want the unknown-opcode error", op, err)
+		}
+		if _, err := client.Submit(0, []fpga.TaskSpec{{ID: i, Cols: 1, Duration: 1}}); err != nil {
+			t.Fatalf("submit after retired opcode %d: %v", op, err)
+		}
 	}
 }
 
@@ -240,11 +269,6 @@ func TestServiceErrors(t *testing.T) {
 	if _, err := client.Submit(0, []fpga.TaskSpec{{ID: 1, Cols: 9, Duration: 1}}); err == nil {
 		t.Fatal("oversized task accepted")
 	}
-	// Invalid snapshot -> fpga validation error relayed.
-	if err := client.RestoreShard(0, &fpga.Snapshot{}); err == nil ||
-		!strings.Contains(err.Error(), "snapshot") {
-		t.Fatalf("bad snapshot: %v", err)
-	}
 	if _, err := client.SnapshotShard(7); err == nil {
 		t.Fatal("out-of-range snapshot accepted")
 	}
@@ -252,7 +276,7 @@ func TestServiceErrors(t *testing.T) {
 	if _, err := client.Submit(0, []fpga.TaskSpec{{ID: 1, Cols: 1, Duration: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.Drain(); err != nil {
+	if _, err := client.Finish(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -286,7 +310,7 @@ func TestServiceConcurrentClients(t *testing.T) {
 					return
 				}
 				if j%50 == 0 {
-					if _, err := c.Loads(); err != nil {
+					if _, err := c.Info(); err != nil {
 						t.Error(err)
 						return
 					}

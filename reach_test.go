@@ -1,15 +1,19 @@
 package strippack
 
 import (
+	"bufio"
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"maps"
 	"os"
+	"os/exec"
 	"path/filepath"
-	"sort"
-	"strconv"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -20,18 +24,20 @@ import (
 // an allow-list entry that says why it stays. Code that only tests call
 // belongs in a _test.go file beside them, or nowhere.
 //
-// The scan is name-level and needs no type information. Every identifier
-// in a non-function declaration (var, const, type) is a root, and so is
-// every identifier in the body of main, init and the methods the standard
-// library calls through an interface (String, Error, Len, ...). A
-// function is reached when its name appears in a root or in the body of
-// a reached function other than itself; the scan repeats to a fixpoint,
-// so a chain of functions that only call each other shows at once. A
-// package-qualified name pkg.F reaches only the function F of that
-// package, and a bare F only the F of the same package; a method is
-// reached by its name alone, wherever it appears. So the gate can miss a
-// dead method that shares its name with a live one, but it never reports
-// live code.
+// Reachability is the linker's. The gate builds every main package of
+// both modules with inlining off in this module's packages (so an
+// inlined callee still shows) and -ldflags=-dumpdep, which makes the
+// linker print each "from -> to" edge of its dead-code pass. A function
+// is reached when its symbol is in some binary's edges (a main package's
+// functions only in its own binary's); a generic function's
+// instantiations, its closures and its method-value wrappers count as
+// the function. The linker is type-aware: it keeps a method that no
+// call names only when its type is converted to an interface (or sits
+// in a type that is) and reached code calls an interface method of the
+// same name and signature. So a dead method that merely shares its name
+// with a live one shows, and so does a dead String or Len method unless
+// its type meets fmt.Stringer or sort.Interface through an interface
+// value.
 //
 // Run it alone with
 //
@@ -42,60 +48,36 @@ import (
 // dir relative to the repository root. Each entry says why it stays; an
 // entry that names no unreached function fails the gate.
 var reachAllow = map[string]string{
-	"internal/fpga.OnlineScheduler.Complete":    "the engine's external-completion entry point; the fault harness and fault_test.go's reference engine drive it, while the served path registers lifetimes at submit",
-	"internal/service.Client.RemoteEpoch":       "client half of the opEpoch wire op documented in internal/service/DESIGN.md; the network reaches the server half",
-	"internal/service.Client.TriggerCheckpoint": "client half of the opCheckpoint wire op documented in internal/service/DESIGN.md; the network reaches the server half",
-	"internal/workload.Burst":                   "the materialized BurstStream, shared by the fpga, fleet, service and root tests",
-	"internal/packing.Registry":                 "the list of packers that the packing and exact tests iterate over",
+	"internal/fpga.OnlineScheduler.Complete": "the engine's external-completion entry point; the fault harness and fault_test.go's reference engine drive it, while the served path registers lifetimes at submit",
+	"internal/workload.Burst":                "the materialized BurstStream, shared by the fpga, fleet, service and root tests",
+	"internal/packing.Registry":              "the list of packers that the packing and exact tests iterate over",
 }
 
 // maxReachAllow caps reachAllow and reachTestSupport together, so the
 // lists stay short enough that each entry is a decision.
-const maxReachAllow = 7
+const maxReachAllow = 5
 
 // reachTestSupport names packages that only tests may import. Their
 // files are left out of the scan, so they neither reach nor count as
-// unreached, and a non-test file that imports one fails the gate.
+// unreached, and any of their symbols linked into a binary fails the
+// gate.
 var reachTestSupport = map[string]string{
 	"internal/faultinject": "the fault-injection harness that the fpga tests drive",
 	"internal/lp/lptest":   "the dense and exact-rational reference LP solvers that lp's and release's tests check lp.Revised against",
 }
 
-// stdlibMethods are method names that the standard library calls
-// through an interface, so no call site in this repository names them.
-var stdlibMethods = map[string]bool{
-	"String": true, "GoString": true, "Format": true, "Error": true, "Unwrap": true, "Is": true,
-	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
-	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
-	"Read": true, "Write": true, "Close": true, "ServeHTTP": true,
-}
-
-type reachFunc struct {
-	key    string // dir.Name or dir.Recv.Name
-	pos    string // file:line
-	name   string
-	method bool
-	decl   *ast.FuncDecl
-	file   *reachFile
-}
-
-// reachFile is what resolving a name needs from its file: the package
-// directory and the directory behind each import name of this module.
-type reachFile struct {
-	dir     string
-	imports map[string]string // import name -> package directory
-}
-
-type reachRoot struct {
-	node ast.Node
-	file *reachFile
-}
+// reachModule is the root module's path; benchmark/ is the module
+// reachModule/benchmark.
+const reachModule = "strippack"
 
 func TestEveryFunctionReached(t *testing.T) {
-	const module = "strippack"
+	type declared struct {
+		dir, key, pos string
+		main          bool
+	}
+	var funcs []declared
+	mainDirs := map[string]bool{}
 	fset := token.NewFileSet()
-	var funcs []*reachFunc
-	var roots []reachRoot
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -116,44 +98,24 @@ func TestEveryFunctionReached(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		rf := &reachFile{dir: filepath.ToSlash(filepath.Dir(path)), imports: map[string]string{}}
-		for _, imp := range f.Imports {
-			p, _ := strconv.Unquote(imp.Path.Value)
-			name := p[strings.LastIndex(p, "/")+1:]
-			if imp.Name != nil {
-				name = imp.Name.Name
-			}
-			dir, ok := strings.CutPrefix(p, module+"/")
-			if p == module {
-				dir, ok = ".", true
-			}
-			if !ok {
-				dir = "" // outside the module: reaches no function of ours
-			}
-			rf.imports[name] = dir
-			if _, ok := reachTestSupport[dir]; ok {
-				t.Errorf("%s imports test-support package %s", path, p)
-			}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		isMain := f.Name.Name == "main"
+		if isMain {
+			mainDirs[dir] = true
 		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				roots = append(roots, reachRoot{decl, rf})
+			if !ok || fd.Recv == nil && fd.Name.Name == "init" {
 				continue
 			}
 			name := fd.Name.Name
-			if fd.Recv == nil && (name == "main" || name == "init") || fd.Recv != nil && stdlibMethods[name] {
-				roots = append(roots, reachRoot{fd, rf})
-				continue
-			}
-			key := rf.dir + "." + name
 			if fd.Recv != nil {
-				key = rf.dir + "." + recvName(fd.Recv.List[0].Type) + "." + name
+				name = recvName(fd.Recv.List[0].Type) + "." + name
 			}
 			p := fset.Position(fd.Pos())
-			funcs = append(funcs, &reachFunc{
-				key: key, pos: fmt.Sprintf("%s:%d", p.Filename, p.Line),
-				name: name, method: fd.Recv != nil, decl: fd, file: rf,
+			funcs = append(funcs, declared{
+				dir: dir, key: name, main: isMain,
+				pos: fmt.Sprintf("%s:%d", p.Filename, p.Line),
 			})
 		}
 		return nil
@@ -167,85 +129,38 @@ func TestEveryFunctionReached(t *testing.T) {
 		}
 	}
 
-	byName := map[string][]*reachFunc{}
-	for _, f := range funcs {
-		byName[f.name] = append(byName[f.name], f)
-	}
-	reached := map[*reachFunc]bool{}
-	var work []*reachFunc
-	// mark reaches every method called name and every function called
-	// name in package directory dir, except self.
-	mark := func(name, dir string, self *reachFunc) {
-		for _, f := range byName[name] {
-			if f != self && !reached[f] && (f.method || f.file.dir == dir) {
-				reached[f] = true
-				work = append(work, f)
-			}
+	// reached holds every reached function of a library package as
+	// "importpath.Name" and of a main package as "dir:main.Name".
+	reached := map[string]bool{}
+	tmp := t.TempDir()
+	linkDeps(t, reached, ".", tmp)
+	linkDeps(t, reached, "benchmark", tmp)
+	for dir := range mainDirs {
+		if !reached[dir+":main.main"] {
+			t.Errorf("main package %s was not linked by the gate's builds", dir)
 		}
 	}
-	// reach marks what the identifiers under n name, resolving them in
-	// file; self is the function whose declaration n is, which its own
-	// body does not reach.
-	reach := func(n ast.Node, file *reachFile, self *reachFunc) {
-		var visit func(n ast.Node) bool
-		visit = func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.SelectorExpr:
-				if id, ok := x.X.(*ast.Ident); ok {
-					if dir, ok := file.imports[id.Name]; ok {
-						mark(x.Sel.Name, dir, self)
-						return false
-					}
-				}
-				mark(x.Sel.Name, "", self) // a field or method
-				ast.Inspect(x.X, visit)
-				return false
-			case *ast.Ident:
-				mark(x.Name, file.dir, self)
-			}
-			return true
-		}
-		ast.Inspect(n, visit)
-	}
-	for _, r := range roots {
-		if fd, ok := r.node.(*ast.FuncDecl); ok {
-			reach(fd.Type, r.file, nil)
-			reach(fd.Body, r.file, nil)
-			continue
-		}
-		reach(r.node, r.file, nil)
-	}
-	fixpoint := func() {
-		for len(work) > 0 {
-			f := work[len(work)-1]
-			work = work[:len(work)-1]
-			reach(f.decl.Type, f.file, f)
-			if f.decl.Body != nil {
-				reach(f.decl.Body, f.file, f)
-			}
-		}
-	}
-	fixpoint()
-
-	// An allow-listed function stays in production, and so does what it
-	// calls: its body reaches like a root's once the entry has been used.
-	allowUsed := map[string]bool{}
-	for _, f := range funcs {
-		if _, ok := reachAllow[f.key]; ok && !reached[f] {
-			allowUsed[f.key] = true
-			reached[f] = true
-			work = append(work, f)
-		}
-	}
-	fixpoint()
 
 	var unreached []string
+	allowUsed := map[string]bool{}
 	for _, f := range funcs {
-		if !reached[f] {
-			unreached = append(unreached, fmt.Sprintf("%s: %s", f.pos, f.key))
+		sym := reachModule + "/" + f.dir + "." + f.key
+		if f.dir == "." {
+			sym = reachModule + "." + f.key
 		}
+		if f.main {
+			sym = f.dir + ":main." + f.key
+		}
+		if reached[sym] {
+			continue
+		}
+		if key := f.dir + "." + f.key; reachAllow[key] != "" {
+			allowUsed[key] = true
+			continue
+		}
+		unreached = append(unreached, fmt.Sprintf("%s: %s.%s", f.pos, f.dir, f.key))
 	}
-	sort.Strings(unreached)
+	slices.Sort(unreached)
 	for _, u := range unreached {
 		t.Errorf("unreached from production code: %s", u)
 	}
@@ -268,6 +183,126 @@ func TestEveryFunctionReached(t *testing.T) {
 	if n := len(reachAllow) + len(reachTestSupport); n > maxReachAllow {
 		t.Errorf("%d allow-list and test-support entries, at most %d: move or delete code instead of listing it", n, maxReachAllow)
 	}
+}
+
+// linkDeps builds every main package of the module rooted at modDir into
+// tmp with the linker's dependency dump on and adds each reached
+// function of this repository to reached (see TestEveryFunctionReached
+// for the key forms). It fails the test when the build fails, when a
+// test-support package is linked, and when a binary looks methods up by
+// reflection, which makes the linker keep every exported method of every
+// reached type and so would hide dead methods.
+func linkDeps(t *testing.T, reached map[string]bool, modDir, tmp string) {
+	t.Helper()
+	gobin, err := exec.LookPath("go")
+	if err != nil {
+		t.Fatalf("the gate needs the go command: %v", err)
+	}
+	cmd := exec.Command(gobin, "build", "-o", tmp+string(filepath.Separator),
+		"-gcflags="+reachModule+"/...=-l", "-ldflags=-dumpdep", "./...")
+	cmd.Dir = modDir
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var other []string
+	bad := map[string]string{} // each problem found, to a symbol that shows it
+	binary := ""               // directory of the main package whose edges follow
+	sc := bufio.NewScanner(stderr)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		if pkg, ok := strings.CutPrefix(line, "# "); ok {
+			binary = strings.TrimPrefix(strings.TrimPrefix(pkg, reachModule), "/")
+			if binary == "" {
+				binary = "."
+			}
+			continue
+		}
+		from, to, ok := strings.Cut(line, " -> ")
+		if !ok {
+			other = append(other, line)
+			continue
+		}
+		for _, sym := range [2]string{from, to} {
+			if strings.Contains(sym, "<ReflectMethod>") || reachReflect[sym] {
+				p := binary + " looks methods up by reflection, so the linker keeps every exported method and the gate cannot see dead ones"
+				bad[p] = cmp.Or(bad[p], sym)
+			}
+			for dir := range reachTestSupport {
+				if strings.Contains(sym, reachModule+"/"+dir+".") {
+					p := binary + " links test-support package " + dir
+					bad[p] = cmp.Or(bad[p], sym)
+				}
+			}
+			if key, ok := reachSymbol(sym); ok {
+				if strings.HasPrefix(key, "main.") {
+					key = binary + ":" + key
+				}
+				reached[key] = true
+			}
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("go build in %s: %v\n%s", modDir, err, strings.Join(other, "\n"))
+	}
+	for _, p := range slices.Sorted(maps.Keys(bad)) {
+		t.Errorf("%s (%s)", p, bad[p])
+	}
+}
+
+var (
+	reachReflect = map[string]bool{"reflect.Value.Method": true, "reflect.Value.MethodByName": true}
+	reachFlags   = regexp.MustCompile(`( <[A-Za-z]+>)+$`)
+	reachClosure = regexp.MustCompile(`^(func|gowrap|deferwrap)[0-9]+$`)
+)
+
+// reachSymbol maps a linker symbol of this repository's code to the
+// function it belongs to, "importpath.F" or "importpath.T.M" (main.F for
+// a main package): it drops the dump's attribute flags, generic
+// instantiation brackets, the (*T) pointer-receiver form, a method
+// value's -fm suffix and closure suffixes. Other symbols (types,
+// dictionaries, data, and per-function metadata such as arginfo, whose
+// contents the linker may share between functions) report false.
+func reachSymbol(sym string) (string, bool) {
+	sym = reachFlags.ReplaceAllString(sym, "")
+	if !strings.HasPrefix(sym, reachModule+".") && !strings.HasPrefix(sym, reachModule+"/") && !strings.HasPrefix(sym, "main.") {
+		return "", false
+	}
+	var b strings.Builder
+	depth := 0
+	for _, r := range sym {
+		switch {
+		case r == '[':
+			depth++
+		case r == ']':
+			depth--
+		case depth == 0 && r != '(' && r != ')' && r != '*':
+			b.WriteRune(r)
+		}
+	}
+	sym = b.String()
+	dot := strings.LastIndexByte(sym, '/') + 1
+	if i := strings.IndexByte(sym[dot:], '.'); i >= 0 {
+		dot += i
+	} else {
+		return "", false
+	}
+	pkg, parts := sym[:dot], strings.Split(sym[dot+1:], ".")
+	parts[len(parts)-1] = strings.TrimSuffix(parts[len(parts)-1], "-fm")
+	for len(parts) > 1 && reachClosure.MatchString(parts[len(parts)-1]) {
+		parts = parts[:len(parts)-1]
+	}
+	if len(parts) > 2 || parts[0] == "" {
+		return "", false
+	}
+	return pkg + "." + strings.Join(parts, "."), true
 }
 
 // recvName returns a method receiver's base type name: T for T, *T,
