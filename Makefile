@@ -28,10 +28,12 @@ fmt:
 
 # The online scheduler, fault harness, fleet router, placement service,
 # the placementd daemon's checkpoint wiring, the release package (its
-# Solver pool is hit concurrently from RunGrid workers;
-# TestSolverConcurrent fans out goroutines) and the precedence package
+# BoundCache is hit concurrently from RunGrid trials;
+# TestBoundCacheConcurrent fans out goroutines), the precedence package
 # (DC's pooled subtree goroutines write disjoint ids into one shared
-# packing; TestDCParallelMatchesSerial runs 8 workers) under the race
+# packing; TestDCParallelMatchesSerial runs at GOMAXPROCS 8) and
+# internal/par (the one fan-out helper every pool above runs on;
+# TestForLowestError runs it at widths 1 to 100) under the race
 # detector. The experiments tests exercise E13/E14/E15 with their default
 # fan-outs, the fleet tests drive distinct tenant lanes from concurrent
 # goroutines (TestTenantLanesDisjoint), the service tests hammer Info
@@ -41,7 +43,7 @@ fmt:
 # pool, the lane locks and the checkpointer run genuinely concurrent
 # under -race.
 race:
-	$(GO) test -race ./internal/fpga ./internal/faultinject ./internal/fleet ./internal/service ./internal/experiments ./internal/core/release ./internal/core/precedence ./cmd/placementd
+	$(GO) test -race ./internal/fpga ./internal/faultinject ./internal/fleet ./internal/service ./internal/experiments ./internal/core/release ./internal/core/precedence ./internal/par ./cmd/placementd
 
 ci: fmt build vet test race bench-smoke determinism
 
@@ -68,8 +70,9 @@ bench-record:
 # encoder against the struct encoder, and the record decoder against
 # struct decode plus a restore through the re-encoded bytes on intact,
 # truncated, bit-flipped and count-corrupted bytes, with replay), the
-# column pool's pooled-vs-fresh height equivalence across interleaved
-# width sets, and the placement-service wire codec (decoders never panic
+# crash-started configuration-LP bound against the SolveCG oracle across
+# repeating and differing width sets, and the placement-service wire
+# codec (decoders never panic
 # on arbitrary bytes; whatever decodes re-encodes canonically).
 # (go test accepts one -fuzz pattern per invocation, hence eight runs.)
 fuzz:
@@ -79,24 +82,21 @@ fuzz:
 	$(GO) test ./internal/fpga -fuzz FuzzSubmitBatch -fuzztime 30s
 	$(GO) test ./internal/fpga -fuzz FuzzIDIndex -fuzztime 30s
 	$(GO) test ./internal/fpga -fuzz FuzzSnapshotBytes -fuzztime 30s
-	$(GO) test ./internal/core/release -fuzz FuzzSolverPool -fuzztime 30s
+	$(GO) test ./internal/core/release -fuzz FuzzFractionalLowerBound -fuzztime 30s
 	$(GO) test ./internal/service -fuzz FuzzServiceCodec -fuzztime 30s
 
-# The parallel engines' determinism contracts: experiment tables must be
-# byte-identical regardless of the trial-pool width (-parallel), the DC
-# recursion's worker count (-dc-workers), the configuration-LP pricing
-# fan-out (-cg-workers), the cross-solve column pool (-cg-pool on vs off
-# — a pooled solve still reaches the LP optimum, so the fixed-precision
-# tables cannot move), E13's per-policy simulation fan-out
-# (-churn-workers), E14's per-admission-policy fan-out (-admission) and
-# E15's fleet shard-execution fan-out (-fleet-workers), and they must
-# equal the committed internal/experiments/testdata/tables.golden, the
-# pin TestTablesGolden checks in tier-1; the fleet load harness must
-# stream 1M tasks across 64 shards byte-identically at
-# -fleet-workers 1 vs 8, for both a load-blind and a load-aware -route,
-# and 300k tasks with a 0.05 reconfiguration delay under reclaim + shed
-# + p2c (the horizon's free path) and under compact (whose Finish
-# simulation caught the delay rounding defect);
+# The parallel engines' determinism contracts. Every fan-out (RunGrid's
+# trials, the DC recursion, the configuration-LP pricing, E13's and
+# E14's per-policy replays, the fleet's per-shard work) is GOMAXPROCS
+# wide, so the GOMAXPROCS environment variable sets every width at once:
+# experiment tables must be byte-identical at GOMAXPROCS=1 and 8, and
+# must equal the committed internal/experiments/testdata/tables.golden,
+# the pin TestTablesGolden checks in tier-1; the fleet load harness must
+# stream 1M tasks across 64 shards byte-identically at GOMAXPROCS=1 vs 8,
+# for both a load-blind and a load-aware -route, and 300k tasks with a
+# 0.05 reconfiguration delay under reclaim + shed + p2c (the horizon's
+# free path) and under compact (whose Finish simulation caught the delay
+# rounding defect);
 # and the same harness driving a loopback placementd daemon over its
 # unix socket (-connect) must reproduce the in-process output — summary
 # and canonical-snapshot hash — byte for byte, for both routes.
@@ -119,27 +119,23 @@ fuzz:
 determinism:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) build -o $$dir/experiments ./cmd/experiments && \
-	$$dir/experiments -parallel 1 -dc-workers 1 -cg-workers 1 -churn-workers 1 -admission 1 -fleet-workers 1 > $$dir/tables-serial.txt && \
-	$$dir/experiments -parallel 8 -dc-workers 8 -cg-workers 8 -churn-workers 3 -admission 3 -fleet-workers 8 > $$dir/tables-par.txt && \
-	$$dir/experiments -parallel 1 -dc-workers 8 -cg-workers 8 -churn-workers 3 -admission 3 -fleet-workers 8 > $$dir/tables-dcpar.txt && \
-	$$dir/experiments -parallel 8 -dc-workers 8 -cg-workers 8 -churn-workers 3 -admission 3 -fleet-workers 8 -cg-pool=false > $$dir/tables-poolless.txt && \
+	GOMAXPROCS=1 $$dir/experiments > $$dir/tables-serial.txt && \
+	GOMAXPROCS=8 $$dir/experiments > $$dir/tables-par.txt && \
 	cmp $$dir/tables-serial.txt $$dir/tables-par.txt && \
-	cmp $$dir/tables-serial.txt $$dir/tables-dcpar.txt && \
-	cmp $$dir/tables-serial.txt $$dir/tables-poolless.txt && \
 	cmp $$dir/tables-serial.txt internal/experiments/testdata/tables.golden && \
 	$(GO) build -o $$dir/fleetload ./cmd/fleetload && \
-	$$dir/fleetload -n 1000000 -shards 64 -route rr -fleet-workers 1 > $$dir/fleet-rr-serial.txt && \
-	$$dir/fleetload -n 1000000 -shards 64 -route rr -fleet-workers 8 > $$dir/fleet-rr-par.txt && \
-	$$dir/fleetload -n 1000000 -shards 64 -route least -fleet-workers 1 > $$dir/fleet-least-serial.txt && \
-	$$dir/fleetload -n 1000000 -shards 64 -route least -fleet-workers 8 > $$dir/fleet-least-par.txt && \
+	GOMAXPROCS=1 $$dir/fleetload -n 1000000 -shards 64 -route rr > $$dir/fleet-rr-serial.txt && \
+	GOMAXPROCS=8 $$dir/fleetload -n 1000000 -shards 64 -route rr > $$dir/fleet-rr-par.txt && \
+	GOMAXPROCS=1 $$dir/fleetload -n 1000000 -shards 64 -route least > $$dir/fleet-least-serial.txt && \
+	GOMAXPROCS=8 $$dir/fleetload -n 1000000 -shards 64 -route least > $$dir/fleet-least-par.txt && \
 	cmp $$dir/fleet-rr-serial.txt $$dir/fleet-rr-par.txt && \
 	cmp $$dir/fleet-least-serial.txt $$dir/fleet-least-par.txt && \
 	DR="-n 300000 -shards 64 -policy reclaim -admission shed -route p2c -reconfig 0.05" && \
 	DC="-n 300000 -shards 64 -policy compact -reconfig 0.05" && \
-	$$dir/fleetload $$DR -fleet-workers 1 > $$dir/fleet-dr-serial.txt && \
-	$$dir/fleetload $$DR -fleet-workers 8 > $$dir/fleet-dr-par.txt && \
-	$$dir/fleetload $$DC -fleet-workers 1 > $$dir/fleet-dc-serial.txt && \
-	$$dir/fleetload $$DC -fleet-workers 8 > $$dir/fleet-dc-par.txt && \
+	GOMAXPROCS=1 $$dir/fleetload $$DR > $$dir/fleet-dr-serial.txt && \
+	GOMAXPROCS=8 $$dir/fleetload $$DR > $$dir/fleet-dr-par.txt && \
+	GOMAXPROCS=1 $$dir/fleetload $$DC > $$dir/fleet-dc-serial.txt && \
+	GOMAXPROCS=8 $$dir/fleetload $$DC > $$dir/fleet-dc-par.txt && \
 	cmp $$dir/fleet-dr-serial.txt $$dir/fleet-dr-par.txt && \
 	cmp $$dir/fleet-dc-serial.txt $$dir/fleet-dc-par.txt && \
 	$(GO) build -o $$dir/placementd ./cmd/placementd && \

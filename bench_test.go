@@ -8,6 +8,8 @@ package strippack
 //
 // The experiment benchmarks wrap the same drivers cmd/experiments uses, so
 // their timings measure exactly the code that regenerates the tables.
+// Every fan-out is GOMAXPROCS wide, so -cpu 1,2 gives the serial and the
+// parallel side of each benchmark.
 
 import (
 	"io"
@@ -35,25 +37,12 @@ import (
 	"strippack/internal/workload"
 )
 
-// benchExperiment measures an experiment on the default worker pool
-// (GOMAXPROCS workers); benchExperimentSerial pins the pool to one worker,
-// so the pair quantifies the parallel engine's speedup on the same tables.
+// benchExperiment measures an experiment table.
 func benchExperiment(b *testing.B, id string) {
-	benchExperimentWorkers(b, id, experiments.Parallelism)
-}
-
-func benchExperimentSerial(b *testing.B, id string) {
-	benchExperimentWorkers(b, id, 1)
-}
-
-func benchExperimentWorkers(b *testing.B, id string, workers int) {
 	e, ok := experiments.Lookup(id)
 	if !ok {
 		b.Fatalf("experiment %s missing", id)
 	}
-	prev := experiments.Parallelism
-	experiments.Parallelism = workers
-	defer func() { experiments.Parallelism = prev }()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -78,35 +67,22 @@ func BenchmarkE10Grouping(b *testing.B) {
 func BenchmarkE11KR(b *testing.B)     { benchExperiment(b, "E11") }
 func BenchmarkE12Online(b *testing.B) { benchExperiment(b, "E12") }
 
-// Serial counterparts of the heaviest experiment tables: the ratio to the
-// parallel benchmarks above is the worker-pool speedup.
-func BenchmarkE1DCSerial(b *testing.B)    { benchExperimentSerial(b, "E1") }
-func BenchmarkE6APTASSerial(b *testing.B) { benchExperimentSerial(b, "E6") }
-func BenchmarkE12OnlineSerial(b *testing.B) {
-	benchExperimentSerial(b, "E12")
-}
-
 // --- micro-benchmarks of the substrates ---
 
-func benchDC1000(b *testing.B, workers int) {
+// BenchmarkDC1000 is the DC hot path. At -cpu 1 it is serial, directly
+// comparable with the BENCH_1..9 baselines, whose recorder ran
+// single-core; the ratio to -cpu 2 is the subtree fan-out's speedup.
+func BenchmarkDC1000(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	in := workload.DAGWorkload(rng, 1000, 16, 0.2)
-	opts := &precedence.DCOptions{Workers: workers}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := precedence.DC(in, opts); err != nil {
+		if _, _, err := precedence.DC(in, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-// BenchmarkDC1000 is the serial DC hot path (directly comparable with the
-// BENCH_1 baseline, whose recorder also ran single-core);
-// BenchmarkDCParallel1000 runs the same instance on the GOMAXPROCS-wide
-// subtree pool, so their ratio is the DC worker-pool speedup on this host.
-func BenchmarkDC1000(b *testing.B)         { benchDC1000(b, 1) }
-func BenchmarkDCParallel1000(b *testing.B) { benchDC1000(b, runtime.GOMAXPROCS(0)) }
 
 func BenchmarkNFDH1000(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
@@ -189,7 +165,7 @@ func BenchmarkSolveCGConfigLP(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := release.SolveCG(in, release.CGOptions{}); err != nil {
+		if _, _, err := release.SolveCG(in); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -212,36 +188,7 @@ func BenchmarkE7CG(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, in := range ins {
-			if _, _, err := release.SolveCG(in, release.CGOptions{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkE7CGPooled solves the identical five-instance grid as
-// BenchmarkE7CG through one long-lived release.Solver whose pools were
-// warmed by a single untimed pass, so the pair measures exactly what the
-// cross-solve column pool buys on grid-shaped repeated solves.
-func BenchmarkE7CGPooled(b *testing.B) {
-	const seedE7 = 0xAB1<<8 | 0xE7
-	Ks := []int{2, 3, 4, 5, 6}
-	ins := make([]*Instance, len(Ks))
-	for i, K := range Ks {
-		rng := rand.New(rand.NewSource(seedE7 ^ int64(i)))
-		ins[i] = workload.FPGA(rng, 24, K, 3)
-	}
-	s := release.NewSolver(release.CGOptions{})
-	for _, in := range ins {
-		if _, _, err := s.Solve(in); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, in := range ins {
-			if _, _, err := s.Solve(in); err != nil {
+			if _, _, err := release.SolveCG(in); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -266,14 +213,14 @@ func boundServerStream() []*Instance {
 }
 
 // BenchmarkBoundServerFresh answers every request of the stream with a
-// from-scratch SolveCG — the pre-pool baseline a bound service would pay.
+// one-shot FractionalLowerBound, with no memo.
 func BenchmarkBoundServerFresh(b *testing.B) {
 	reqs := boundServerStream()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, in := range reqs {
-			if _, err := release.FractionalLowerBound(in, release.CGOptions{}); err != nil {
+			if _, err := release.FractionalLowerBound(in); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -281,14 +228,14 @@ func BenchmarkBoundServerFresh(b *testing.B) {
 }
 
 // BenchmarkBoundServerReplay serves the identical stream through a fresh
-// BoundCache per iteration: repeats hit the answer cache, and the distinct
-// instances after the first warm-start from the shared column pool.
+// BoundCache per iteration: each distinct instance is solved once, and
+// its repeats hit the answer cache.
 func BenchmarkBoundServerReplay(b *testing.B) {
 	reqs := boundServerStream()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := release.NewBoundCache(release.CGOptions{})
+		c := release.NewBoundCache()
 		for _, in := range reqs {
 			if _, err := c.FractionalLowerBound(in); err != nil {
 				b.Fatal(err)
@@ -299,7 +246,8 @@ func BenchmarkBoundServerReplay(b *testing.B) {
 
 // benchAddColumns appends one 512-column batch to a fresh revised-simplex
 // master via the bulk AddColumns path or a loop of AddColumn calls — the
-// pool-seeding hot path, where bulk grows every arena exactly once.
+// path SolveEnumerated loads its enumeration through, where bulk grows
+// every arena exactly once.
 func benchAddColumns(b *testing.B, bulk bool) {
 	const m, n, nnzPer = 64, 512, 8
 	ops := make([]lp.Relation, m)

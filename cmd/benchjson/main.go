@@ -46,8 +46,8 @@ type Result struct {
 }
 
 // Record is the file format: run metadata plus the measurements.
-// GoMaxProcs and NumCPU describe the recording host — worker-pool
-// speedups (experiment fan-out, DC workers, CG pricing) can only show on
+// GoMaxProcs and NumCPU describe the recording host — fan-out speedups
+// (experiment trials, DC subtrees, CG pricing) can only show on
 // NumCPU > 1, so a trajectory point from a single-core CI container is
 // distinguishable from a regression.
 type Record struct {

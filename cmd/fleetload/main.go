@@ -11,15 +11,15 @@
 // an in-process fleet or a placementd daemon (-connect). In daemon mode
 // the fleet-shape flags describe the daemon the client expects: the
 // opHello handshake verifies them against the daemon's actual shape
-// (everything that affects results except -fleet-workers) and refuses to
-// run on a mismatch, so a summary always means what the flags say. The
-// connection reconnects with capped exponential backoff; if the daemon
-// restarts at a new epoch mid-stream (recovering a checkpoint), the
-// harness resynchronizes from the daemon's per-tenant submitted meter —
-// rewinding its deterministic stream to exactly where the recovered
-// fleet left off — instead of double-submitting. -resume applies the
-// same meter synchronization at startup, which is how a run continues a
-// stream across a daemon kill+recover.
+// (everything that affects results) and refuses to run on a mismatch, so
+// a summary always means what the flags say. The connection reconnects
+// with capped exponential backoff; if the daemon restarts at a new epoch
+// mid-stream (recovering a checkpoint), the harness resynchronizes from
+// the daemon's per-tenant submitted meter — rewinding its deterministic
+// stream to exactly where the recovered fleet left off — instead of
+// double-submitting. -resume applies the same meter synchronization at
+// startup, which is how a run continues a stream across a daemon
+// kill+recover.
 //
 // Tenant ti's stream is generated from seed+ti with task IDs based at
 // ti*n, so every tenant's trace is a pure function of the flags and the
@@ -30,8 +30,8 @@
 // which `make determinism` enforces.
 //
 // The default output is deterministic — a pure function of every flag
-// except -fleet-workers and the transport — which is what lets
-// `make determinism` diff runs at different worker counts AND across the
+// (the transport aside), whatever GOMAXPROCS is — which is what lets
+// `make determinism` diff runs at GOMAXPROCS 1 and 8 AND across the
 // in-process/daemon paths byte for byte. The `snapshots sha256` line
 // hashes every shard's canonical wire-encoded snapshot, extending the
 // byte-identical claim from the aggregate stats to the full final fleet
@@ -82,7 +82,6 @@ func main() {
 	tenants := flag.String("tenants", "", "tenant groups, e.g. alpha:4:rr:1024:8,beta:60 (empty = one tenant)")
 	tenant := flag.String("tenant", "", "tenant to drive (empty = first tenant)")
 	allTenants := flag.Bool("all-tenants", false, "drive every tenant concurrently (one stream, goroutine and connection per tenant)")
-	workers := flag.Int("fleet-workers", 0, "parallel shard workers (0 = GOMAXPROCS); never affects results")
 	chunk := flag.Int("chunk", 1024, "tasks per pipelined batch")
 	wl := flag.String("workload", "churn", "trace shape: churn or burst")
 	load := flag.Float64("load", 0.8, "offered load per shard (fleet offers load*shards)")
@@ -102,7 +101,7 @@ func main() {
 	flag.Parse()
 
 	cfg, err := buildConfig(*shards, *k, *shardCols, *delay, *policyName,
-		*admissionName, *backlog, *routeName, *tenants, *seed, *workers)
+		*admissionName, *backlog, *routeName, *tenants, *seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -215,7 +214,7 @@ func main() {
 	fmt.Printf("per-shard admitted min %d max %d\n", minA, maxA)
 
 	// Hash every shard's canonical snapshot (wire encoding, deterministic
-	// bytes): the line is byte-identical across worker counts and across
+	// bytes): the line is byte-identical across GOMAXPROCS values and across
 	// the in-process/daemon paths iff the full final fleet state is.
 	snaps := make([][]byte, st.Shards)
 	h := sha256.New()
@@ -267,8 +266,7 @@ func main() {
 // buildConfig resolves the fleet-shape flags shared with placementd into
 // a fleet.Config.
 func buildConfig(shards, k int, shardCols string, delay float64, policyName,
-	admissionName string, backlog int, routeName, tenants string, seed int64,
-	workers int) (fleet.Config, error) {
+	admissionName string, backlog int, routeName, tenants string, seed int64) (fleet.Config, error) {
 	var cfg fleet.Config
 	policy, err := fpga.ParsePolicy(policyName)
 	if err != nil {
@@ -304,7 +302,6 @@ func buildConfig(shards, k int, shardCols string, delay float64, policyName,
 		Route:         route,
 		Tenants:       tn,
 		Seed:          seed,
-		Workers:       workers,
 	}, nil
 }
 

@@ -12,7 +12,8 @@
 // requests per tenant lane, so distinct tenants' submissions run
 // concurrently while each tenant sees the exact in-process fleet
 // semantics — byte-identical stats and snapshots, as `make determinism`
-// enforces.
+// enforces. Per-shard work fans out on up to GOMAXPROCS goroutines, which
+// never changes a result.
 //
 // With -checkpoint-dir the daemon is durable: it atomically writes the
 // whole fleet (manifest + every shard's canonical snapshot, see
@@ -119,7 +120,6 @@ func main() {
 	delay := flag.Float64("reconfig", 0, "per-task reconfiguration delay")
 	routeName := flag.String("route", "least", "placement route: rr, least, or p2c")
 	tenants := flag.String("tenants", "", "tenant groups, e.g. alpha:4:rr:1024:8,beta:60 (empty = one tenant)")
-	workers := flag.Int("fleet-workers", 0, "parallel shard workers (0 = GOMAXPROCS); never affects results")
 	policyName := flag.String("policy", "compact", "completion policy: none, reclaim, or compact")
 	admissionName := flag.String("admission", "shed", "admission policy: unbounded, reject, or shed")
 	backlog := flag.Int("backlog", 64, "per-shard backlog bound for reject/shed")
@@ -165,7 +165,6 @@ func main() {
 		Route:         route,
 		Tenants:       tn,
 		Seed:          *seed,
-		Workers:       *workers,
 	}
 	if *ckptDir == "" && (*ckptEvery > 0 || *recoverRun || *exitAfter > 0) {
 		fatal(fmt.Errorf("-checkpoint-every, -recover and -exit-after require -checkpoint-dir"))

@@ -26,12 +26,6 @@ import (
 	"strippack/internal/packing"
 )
 
-// DefaultWorkers is the worker count DC uses when DCOptions.Workers is
-// zero. Per-call configuration goes through DCOptions.Workers (that is how
-// cmd/experiments' -dc-workers flag arrives here); this var only sets the
-// fallback.
-var DefaultWorkers = runtime.GOMAXPROCS(0)
-
 // DCOptions configures the DC algorithm.
 type DCOptions struct {
 	// Subroutine is the unconstrained strip packer used for the middle band
@@ -44,19 +38,6 @@ type DCOptions struct {
 	// instance; the paper fixes 1/2. Exposed for the ablation experiment
 	// (E9). Values must lie in (0,1); 0 means 1/2.
 	SplitFraction float64
-	// Workers bounds the goroutines packing independent subtrees
-	// concurrently; 0 means DefaultWorkers, 1 runs fully serial.
-	//
-	// Parallel determinism contract (the DC analogue of the experiment
-	// engine's contract in internal/experiments/runner.go): for a fixed
-	// instance and options, the packing and the DCStats are byte-for-byte
-	// identical for every Workers value >= 1. Bot and top subtrees (and the
-	// middle band) write relative-y packings into disjoint id sets, the
-	// deterministic prefix-offset pass combines spans in bot -> mid -> top
-	// program order, and stats merge additively, so goroutine scheduling can
-	// never leak into the output. `make determinism` pins -dc-workers to 1
-	// and 8 and compares whole experiment tables.
-	Workers int
 }
 
 // DCStats reports structural information about a DC run, used by the
@@ -112,8 +93,18 @@ func LowerBound(in *geom.Instance) (float64, error) {
 // from an epoch-marked dag.Scratch instead of materialized induced
 // subgraphs, the bot/mid/top partition happens in place inside one backing
 // id array, and the middle band is packed by index directly into the result
-// (packing.NFDHInto). Independent subtrees run concurrently on a bounded
-// worker pool; see DCOptions.Workers for the determinism contract.
+// (packing.NFDHInto). Independent subtrees run concurrently, at most
+// GOMAXPROCS (read at each call) at a time.
+//
+// Parallel determinism contract (the DC analogue of the experiment
+// engine's contract in internal/experiments/runner.go): for a fixed
+// instance and options, the packing and the DCStats are byte-for-byte
+// identical for every GOMAXPROCS. Bot and top subtrees (and the middle
+// band) write relative-y packings into disjoint id sets, the
+// deterministic prefix-offset pass combines spans in bot -> mid -> top
+// program order, and stats merge additively, so goroutine scheduling can
+// never leak into the output. `make determinism` runs the experiment
+// tables at GOMAXPROCS 1 and 8 and compares them.
 func DC(in *geom.Instance, opts *DCOptions) (*geom.Packing, *DCStats, error) {
 	if err := in.Validate(); err != nil {
 		return nil, nil, err
@@ -131,7 +122,6 @@ func DC(in *geom.Instance, opts *DCOptions) (*geom.Packing, *DCStats, error) {
 	}
 	sub := packing.IndexAlgorithm(packing.NFDHInto)
 	frac := 0.5
-	workers := DefaultWorkers
 	if opts != nil {
 		if opts.Subroutine != nil {
 			sub = packing.IndexOf(opts.Subroutine)
@@ -142,12 +132,6 @@ func DC(in *geom.Instance, opts *DCOptions) (*geom.Packing, *DCStats, error) {
 			}
 			frac = opts.SplitFraction
 		}
-		if opts.Workers > 0 {
-			workers = opts.Workers
-		}
-	}
-	if workers < 1 {
-		workers = 1
 	}
 	n := in.N()
 	p := geom.NewPacking(in)
@@ -167,7 +151,7 @@ func DC(in *geom.Instance, opts *DCOptions) (*geom.Packing, *DCStats, error) {
 		pack:    p,
 		heights: heights,
 		width:   in.StripWidth(),
-		sem:     make(chan struct{}, workers-1),
+		sem:     make(chan struct{}, runtime.GOMAXPROCS(0)-1),
 	}
 	d.pool.New = func() any { return d.newScratch() }
 	stats := &DCStats{}
@@ -185,9 +169,9 @@ type dcRun struct {
 	pack    *geom.Packing
 	heights []float64
 	width   float64
-	// sem holds workers-1 tokens: a subtree is handed to a new goroutine
-	// only when a token is free, otherwise it runs inline. The main
-	// goroutine is the remaining worker, so Workers==1 never spawns.
+	// sem holds GOMAXPROCS-1 tokens: a subtree is handed to a new
+	// goroutine only when a token is free, otherwise it runs inline. The
+	// main goroutine is the remaining worker, so GOMAXPROCS 1 never spawns.
 	sem  chan struct{}
 	pool sync.Pool // of *dcScratch, for spawned subtrees
 }

@@ -2,6 +2,7 @@ package precedence
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"strippack/internal/dag"
@@ -33,16 +34,18 @@ func samePacking(t *testing.T, label string, a, b *geom.Packing, sa, sb *DCStats
 	}
 }
 
-// TestDCParallelMatchesSerial is the DC determinism contract (see
-// DCOptions.Workers): for any instance, workers=1 and workers=8 must
-// produce bit-identical packings and identical DCStats. Several sizes cross
-// the async spawn threshold so the pooled-goroutine path really runs.
+// TestDCParallelMatchesSerial is the DC determinism contract (see DC):
+// for any instance, GOMAXPROCS 1 and 8 must produce bit-identical
+// packings and identical DCStats. Several sizes cross the async spawn
+// threshold so the pooled-goroutine path really runs.
 func TestDCParallelMatchesSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 12; trial++ {
 		n := 50 + rng.Intn(450)
 		in := layeredDAGInstance(rng, n, 2+rng.Intn(12), 0.05+0.3*rng.Float64())
-		p1, s1, err := DC(in, &DCOptions{Workers: 1})
+		runtime.GOMAXPROCS(1)
+		p1, s1, err := DC(in, nil)
 		if err != nil {
 			t.Fatalf("trial %d serial: %v", trial, err)
 		}
@@ -51,12 +54,13 @@ func TestDCParallelMatchesSerial(t *testing.T) {
 		}
 		// Run the parallel variant several times: scheduling nondeterminism
 		// that leaked into the output would show up across repeats.
+		runtime.GOMAXPROCS(8)
 		for rep := 0; rep < 3; rep++ {
-			p8, s8, err := DC(in, &DCOptions{Workers: 8})
+			p8, s8, err := DC(in, nil)
 			if err != nil {
 				t.Fatalf("trial %d rep %d parallel: %v", trial, rep, err)
 			}
-			samePacking(t, "workers 1 vs 8", p1, p8, s1, s8)
+			samePacking(t, "GOMAXPROCS 1 vs 8", p1, p8, s1, s8)
 		}
 	}
 }
@@ -64,19 +68,20 @@ func TestDCParallelMatchesSerial(t *testing.T) {
 // TestDCParallelMatchesSerialWithOptions covers the non-default subroutine
 // (copying adapter) and split fraction under the same contract.
 func TestDCParallelMatchesSerialWithOptions(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(67))
 	in := layeredDAGInstance(rng, 300, 8, 0.2)
 	for _, opts := range []DCOptions{
 		{Subroutine: packing.FFDH},
 		{SplitFraction: 0.35},
 	} {
-		o1, o8 := opts, opts
-		o1.Workers, o8.Workers = 1, 8
-		p1, s1, err := DC(in, &o1)
+		runtime.GOMAXPROCS(1)
+		p1, s1, err := DC(in, &opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p8, s8, err := DC(in, &o8)
+		runtime.GOMAXPROCS(8)
+		p8, s8, err := DC(in, &opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,12 +96,14 @@ func TestDCParallelMatchesSerialWithOptions(t *testing.T) {
 // up, repeated serial DC calls on the same instance stay within the fixed
 // per-run setup allocations (graph build, packing, id/height/scratch
 // arrays) — about a dozen and a half allocations regardless of n, where the
-// old induced-subgraph recursion did O(n) per *level*.
+// old induced-subgraph recursion did O(n) per *level*. GOMAXPROCS 1 keeps
+// the run serial.
 func TestDCSerialRecursionAllocFree(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rng := rand.New(rand.NewSource(71))
 	in := layeredDAGInstance(rng, 500, 10, 0.15)
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, _, err := DC(in, &DCOptions{Workers: 1}); err != nil {
+		if _, _, err := DC(in, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

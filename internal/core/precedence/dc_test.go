@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -246,6 +247,7 @@ func GuaranteeBound(in *geom.Instance) (float64, error) {
 // bit-identical to the maximum of a separate FValues pass, serial and
 // parallel. The strippack facade derives PackDC's two bounds from it.
 func TestDCStatsFMatchesFValues(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 30; trial++ {
 		in := randomDAGInstance(rng, 1+rng.Intn(400), 0.2*rng.Float64())
@@ -253,13 +255,14 @@ func TestDCStatsFMatchesFValues(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, w := range []int{1, 8} {
-			_, st, err := DC(in, &DCOptions{Workers: w})
+		for _, procs := range []int{1, 8} {
+			runtime.GOMAXPROCS(procs)
+			_, st, err := DC(in, nil)
 			if err != nil {
-				t.Fatalf("trial %d workers %d: %v", trial, w, err)
+				t.Fatalf("trial %d GOMAXPROCS %d: %v", trial, procs, err)
 			}
 			if st.F != dag.MaxF(f) {
-				t.Fatalf("trial %d workers %d: F %v, FValues max %v", trial, w, st.F, dag.MaxF(f))
+				t.Fatalf("trial %d GOMAXPROCS %d: F %v, FValues max %v", trial, procs, st.F, dag.MaxF(f))
 			}
 		}
 	}

@@ -15,9 +15,6 @@ type Options struct {
 	Epsilon float64
 	// K is the column count: all widths must lie in [strip/K, strip].
 	K int
-	// CGWorkers is the pricing fan-out of the column-generation LP solve
-	// (0 = GOMAXPROCS; results are identical for any value).
-	CGWorkers int
 }
 
 // Report describes one APTAS run for the experiment harness.
@@ -74,7 +71,7 @@ func Pack(in *geom.Instance, opts Options) (*geom.Packing, *Report, error) {
 	}
 
 	rep.AdditiveBound = float64((W + 1) * (R + 1))
-	fs, st, err := SolveCG(reduced, CGOptions{Workers: opts.CGWorkers})
+	fs, st, err := SolveCG(reduced)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -21,11 +21,11 @@ func TestFractionalLowerBoundMatchesSolveCG(t *testing.T) {
 	// FractionalLowerBound itself is compared on the smaller cases below.
 	check := func(name string, in *geom.Instance) (cgPivots, boundPivots int) {
 		t.Helper()
-		want, wantSt, err := SolveCG(in, CGOptions{})
+		want, wantSt, err := SolveCG(in)
 		if err != nil {
 			t.Fatalf("%s: SolveCG: %v", name, err)
 		}
-		got, gotSt, err := solveCG(in, CGOptions{}, nil, true)
+		got, gotSt, err := solveCG(in, true)
 		if err != nil {
 			t.Fatalf("%s: bound path: %v", name, err)
 		}
@@ -61,11 +61,11 @@ func TestFractionalLowerBoundMatchesSolveCG(t *testing.T) {
 			{"tied releases", tied},
 		} {
 			check(c.name, c.in)
-			fs, _, err := solveCG(c.in, CGOptions{}, nil, true)
+			fs, _, err := solveCG(c.in, true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if b, err := FractionalLowerBound(c.in, CGOptions{}); err != nil || b != fs.Height {
+			if b, err := FractionalLowerBound(c.in); err != nil || b != fs.Height {
 				t.Fatalf("%s: FractionalLowerBound %v (%v), bound path %v", c.name, b, err, fs.Height)
 			}
 		}
@@ -76,14 +76,47 @@ func TestFractionalLowerBoundMatchesSolveCG(t *testing.T) {
 // the bound path and SolveEnumerated with SolveCG's error.
 func TestFractionalLowerBoundOverWide(t *testing.T) {
 	wide := geom.NewInstance(1, []geom.Rect{{W: 0.5, H: 1}, {W: 2, H: 1, Release: 1}})
-	_, _, want := SolveCG(wide, CGOptions{})
+	_, _, want := SolveCG(wide)
 	if want == nil {
 		t.Fatal("SolveCG accepted an over-wide rectangle")
 	}
-	if _, got := FractionalLowerBound(wide, CGOptions{}); got == nil || got.Error() != want.Error() {
+	if _, got := FractionalLowerBound(wide); got == nil || got.Error() != want.Error() {
 		t.Fatalf("FractionalLowerBound error %v, want SolveCG's %v", got, want)
 	}
 	if _, got := SolveEnumerated(wide); got == nil || got.Error() != want.Error() {
 		t.Fatalf("SolveEnumerated error %v, want SolveCG's %v", got, want)
 	}
+}
+
+// FuzzFractionalLowerBound checks the crash-started one-shot bound
+// against the SolveCG oracle, within 1e-9, on FPGA-style and continuous
+// widths whose width sets repeat and differ from solve to solve.
+func FuzzFractionalLowerBound(f *testing.F) {
+	f.Add(int64(1), uint8(0x35))
+	f.Add(int64(97), uint8(0xC2))
+	f.Add(int64(-4242), uint8(0x1F))
+	f.Fuzz(func(t *testing.T, seed int64, mix uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < 5; i++ {
+			K := 2 + int(mix>>(uint(i)%7)&3)%3 // 2..4, varies with i
+			var in *geom.Instance
+			if (mix>>uint(i))&1 == 0 {
+				in = fpgaInstance(rng, 4+rng.Intn(6), K, 2*rng.Float64())
+			} else {
+				in = contInstance(rng, 3+rng.Intn(5), K, 1.5*rng.Float64())
+			}
+			want, _, err := SolveCG(in)
+			if err != nil {
+				t.Fatalf("solve %d: SolveCG: %v", i, err)
+			}
+			bound, err := FractionalLowerBound(in)
+			if err != nil {
+				t.Fatalf("solve %d: bound: %v", i, err)
+			}
+			if math.Abs(bound-want.Height) > 1e-9 {
+				t.Fatalf("solve %d: FractionalLowerBound %g vs SolveCG %g (Δ=%g)",
+					i, bound, want.Height, bound-want.Height)
+			}
+		}
+	})
 }

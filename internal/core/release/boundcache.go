@@ -12,17 +12,13 @@ import (
 // fingerprint, deduplicating the repeated configuration-LP solves the
 // experiment grids issue: an ablation that sweeps a parameter (E6's ε,
 // E8's base instance across R rows) re-solves the identical instance once
-// per grid cell without it. Misses solve through an owned Solver, so the
-// cache memoizes the *work* of column generation (the cross-solve column
-// pool, shared across distinct instances over the same width set) as well
-// as the *answers*; errors are cached alongside heights, so a failing
-// instance pays its diagnosis once. The cache is safe for concurrent use
-// from RunGrid workers, and because a pooled solve still runs column
-// generation to optimality (see Solver), memoization never changes a
-// result beyond LP round-off — only how often it is computed.
+// per grid cell without it. A miss calls FractionalLowerBound; errors are
+// cached alongside heights, so a failing instance pays its diagnosis once.
+// The cache is safe for concurrent use from RunGrid trials. Two trials
+// that miss on one instance at once both solve it, and since the bound is
+// a pure function of the instance they store the same bits, so every
+// answer equals FractionalLowerBound's whatever the interleaving.
 type BoundCache struct {
-	solver *Solver
-
 	mu     sync.Mutex
 	bounds map[string]float64
 	errs   map[string]error
@@ -30,12 +26,9 @@ type BoundCache struct {
 	misses int
 }
 
-// NewBoundCache returns an empty cache whose solves use the given
-// column-generation options (set opts.DisablePool to memoize answers
-// only, reproducing the one-shot FractionalLowerBound on every miss).
-func NewBoundCache(opts CGOptions) *BoundCache {
+// NewBoundCache returns an empty cache.
+func NewBoundCache() *BoundCache {
 	return &BoundCache{
-		solver: NewSolver(opts),
 		bounds: make(map[string]float64),
 		errs:   make(map[string]error),
 	}
@@ -66,9 +59,9 @@ func fingerprint(in *geom.Instance) string {
 	return string(b)
 }
 
-// FractionalLowerBound returns OPTf of the instance, solving via the owned
-// Solver on a miss and replaying the memoized height — or the memoized
-// error — on a hit.
+// FractionalLowerBound returns OPTf of the instance, solving it with the
+// package's FractionalLowerBound on a miss and replaying the memoized
+// height — or the memoized error — on a hit.
 func (c *BoundCache) FractionalLowerBound(in *geom.Instance) (float64, error) {
 	key := fingerprint(in)
 	c.mu.Lock()
@@ -84,27 +77,13 @@ func (c *BoundCache) FractionalLowerBound(in *geom.Instance) (float64, error) {
 	}
 	c.misses++
 	c.mu.Unlock()
-	fs, _, err := c.solver.Solve(in)
+	h, err := FractionalLowerBound(in)
+	c.mu.Lock()
 	if err != nil {
-		c.mu.Lock()
 		c.errs[key] = err
-		c.mu.Unlock()
-		return 0, err
+	} else {
+		c.bounds[key] = h
 	}
-	c.mu.Lock()
-	c.bounds[key] = fs.Height
 	c.mu.Unlock()
-	return fs.Height, nil
-}
-
-// Stats reports cache hits and misses so far.
-func (c *BoundCache) Stats() (hits, misses int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
-
-// SolverStats reports the pool activity of the cache's owned Solver.
-func (c *BoundCache) SolverStats() SolverStats {
-	return c.solver.Stats()
+	return h, err
 }

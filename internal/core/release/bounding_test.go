@@ -147,20 +147,20 @@ func TestBoundingFractionalSandwich(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		optIn, err := FractionalLowerBound(in, CGOptions{})
+		optIn, err := FractionalLowerBound(in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		optG, err := FractionalLowerBound(grouped, CGOptions{})
+		optG, err := FractionalLowerBound(grouped)
 		if err != nil {
 			t.Fatal(err)
 		}
-		optSup, err := FractionalLowerBound(sup, CGOptions{})
+		optSup, err := FractionalLowerBound(sup)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if inf.N() > 0 {
-			optInf, err := FractionalLowerBound(inf, CGOptions{})
+			optInf, err := FractionalLowerBound(inf)
 			if err != nil {
 				t.Fatal(err)
 			}

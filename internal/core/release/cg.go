@@ -3,13 +3,11 @@ package release
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"strippack/internal/geom"
 	"strippack/internal/lp"
+	"strippack/internal/par"
 )
 
 // This file solves the configuration LP on one master problem (lp.Revised,
@@ -32,30 +30,17 @@ import (
 //     common unit (FPGA columns) the knapsack is a dense DP over
 //     strip-in-units; otherwise an exact branch-and-bound over the width
 //     multiplicities with a fractional upper-bound prune.
-//   - Phases price independently, fanned out on a RunGrid-style worker
-//     pool. Determinism contract: pricing is a pure function of the duals
-//     with fixed tie-breaking (first improvement in fixed scan order), and
-//     candidates merge in phase order, so the generated configuration
-//     sequence — and therefore every table built on SolveCG — is
-//     byte-identical for any Workers value.
+//   - Phases price independently, fanned out with par.For. Determinism
+//     contract: pricing is a pure function of the duals with fixed
+//     tie-breaking (first improvement in fixed scan order), and candidates
+//     merge in phase order, so the generated configuration sequence — and
+//     therefore every table built on SolveCG — is byte-identical for every
+//     GOMAXPROCS.
 //
 // The loop terminates when no phase prices a column with reduced cost
 // below -cgPriceTol: the master optimum is then optimal for the full LP.
 // The tests check both paths against the LP assembled over the full
 // enumeration and solved by lptest's dense and exact-rational solvers.
-
-// CGOptions configures SolveCG and Solver.
-type CGOptions struct {
-	// Workers is the pricing fan-out over phases (0 = GOMAXPROCS). Results
-	// are byte-identical for every value >= 1.
-	Workers int
-	// DisablePool turns off cross-solve column pooling in the engines that
-	// carry one (Solver, and BoundCache through it), making every solve run
-	// the one-shot FractionalLowerBound solve — the poolless path the
-	// -cg-pool=false experiment flag pins tables against. One-shot SolveCG
-	// and FractionalLowerBound calls never pool and ignore it.
-	DisablePool bool
-}
 
 // CGStats reports the size of the column-generation run.
 type CGStats struct {
@@ -63,14 +48,6 @@ type CGStats struct {
 	Columns int // structural columns in the final master
 	Rows    int // master rows
 	Pivots  int // simplex pivots accumulated across all rounds
-	// PooledColumns counts the configurations bulk-loaded from a Solver's
-	// persistent pool into this solve's restricted master (each spans
-	// NumPhases master columns); 0 on poolless solves.
-	PooledColumns int
-	// PoolHits counts the pooled configurations that carry nonzero height
-	// in the final optimum — the warm-start columns the answer actually
-	// stands on.
-	PoolHits int
 }
 
 // cgPriceTol is the reduced-cost threshold below which a priced column is
@@ -93,13 +70,13 @@ const maxPriceUnits = 1 << 12
 // configurations. The returned FractionalSolution indexes X by the
 // generated configurations on Model.Configs. Its Height is the LP optimum
 // to within numerical tolerance, and the optimum is basic, so ToIntegral
-// and the Lemma 3.4 occurrence bound apply unchanged. SolveCG is the
-// poolless reference path. Its first master solve runs phase 1 from the
-// all-artificial start, because APTAS rounds the basic optimum it returns
-// and E7 reports its pivots: the crash start the value-only solves use
-// (FractionalLowerBound, Solver) would move both.
-func SolveCG(in *geom.Instance, opts CGOptions) (*FractionalSolution, *CGStats, error) {
-	return solveCG(in, opts, nil, false)
+// and the Lemma 3.4 occurrence bound apply unchanged. The solution is a
+// pure function of the instance. The first master solve runs phase 1 from
+// the all-artificial start, because APTAS rounds the basic optimum it
+// returns and E7 reports its pivots: the crash start the value-only
+// FractionalLowerBound uses would move both.
+func SolveCG(in *geom.Instance) (*FractionalSolution, *CGStats, error) {
+	return solveCG(in, false)
 }
 
 // SolveEnumerated solves the configuration LP over every configuration
@@ -112,7 +89,7 @@ func SolveCG(in *geom.Instance, opts CGOptions) (*FractionalSolution, *CGStats, 
 // enumeration is exponential in K and capped at 1<<20 configurations,
 // beyond which SolveEnumerated fails.
 func SolveEnumerated(in *geom.Instance) (*FractionalSolution, error) {
-	st, err := newCGSolve(in, 0)
+	st, err := newCGSolve(in)
 	if err != nil {
 		return nil, err
 	}
@@ -128,26 +105,25 @@ func SolveEnumerated(in *geom.Instance) (*FractionalSolution, error) {
 }
 
 // solveCG is the column-generation core: build the restricted master,
-// start from the singleton configurations, bulk-load the seed
-// configurations (a Solver's pool snapshot; nil for poolless solves), then
-// alternate master re-optimization with knapsack pricing until no column
-// improves. With crash set the first master solve starts from the
-// closed-form feasible basis (setCrashBasis) instead of running phase 1.
-func solveCG(in *geom.Instance, opts CGOptions, seed []Config, crash bool) (*FractionalSolution, *CGStats, error) {
-	st, err := newCGSolve(in, opts.Workers)
+// start from the singleton configurations, then alternate master
+// re-optimization with knapsack pricing until no column improves. With
+// crash set the first master solve starts from the closed-form feasible
+// basis (setCrashBasis) instead of running phase 1.
+func solveCG(in *geom.Instance, crash bool) (*FractionalSolution, *CGStats, error) {
+	st, err := newCGSolve(in)
 	if err != nil {
 		return nil, nil, err
 	}
-	// Arena hints: W singleton configs, the pool seed, plus a generation
-	// headroom of ~32 configs (E7 tops out around 26 even at K=24), each
-	// with one column per phase, plus up to two logical columns per row; a
-	// phase-j column hits on average about half the covering rows.
-	// Exceeding the hint just falls back to append growth.
+	// Arena hints: W singleton configs plus a generation headroom of ~32
+	// configs (E7 tops out around 26 even at K=24), each with one column
+	// per phase, plus up to two logical columns per row; a phase-j column
+	// hits on average about half the covering rows. Exceeding the hint
+	// just falls back to append growth.
 	rows := st.solver.NumRows()
-	expCols := (st.W+len(seed)+32)*st.phases + 2*rows
+	expCols := (st.W+32)*st.phases + 2*rows
 	expNNZ := expCols * (rows/2 + 2)
 	st.solver.Reserve(expCols, expNNZ)
-	st.m.Configs = make([]Config, 0, st.W+len(seed)+32)
+	st.m.Configs = make([]Config, 0, st.W+32)
 
 	// Trivial feasible start: the maximal single-width configuration per
 	// width (phase R is uncapped, so covering is always satisfiable).
@@ -157,11 +133,6 @@ func solveCG(in *geom.Instance, opts CGOptions, seed []Config, crash bool) (*Fra
 		counts := st.carveCounts()
 		counts[i] = c
 		if err := st.addConfig(counts); err != nil {
-			return nil, nil, err
-		}
-	}
-	if len(seed) > 0 {
-		if err := st.seedConfigs(seed); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -176,8 +147,8 @@ func solveCG(in *geom.Instance, opts CGOptions, seed []Config, crash bool) (*Fra
 // newCGSolve builds the configuration LP's master for the instance, with
 // no columns yet: one LE packing row per finite phase, then one GE
 // covering row per demanding (phase, width) pair, on lp.Revised, and the
-// pricing state for the given worker count (0 = GOMAXPROCS).
-func newCGSolve(in *geom.Instance, workers int) (*cgSolve, error) {
+// pricing state.
+func newCGSolve(in *geom.Instance) (*cgSolve, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
@@ -249,17 +220,10 @@ func newCGSolve(in *geom.Instance, workers int) (*cgSolve, error) {
 		m: m, R: R, W: W, phases: phases, strip: strip,
 		covRow: covRow, solver: solver,
 	}
-	wu, L, quantized := quantizeWidths(strip, m.Widths)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > phases {
-		workers = phases
-	}
-	st.pricers = make([]*pricer, workers)
-	for w := range st.pricers {
-		st.pricers[w] = newPricer(m.Widths, strip, wu, L, quantized)
-	}
+	st.wu, st.L, st.quantized = quantizeWidths(strip, m.Widths)
+	// par.For's w is below the phase count, so one slot per phase
+	// covers any GOMAXPROCS.
+	st.pricers = make([]*pricer, phases)
 	st.nu = make([][]float64, phases)
 	for j := range st.nu {
 		st.nu[j] = nuBack[j*W : (j+1)*W : (j+1)*W]
@@ -325,17 +289,6 @@ func (st *cgSolve) run() (*FractionalSolution, *CGStats, error) {
 		Rows:    solver.NumRows(),
 		Pivots:  solver.Iterations(),
 	}
-	if st.seedCount > 0 {
-		stats.PooledColumns = st.seedCount
-		for q := st.seedStart; q < st.seedStart+st.seedCount; q++ {
-			for _, v := range fs.X[q] {
-				if v > 0 {
-					stats.PoolHits++
-					break
-				}
-			}
-		}
-	}
 	return fs, stats, nil
 }
 
@@ -349,16 +302,17 @@ type cgSolve struct {
 	covRow [][]int32
 	solver *lp.Revised
 
-	pricers []*pricer
-	nu      [][]float64 // ν_{j,i}: cumulative clamped covering duals
-	candBuf []int       // phase j's priced configuration at [j*W, (j+1)*W)
-	candOK  []bool
+	wu        []int32 // quantizeWidths' result, for newPricer
+	L         int
+	quantized bool
+	pricers   []*pricer   // one per par.For goroutine, made on first use
+	nu        [][]float64 // ν_{j,i}: cumulative clamped covering duals
+	candBuf   []int       // phase j's priced configuration at [j*W, (j+1)*W)
+	candOK    []bool
 
 	countsArena []int   // slab the Config.Counts slices are carved from
 	colIdx      []int32 // column assembly scratch
 	colVal      []float64
-
-	seedStart, seedCount int // seedConfigs' span inside m.Configs
 }
 
 // carveCounts returns a zeroed W-slot counts slice from the arena.
@@ -432,42 +386,22 @@ func (st *cgSolve) addConfig(counts []int) error {
 	return nil
 }
 
-// seedConfigs bulk-loads configurations into the master after the columns
-// it already holds: a Solver's pool snapshot after the singleton start, or
-// SolveEnumerated's whole enumeration into the empty master. Every seed
-// fits the strip (the pool key fixes the strip width and the width set),
-// so its phase columns load unchanged. Seeds dedup against the columns
-// already loaded (pool entries and enumerated configurations are distinct
-// among themselves) and append in the given order, keeping the master
-// column order — and therefore the simplex path — a pure function of the
-// solve sequence. The Counts slices stay shared with the caller read-only.
-// All columns assemble into one lp.Revised.AddColumns batch so the arenas
-// grow exactly once.
+// seedConfigs bulk-loads SolveEnumerated's whole enumeration, in the
+// given order, into the empty master. The enumeration lists distinct
+// configurations over the instance's widths that fit the strip, so every
+// one loads unchanged. The Counts slices stay shared with the caller
+// read-only. All columns assemble into one lp.Revised.AddColumns batch so
+// the arenas grow exactly once.
 func (st *cgSolve) seedConfigs(seed []Config) error {
-	st.seedStart = len(st.m.Configs)
-	st.m.Configs = slices.Grow(st.m.Configs, len(seed))
-	for _, c := range seed {
-		dup := false
-		for q := range st.m.Configs[:st.seedStart] {
-			if slices.Equal(st.m.Configs[q].Counts, c.Counts) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			st.m.Configs = append(st.m.Configs, c)
-		}
-	}
-	accepted := st.m.Configs[st.seedStart:]
-	st.seedCount = len(accepted)
-	if st.seedCount == 0 {
+	st.m.Configs = append(st.m.Configs, seed...)
+	if len(seed) == 0 {
 		return nil
 	}
 	// Exact CSR sizing: a covering-row entry of phase row k appears in the
 	// columns of phases j >= k, i.e. phases-k times; each of the R capped
 	// phases contributes one packing entry per configuration.
-	nnz := st.seedCount * st.R
-	for _, c := range accepted {
+	nnz := len(seed) * st.R
+	for _, c := range seed {
 		for k := 0; k < st.phases; k++ {
 			row := st.covRow[k]
 			for i, cnt := range c.Counts {
@@ -477,12 +411,12 @@ func (st *cgSolve) seedConfigs(seed []Config) error {
 			}
 		}
 	}
-	nCols := st.seedCount * st.phases
+	nCols := len(seed) * st.phases
 	costs := make([]float64, 0, nCols)
 	starts := make([]int32, 1, nCols+1)
 	idx := make([]int32, 0, nnz)
 	val := make([]float64, 0, nnz)
-	for _, c := range accepted {
+	for _, c := range seed {
 		for j := 0; j < st.phases; j++ {
 			if j < st.R {
 				idx = append(idx, int32(j))
@@ -509,8 +443,8 @@ func (st *cgSolve) seedConfigs(seed []Config) error {
 	return err
 }
 
-// priceAndAdd runs one pricing round over all phases on the worker pool
-// and adds the new configurations in phase order. It returns how many were
+// priceAndAdd runs one pricing round over all phases with par.For and
+// adds the new configurations in phase order. It returns how many were
 // added (0 means the master optimum is optimal for the full LP).
 func (st *cgSolve) priceAndAdd(duals []float64) (int, error) {
 	// ν_{j,i} = Σ_{k<=j} μ_{k,i}, with negative (numerically drifted)
@@ -530,30 +464,17 @@ func (st *cgSolve) priceAndAdd(duals []float64) (int, error) {
 			st.nu[k][i] = acc
 		}
 	}
-	if workers := len(st.pricers); workers <= 1 {
-		for j := 0; j < st.phases; j++ {
-			st.pricePhase(j, st.pricers[0], duals)
+	_ = par.For(st.phases, func(w, j int) error { // pricing cannot fail
+		p := st.pricers[w]
+		if p == nil {
+			p = newPricer(st.m.Widths, st.strip, st.wu, st.L, st.quantized)
+			st.pricers[w] = p
 		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func(p *pricer) {
-				defer wg.Done()
-				for {
-					j := int(next.Add(1)) - 1
-					if j >= st.phases {
-						return
-					}
-					st.pricePhase(j, p, duals)
-				}
-			}(st.pricers[w])
-		}
-		wg.Wait()
-	}
+		st.pricePhase(j, p, duals)
+		return nil
+	})
 	// Candidates are deduped against every generated configuration (in
-	// phase order, so the merge is independent of the worker count). A
+	// phase order, so the merge is independent of the width). A
 	// candidate from an earlier round is all but impossible — its column
 	// sits in the master with reduced cost >= -1e-9 and the clamping gap
 	// is orders below the -1e-7 pricing threshold — but skipping it (and
@@ -607,8 +528,8 @@ func (st *cgSolve) pricePhase(j int, p *pricer, duals []float64) {
 
 // pricer solves the per-phase pricing knapsack: maximize Σ_i counts_i·ν_i
 // subject to Σ_i counts_i·width_i <= strip, counts integral. The argmax is
-// left in counts. Scratch is owned by one worker and reused across rounds,
-// so pricing allocates nothing after construction.
+// left in counts. Scratch is owned by one par.For goroutine at a time and
+// reused across rounds, so pricing allocates nothing after construction.
 type pricer struct {
 	widths []float64
 	strip  float64

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -24,7 +25,7 @@ func TestSolveCGMatchesExact(t *testing.T) {
 		} else {
 			in = contInstance(rng, 3+rng.Intn(6), 2+rng.Intn(2), 1.5*rng.Float64())
 		}
-		fs, st, err := SolveCG(in, CGOptions{})
+		fs, st, err := SolveCG(in)
 		if err != nil {
 			t.Fatalf("trial %d: SolveCG: %v", trial, err)
 		}
@@ -71,7 +72,7 @@ func TestSolveCGMatchesFloatOracle(t *testing.T) {
 		} else {
 			in = contInstance(rng, 4+rng.Intn(10), 3, 2*rng.Float64())
 		}
-		fs, _, err := SolveCG(in, CGOptions{})
+		fs, _, err := SolveCG(in)
 		if err != nil {
 			t.Fatalf("trial %d: SolveCG: %v", trial, err)
 		}
@@ -97,9 +98,10 @@ func TestSolveCGMatchesFloatOracle(t *testing.T) {
 }
 
 // TestSolveCGDeterministic: the generated configuration sequence, the
-// solution matrix and the stats are byte-identical for every pricing
-// worker count — the worker pool only changes wall-clock time.
+// solution matrix and the stats are byte-identical at GOMAXPROCS 1 and 8
+// — the pricing fan-out only changes wall-clock time.
 func TestSolveCGDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(419))
 	for trial := 0; trial < 10; trial++ {
 		var in *geom.Instance
@@ -108,19 +110,21 @@ func TestSolveCGDeterministic(t *testing.T) {
 		} else {
 			in = contInstance(rng, 5+rng.Intn(8), 3, 2)
 		}
-		fs1, st1, err := SolveCG(in, CGOptions{Workers: 1})
+		runtime.GOMAXPROCS(1)
+		fs1, st1, err := SolveCG(in)
 		if err != nil {
-			t.Fatalf("trial %d: workers=1: %v", trial, err)
+			t.Fatalf("trial %d: GOMAXPROCS 1: %v", trial, err)
 		}
-		fs8, st8, err := SolveCG(in, CGOptions{Workers: 8})
+		runtime.GOMAXPROCS(8)
+		fs8, st8, err := SolveCG(in)
 		if err != nil {
-			t.Fatalf("trial %d: workers=8: %v", trial, err)
+			t.Fatalf("trial %d: GOMAXPROCS 8: %v", trial, err)
 		}
 		if !reflect.DeepEqual(fs1.Model.Configs, fs8.Model.Configs) {
-			t.Fatalf("trial %d: generated configs differ between 1 and 8 workers", trial)
+			t.Fatalf("trial %d: generated configs differ between GOMAXPROCS 1 and 8", trial)
 		}
 		if !reflect.DeepEqual(fs1.X, fs8.X) {
-			t.Fatalf("trial %d: solutions differ between 1 and 8 workers", trial)
+			t.Fatalf("trial %d: solutions differ between GOMAXPROCS 1 and 8", trial)
 		}
 		if fs1.Height != fs8.Height || !reflect.DeepEqual(st1, st8) {
 			t.Fatalf("trial %d: height/stats differ: %g/%+v vs %g/%+v",
@@ -135,7 +139,7 @@ func TestSolveCGBasicOccurrences(t *testing.T) {
 	rng := rand.New(rand.NewSource(421))
 	for trial := 0; trial < 20; trial++ {
 		in := fpgaInstance(rng, 4+rng.Intn(12), 4, 2)
-		fs, st, err := SolveCG(in, CGOptions{})
+		fs, st, err := SolveCG(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +155,7 @@ func TestSolveCGToIntegral(t *testing.T) {
 	rng := rand.New(rand.NewSource(431))
 	for trial := 0; trial < 25; trial++ {
 		in := fpgaInstance(rng, 3+rng.Intn(12), 4, 2)
-		fs, _, err := SolveCG(in, CGOptions{})
+		fs, _, err := SolveCG(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +175,7 @@ func TestSolveCGToIntegral(t *testing.T) {
 
 func TestSolveCGValidation(t *testing.T) {
 	empty := geom.NewInstance(1, nil)
-	if _, _, err := SolveCG(empty, CGOptions{}); err == nil {
+	if _, _, err := SolveCG(empty); err == nil {
 		t.Fatal("empty instance accepted")
 	}
 	if _, err := SolveEnumerated(empty); err == nil {
@@ -185,7 +189,7 @@ func TestSolveCGValidation(t *testing.T) {
 	if want == nil || !strings.Contains(want.Error(), "exceeds strip width") {
 		t.Fatalf("geom accepted an over-wide rectangle: %v", want)
 	}
-	if _, _, err := SolveCG(wide, CGOptions{}); err == nil || err.Error() != want.Error() {
+	if _, _, err := SolveCG(wide); err == nil || err.Error() != want.Error() {
 		t.Fatalf("over-wide rectangle: SolveCG returned %v, want %v", err, want)
 	}
 	if _, err := SolveEnumerated(wide); err == nil || err.Error() != want.Error() {
@@ -363,8 +367,8 @@ func TestBoundCacheDedups(t *testing.T) {
 	rng := rand.New(rand.NewSource(457))
 	in := fpgaInstance(rng, 8, 3, 2)
 	other := fpgaInstance(rng, 8, 3, 2)
-	c := NewBoundCache(CGOptions{})
-	want, err := FractionalLowerBound(in, CGOptions{})
+	c := NewBoundCache()
+	want, err := FractionalLowerBound(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +381,7 @@ func TestBoundCacheDedups(t *testing.T) {
 			t.Fatalf("cached bound %g != direct %g", got, want)
 		}
 	}
-	wantOther, err := FractionalLowerBound(other, CGOptions{})
+	wantOther, err := FractionalLowerBound(other)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,8 +392,7 @@ func TestBoundCacheDedups(t *testing.T) {
 	if gotOther != wantOther {
 		t.Fatalf("second instance: cached %g != direct %g", gotOther, wantOther)
 	}
-	hits, misses := c.Stats()
-	if hits != 2 || misses != 2 {
+	if hits, misses := c.hits, c.misses; hits != 2 || misses != 2 {
 		t.Fatalf("hits=%d misses=%d, want 2/2", hits, misses)
 	}
 }

@@ -184,7 +184,7 @@ func TestToIntegralMatchesBackwardScan(t *testing.T) {
 }
 
 func oneShotCG(in *geom.Instance) (*FractionalSolution, error) {
-	fs, _, err := SolveCG(in, CGOptions{})
+	fs, _, err := SolveCG(in)
 	return fs, err
 }
 

@@ -68,14 +68,14 @@ type FractionalSolution struct {
 // packing relaxes the integral problem, the returned height is a valid
 // lower bound on OPT(P); experiments use it as the ratio denominator.
 //
-// The solve runs SolveCG's column generation with the given options, so
-// no configuration enumeration happens, but its first master solve starts
-// from the crash basis (see the package doc): 675 -> 284 pivots per solve
-// on the benchmark's n=40, K=8 shape, with the height within 1e-12
-// relative of SolveCG's. BoundCache memoizes repeated solves across an
-// experiment grid.
-func FractionalLowerBound(in *geom.Instance, opts CGOptions) (float64, error) {
-	fs, _, err := solveCG(in, opts, nil, true)
+// The solve runs SolveCG's column generation, so no configuration
+// enumeration happens, but its first master solve starts from the crash
+// basis (see the package doc): 675 -> 284 pivots per solve on the
+// benchmark's n=40, K=8 shape, with the height within 1e-12 relative of
+// SolveCG's. The height is a pure function of the instance, bit for bit.
+// BoundCache memoizes repeated solves across an experiment grid.
+func FractionalLowerBound(in *geom.Instance) (float64, error) {
+	fs, _, err := solveCG(in, true)
 	if err != nil {
 		return 0, err
 	}

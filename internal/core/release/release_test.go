@@ -420,7 +420,7 @@ func TestFractionalIsLowerBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 25; trial++ {
 		in := fpgaInstance(rng, 3+rng.Intn(10), 3, 1.5)
-		lb, err := FractionalLowerBound(in, CGOptions{})
+		lb, err := FractionalLowerBound(in)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,47 +27,26 @@
 // the LP assembled eagerly over the enumeration and solved by the dense
 // and exact-rational reference solvers of internal/lp/lptest.
 //
-// # Cross-solve column pool
-//
-// A configuration is a multiset of widths fitting the strip, so it is
-// feasible for every instance sharing the (strip width, distinct width
-// set) pair — the experiment grids and any long-running bound service
-// solve hundreds of such siblings. Solver (solver.go) exploits this: it
-// keeps a per-width-set pool (pool.go) of every configuration its solves
-// have generated, bulk-loads the pool into each new solve's restricted
-// master (one lp.Revised.AddColumns batch, after the singletons, in
-// pool-insertion order, deduped by packed multiplicity vector), and
-// appends what the solve generates back. Warm solves start near-optimal
-// and typically converge in 1–3 pricing rounds instead of tens.
-// BoundCache owns a Solver, so it memoizes the work of column generation
-// across distinct instances as well as the answers to repeated ones, and
-// caches errors so a failing instance is diagnosed once.
+// BoundCache (boundcache.go) memoizes FractionalLowerBound's answers, and
+// its errors, for the experiment grids that solve one instance many times.
 //
 // # Crash start
 //
-// FractionalLowerBound and Solver (hence BoundCache) use only the optimal
-// value, so their first master solve starts from a feasible basis written
-// down in closed form (cgSolve.setCrashBasis, via
-// lp.Revised.SetStartBasis) and skips phase 1. SolveCG, whose basic
-// optimum APTAS rounds, keeps the artificial start.
+// FractionalLowerBound (hence BoundCache) uses only the optimal value, so
+// its first master solve starts from a feasible basis written down in
+// closed form (cgSolve.setCrashBasis, via lp.Revised.SetStartBasis) and
+// skips phase 1. SolveCG, whose basic optimum APTAS rounds, keeps the
+// artificial start.
 //
 // # Determinism contract
 //
-// A pooled or crash-started solve still runs column generation to
-// optimality, so its height is the configuration LP's optimum regardless
-// of which columns were seeded or which basis the master started from:
-// both affect only the simplex path, perturbing results by LP round-off —
-// within 1e-9 of the poolless SolveCG height, and within 1e-12 relative
-// for the one-shot FractionalLowerBound (property- and fuzz-tested in
-// bound_test.go and solver_test.go). Given a fixed solve sequence, the
-// pool state and every result are fully reproducible; under concurrent
-// use (RunGrid workers sharing a BoundCache) the interleaving may vary
-// which pool snapshot a solve sees, moving results only within that same
-// 1e-9 envelope, which the experiment tables' fixed-precision rendering
-// absorbs — `make determinism` enforces byte-identity across worker
-// counts and pool on/off end-to-end. SolveCG stays the reference oracle,
-// and a Solver with CGOptions.DisablePool reproduces FractionalLowerBound
-// on every solve.
+// Heights are a pure function of the instance: SolveCG and
+// FractionalLowerBound each take one fixed simplex path (fixed column
+// order, pricing merged in phase order), so each returns the same bits
+// for every GOMAXPROCS and call sequence, and so does BoundCache. The two
+// start from different bases, so their heights may differ by LP round-off:
+// within 1e-12 relative, property- and fuzz-tested in bound_test.go.
+// SolveCG stays the reference oracle.
 package release
 
 import (

@@ -5,9 +5,9 @@
 // them as benchmarks.
 //
 // Every experiment declares its trial grid (rows x repetitions) as data and
-// fans the trials out through RunGrid's shared worker pool. Tables are
-// byte-identical for any Parallelism >= 1 (see the determinism contract in
-// runner.go), so -parallel only changes wall-clock time, never results.
+// fans the trials out through RunGrid. Tables are byte-identical for every
+// GOMAXPROCS (see the determinism contract in runner.go), so the number
+// of cores only changes wall-clock time, never results.
 package experiments
 
 import (
@@ -25,6 +25,7 @@ import (
 	"strippack/internal/geom"
 	"strippack/internal/kr"
 	"strippack/internal/packing"
+	"strippack/internal/par"
 	"strippack/internal/stats"
 	"strippack/internal/workload"
 )
@@ -69,76 +70,6 @@ func Lookup(id string) (Experiment, bool) {
 
 const seeds = 5
 
-// DCWorkers is the worker count handed to precedence.DC by every experiment
-// that runs it (0 uses the library default). cmd/experiments exposes it as
-// -dc-workers; `make determinism` pins it to 1 and 8 and checks the tables
-// are byte-identical, the same contract RunGrid makes for Parallelism.
-var DCWorkers int
-
-// dcOpts returns DC options carrying the harness-wide worker count.
-func dcOpts() *precedence.DCOptions {
-	return &precedence.DCOptions{Workers: DCWorkers}
-}
-
-// CGWorkers is the pricing fan-out handed to the configuration-LP column
-// generation (release.SolveCG) by every experiment that solves it
-// (0 = GOMAXPROCS). cmd/experiments exposes it as -cg-workers; `make
-// determinism` pins it to 1 and 8 under the same byte-identical contract.
-var CGWorkers int
-
-// CGPool enables the cross-solve column pool on the BoundCaches the
-// CG-heavy experiments (E6/E8/E11/E12) solve through. cmd/experiments
-// exposes it as -cg-pool; `make determinism` diffs the tables with the
-// pool on and off — a pooled solve still reaches the LP optimum, so the
-// fixed-precision tables must be byte-identical either way (the Solver
-// determinism contract).
-var CGPool = true
-
-// StatsEnabled makes the CG-heavy experiments print a cache+pool summary
-// line after their table (cmd/experiments -stats). Off by default: the
-// counters include scheduling-independent totals only, but the line is
-// diagnostic, not part of the reproduced tables.
-var StatsEnabled bool
-
-// cgOpts returns column-generation options carrying the harness-wide
-// pricing worker count and pool switch.
-func cgOpts() release.CGOptions {
-	return release.CGOptions{Workers: CGWorkers, DisablePool: !CGPool}
-}
-
-// cacheSummary prints the diagnostic cache+pool line for an experiment's
-// BoundCache when -stats is on.
-func cacheSummary(w io.Writer, c *release.BoundCache) {
-	if !StatsEnabled {
-		return
-	}
-	hits, misses := c.Stats()
-	ps := c.SolverStats()
-	fmt.Fprintf(w, "cache: hits=%d misses=%d | pool: solves=%d width-sets=%d warm=%d seeded=%d new=%d\n",
-		hits, misses, ps.Solves, ps.WidthSets, ps.PoolHits, ps.PooledColumns, ps.NewColumns)
-}
-
-// ChurnWorkers is the fan-out for E13's per-trial policy simulations (the
-// three independent replays of one churn workload; 0 or 1 = serial).
-// cmd/experiments exposes it as -churn-workers; `make determinism` pins it
-// to 1 and 3 under the byte-identical contract — each replay is an
-// independent single-threaded discrete-event simulation writing its own
-// result slot, so the fan-out cannot change the table.
-var ChurnWorkers int
-
-// AdmissionWorkers is the fan-out for E14's per-trial admission-policy
-// simulations (the three independent replays of one overload workload;
-// 0 or 1 = serial). cmd/experiments exposes it as -admission; `make
-// determinism` pins it to 1 and 3 under the byte-identical contract.
-var AdmissionWorkers int
-
-// FleetWorkers is the per-shard execution fan-out E15 hands the fleet
-// router (fleet.Config.Workers; 0 = GOMAXPROCS). cmd/experiments exposes
-// it as -fleet-workers; `make determinism` pins it to 1 and 8 — the
-// fleet routes sequentially and merges in shard order, so the worker
-// count can never change the table (the package's determinism contract).
-var FleetWorkers int
-
 // Per-experiment base seeds for RunGrid (trial seed = base ^ trialIndex).
 const (
 	seedE1  int64 = 0xAB1<<8 | 0xE1
@@ -171,7 +102,7 @@ func E1(w io.Writer) error {
 		n := ns[t.Row]
 		layers := int(math.Max(2, math.Sqrt(float64(n))/2))
 		in := workload.DAGWorkload(rng, n, layers, 0.2)
-		p, st, err := precedence.DC(in, dcOpts())
+		p, st, err := precedence.DC(in, nil)
 		if err != nil {
 			return res{}, err
 		}
@@ -217,7 +148,7 @@ func E2(w io.Writer) error {
 		if err != nil {
 			return res{}, err
 		}
-		p, st, err := precedence.DC(in, dcOpts())
+		p, st, err := precedence.DC(in, nil)
 		if err != nil {
 			return res{}, err
 		}
@@ -441,12 +372,12 @@ func E6(w io.Writer) error {
 		ra, rg, rs, add float64
 		occ             int
 	}
-	cache := release.NewBoundCache(cgOpts())
+	cache := release.NewBoundCache()
 	rows, err := RunGrid(len(grid), seeds, seedE6, func(t Trial, _ *rand.Rand) (res, error) {
 		c := grid[t.Row]
 		rng := rand.New(rand.NewSource(seedE6 ^ int64(1000*c.n+t.Rep)))
 		in := workload.FPGA(rng, c.n, K, 0.25*float64(c.n))
-		p, rep, err := release.Pack(in, release.Options{Epsilon: c.eps, K: K, CGWorkers: CGWorkers})
+		p, rep, err := release.Pack(in, release.Options{Epsilon: c.eps, K: K})
 		if err != nil {
 			return res{}, err
 		}
@@ -491,7 +422,6 @@ func E6(w io.Writer) error {
 			stats.Summarize(rs).Mean, add, occ/seeds)
 	}
 	t.Render(w)
-	cacheSummary(w, cache)
 	return nil
 }
 
@@ -512,7 +442,7 @@ func E7(w io.Writer) error {
 	rows, err := RunGrid(len(Ks), 1, seedE7, func(t Trial, rng *rand.Rand) (res, error) {
 		K := Ks[t.Row]
 		in := workload.FPGA(rng, 24, K, 3)
-		fs, st, err := release.SolveCG(in, cgOpts())
+		fs, st, err := release.SolveCG(in)
 		if err != nil {
 			return res{}, err
 		}
@@ -551,7 +481,7 @@ func E8(w io.Writer) error {
 	type res struct {
 		g1, g2 float64
 	}
-	cache := release.NewBoundCache(cgOpts())
+	cache := release.NewBoundCache()
 	rows, err := RunGrid(len(Rs), seeds, seedE8, func(t Trial, _ *rand.Rand) (res, error) {
 		R := Rs[t.Row]
 		groups := 2 * K // per-class groups; W = groups*(R+1)
@@ -595,7 +525,6 @@ func E8(w io.Writer) error {
 			stats.Summarize(g2).Max, 1+float64((R+1)*K)/float64(W))
 	}
 	t.Render(w)
-	cacheSummary(w, cache)
 	return nil
 }
 
@@ -613,11 +542,11 @@ func E9(w io.Writer) error {
 		opts *precedence.DCOptions
 	}
 	variants := []variant{
-		{"nfdh split=0.5 (paper)", dcOpts()},
-		{"ffdh split=0.5", &precedence.DCOptions{Subroutine: packing.FFDH, Workers: DCWorkers}},
-		{"bldh split=0.5", &precedence.DCOptions{Subroutine: packing.BLDH, Workers: DCWorkers}},
-		{"nfdh split=0.35", &precedence.DCOptions{SplitFraction: 0.35, Workers: DCWorkers}},
-		{"nfdh split=0.65", &precedence.DCOptions{SplitFraction: 0.65, Workers: DCWorkers}},
+		{"nfdh split=0.5 (paper)", nil},
+		{"ffdh split=0.5", &precedence.DCOptions{Subroutine: packing.FFDH}},
+		{"bldh split=0.5", &precedence.DCOptions{Subroutine: packing.BLDH}},
+		{"nfdh split=0.35", &precedence.DCOptions{SplitFraction: 0.35}},
+		{"nfdh split=0.65", &precedence.DCOptions{SplitFraction: 0.65}},
 	}
 	type res struct {
 		height, ratio float64
@@ -723,10 +652,6 @@ func E11(w io.Writer) error {
 	type res struct {
 		rk, rn, rf, rb float64
 	}
-	// Every trial shares the four-width set, so the cache's column pool
-	// warm-starts all but the first fractional-bound solve even though the
-	// instances themselves never repeat.
-	cache := release.NewBoundCache(cgOpts())
 	rows, err := RunGrid(len(grid), seeds, seedE11, func(t Trial, rng *rand.Rand) (res, error) {
 		c := grid[t.Row]
 		rects := make([]geom.Rect, c.n)
@@ -744,7 +669,7 @@ func E11(w io.Writer) error {
 		if err := p.Validate(); err != nil {
 			return res{}, fmt.Errorf("E11 n=%d: %w", c.n, err)
 		}
-		optf, err := cache.FractionalLowerBound(in)
+		optf, err := release.FractionalLowerBound(in)
 		if err != nil {
 			return res{}, err
 		}
@@ -783,7 +708,6 @@ func E11(w io.Writer) error {
 			stats.Summarize(rf).Mean, stats.Summarize(rb).Mean)
 	}
 	t.Render(w)
-	cacheSummary(w, cache)
 	return nil
 }
 
@@ -805,9 +729,6 @@ func E12(w io.Writer) error {
 	type res struct {
 		on, off, ap float64
 	}
-	// The FPGA workload draws widths from the same K-unit grid in every
-	// trial, so the cache's column pool warm-starts across trials here too.
-	cache := release.NewBoundCache(cgOpts())
 	rows, err := RunGrid(len(grid), seeds, seedE12, func(t Trial, rng *rand.Rand) (res, error) {
 		c := grid[t.Row]
 		in := workload.FPGA(rng, c.n, K, c.span)
@@ -826,11 +747,11 @@ func E12(w io.Writer) error {
 		if err != nil {
 			return res{}, err
 		}
-		pAp, _, err := release.Pack(in, release.Options{Epsilon: 1.5, K: K, CGWorkers: CGWorkers})
+		pAp, _, err := release.Pack(in, release.Options{Epsilon: 1.5, K: K})
 		if err != nil {
 			return res{}, err
 		}
-		optf, err := cache.FractionalLowerBound(in)
+		optf, err := release.FractionalLowerBound(in)
 		if err != nil {
 			return res{}, err
 		}
@@ -855,7 +776,6 @@ func E12(w io.Writer) error {
 			stats.Summarize(rap).Mean)
 	}
 	t.Render(w)
-	cacheSummary(w, cache)
 	return nil
 }
 
@@ -875,9 +795,10 @@ func E12(w io.Writer) error {
 // it *worse* than doing nothing, which is the classical list-scheduling
 // effect the conservative compaction mode exists to avoid.
 //
-// The three replays of a trial fan out on ChurnWorkers goroutines; each is
-// an independent single-threaded simulation, so the table is byte-identical
-// for any value (enforced by `make determinism` via -churn-workers).
+// The three replays of a trial fan out with par.For; each is an
+// independent single-threaded simulation writing its own slot, so the
+// table is byte-identical for every GOMAXPROCS (enforced by `make
+// determinism`).
 func E13(w io.Writer) error {
 	const K = 16
 	type cell struct {
@@ -905,11 +826,7 @@ func E13(w io.Writer) error {
 		}
 		var r res
 		var stats [3]*fpga.ChurnStats
-		workers := ChurnWorkers
-		if workers == 0 {
-			workers = len(policies)
-		}
-		err = RunN(len(policies), workers, func(i int) error {
+		err = par.For(len(policies), func(_, i int) error {
 			_, st, err := fpga.RunChurn(tasks, fpga.NewDevice(K), policies[i])
 			if err != nil {
 				return err
@@ -976,8 +893,8 @@ func E13(w io.Writer) error {
 // rate, and the payoff is that makespan and mean wait stay those of the
 // admitted population instead of degrading unboundedly.
 //
-// The three replays of a trial fan out on AdmissionWorkers goroutines
-// under the same byte-identical determinism contract as E13.
+// The three replays of a trial fan out with par.For under the same
+// byte-identical determinism contract as E13.
 func E14(w io.Writer) error {
 	const (
 		K     = 16
@@ -1005,11 +922,7 @@ func E14(w io.Writer) error {
 			return res{}, err
 		}
 		var stats [3]*fpga.ChurnStats
-		workers := AdmissionWorkers
-		if workers == 0 {
-			workers = len(admissions)
-		}
-		err = RunN(len(admissions), workers, func(i int) error {
+		err = par.For(len(admissions), func(_, i int) error {
 			_, st, err := fpga.RunChurnAdmission(tasks, fpga.NewDevice(K), fpga.ReclaimCompact, admissions[i])
 			if err != nil {
 				return err
@@ -1127,7 +1040,6 @@ func E15(w io.Writer) error {
 				Admission: fpga.AdmissionConfig{Policy: fpga.AdmitShed, MaxBacklog: bound},
 				Route:     route,
 				Seed:      t.Seed,
-				Workers:   FleetWorkers,
 			}, chunk)
 			if err != nil {
 				return res{}, err
@@ -1200,7 +1112,6 @@ func E15(w io.Writer) error {
 				Admission: fpga.AdmissionConfig{Policy: fpga.AdmitShed, MaxBacklog: bound},
 				Route:     route,
 				Seed:      t.Seed,
-				Workers:   FleetWorkers,
 			}, chunk)
 			if err != nil {
 				return res{}, err

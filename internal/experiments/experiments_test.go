@@ -2,8 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"math/rand"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -105,3 +109,40 @@ func TestRunAllWritesAllHeaders(t *testing.T) {
 }
 
 var _ io.Writer = (*bytes.Buffer)(nil)
+
+// TestRunGridContract: at GOMAXPROCS 1 and 8, RunGrid groups results by
+// row with reps in order, seeds trial i with baseSeed ^ i, runs every
+// trial even after failures, and returns the lowest-index trial's error.
+func TestRunGridContract(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const rows, reps, base = 4, 3, 77
+	for _, procs := range []int{1, 8} {
+		runtime.GOMAXPROCS(procs)
+		got, err := RunGrid(rows, reps, base, func(tr Trial, rng *rand.Rand) (string, error) {
+			return fmt.Sprintf("%d/%d/%d", tr.Row, tr.Rep, rng.Int63()), nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < rows; r++ {
+			for k := 0; k < reps; k++ {
+				i := r*reps + k
+				want := fmt.Sprintf("%d/%d/%d", r, k, rand.New(rand.NewSource(base^int64(i))).Int63())
+				if got[r][k] != want {
+					t.Fatalf("GOMAXPROCS %d: cell (%d, %d) = %s, want %s", procs, r, k, got[r][k], want)
+				}
+			}
+		}
+		var ran atomic.Int32
+		_, err = RunGrid(rows, reps, base, func(tr Trial, _ *rand.Rand) (int, error) {
+			ran.Add(1)
+			if tr.Index == 5 || tr.Index == 9 {
+				return 0, fmt.Errorf("trial %d", tr.Index)
+			}
+			return 0, nil
+		})
+		if err == nil || err.Error() != "trial 5" || ran.Load() != rows*reps {
+			t.Fatalf("GOMAXPROCS %d: error %v after %d trials, want trial 5 after %d", procs, err, ran.Load(), rows*reps)
+		}
+	}
+}

@@ -39,7 +39,7 @@ func TestFleetFailoverReplay(t *testing.T) {
 		for _, ac := range admissions {
 			cfg := Config{
 				Shards: shards, Columns: K, Policy: fpga.ReclaimCompact,
-				Admission: ac, Route: route, Seed: 13, Workers: 3,
+				Admission: ac, Route: route, Seed: 13,
 			}
 			run := func(crashAt, crashShard int) (*Stats, [][]byte) {
 				f, err := New(cfg)

@@ -4,10 +4,10 @@
 // reconfigurable devices.
 //
 // Shards are grouped into tenants: each Tenant owns a contiguous shard
-// range with its own route policy and admission default, and routing
-// never crosses a tenant boundary. A fleet without explicit tenants is
-// one implicit tenant spanning every shard, which reproduces the
-// historical single-group behavior exactly.
+// range with its own route policy and quotas, and routing never crosses a
+// tenant boundary. A fleet without explicit tenants is one implicit
+// tenant spanning every shard, which reproduces the historical
+// single-group behavior exactly.
 //
 // Every piece of mutable routing state — the round-robin cursor, the p2c
 // rng, the drain-time score vector, the sub-batch scratch, the metering
@@ -28,14 +28,14 @@
 // routed this batch, both normalized by the shard's column count, ties to
 // the lowest shard index); power-of-two-choices draws its two candidates
 // from a per-tenant seeded rng consumed in spec order. Only after the
-// whole batch is routed do the per-shard SubmitBatch calls run — on up to
-// Workers goroutines, but over disjoint shards, joined at a barrier — and
-// placements and stats are always merged in shard-index order. Results
-// are therefore a pure function of (Config minus Workers, per-tenant
-// submission sequence): byte-identical for any worker count AND for any
-// wall-clock interleaving of distinct tenants' submissions, which `make
-// determinism` pins by diffing fleetload output at -fleet-workers 1 vs 8
-// and multi-tenant-concurrent vs single-tenant-serial runs.
+// whole batch is routed do the per-shard SubmitBatch calls run — with
+// par.For, over disjoint shards, joined at a barrier — and placements and
+// stats are always merged in shard-index order. Results are therefore a
+// pure function of (Config, per-tenant submission sequence):
+// byte-identical for every GOMAXPROCS AND for any wall-clock interleaving
+// of distinct tenants' submissions, which `make determinism` pins by
+// diffing fleetload output at GOMAXPROCS 1 vs 8 and multi-tenant-concurrent
+// vs single-tenant-serial runs.
 //
 // Failover rides the same contract: SnapshotShard captures a shard's
 // canonical fpga.Snapshot, and RestoreShardBytes swaps a scheduler
@@ -52,13 +52,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"strippack/internal/fpga"
+	"strippack/internal/par"
 	"strippack/internal/workload"
 )
 
@@ -190,10 +188,6 @@ type Tenant struct {
 	Shards int
 	// Route is the tenant's placement policy.
 	Route Route
-	// Admission, when non-nil, overrides Config.Admission for the
-	// tenant's shards. Config.ShardAdmission (global, per shard) wins
-	// over both.
-	Admission *fpga.AdmissionConfig
 	// MaxBacklog, when > 0, caps the tenant's total waiting backlog
 	// (sum of Waiting over its shards, measured at the batch barrier):
 	// a batch arriving at or above the cap is refused whole with
@@ -208,26 +202,20 @@ type Tenant struct {
 // Config describes a fleet. Columns and ReconfigDelay describe each
 // shard's device; ShardCols, when set (len == Shards), gives each shard
 // its own column count and Columns is ignored. Admission applies to every
-// shard unless a tenant or ShardAdmission overrides it (precedence:
-// ShardAdmission[i], then the owning tenant's Admission, then Admission).
-// Tenants partitions the shards into routed groups; nil means one
+// shard. Tenants partitions the shards into routed groups; nil means one
 // implicit tenant named "default" spanning every shard with Config.Route.
 // Seed feeds the power-of-two-choices rngs (tenant i draws from
-// Seed + i). Workers bounds the goroutines running per-shard work between
-// routing barriers; 0 means GOMAXPROCS. Workers never affects results —
-// see the package determinism contract.
+// Seed + i).
 type Config struct {
-	Shards         int
-	Columns        int
-	ShardCols      []int // optional, len == Shards when set
-	ReconfigDelay  float64
-	Policy         fpga.Policy
-	Admission      fpga.AdmissionConfig
-	ShardAdmission []fpga.AdmissionConfig // optional, len == Shards when set
-	Route          Route
-	Tenants        []Tenant // optional, shard counts must sum to Shards
-	Seed           int64
-	Workers        int
+	Shards        int
+	Columns       int
+	ShardCols     []int // optional, len == Shards when set
+	ReconfigDelay float64
+	Policy        fpga.Policy
+	Admission     fpga.AdmissionConfig
+	Route         Route
+	Tenants       []Tenant // optional, shard counts must sum to Shards
+	Seed          int64
 }
 
 // Placement records where the fleet put one task.
@@ -293,12 +281,11 @@ type lane struct {
 // concurrent use with each other; methods on distinct lanes are. All
 // other methods (Drain, Finish, iteration over Shard, SnapshotShard,
 // RestoreShardBytes, ...) require exclusive access to the whole fleet.
-// The internal worker pool is invisible to callers.
+// The goroutines that run per-shard work are invisible to callers.
 type Fleet struct {
 	cfg    Config
 	shards []*fpga.OnlineScheduler
-	cols   []int                  // resolved per-shard column count
-	adm    []fpga.AdmissionConfig // resolved per-shard admission
+	cols   []int // resolved per-shard column count
 	lanes  []lane
 }
 
@@ -324,23 +311,13 @@ func New(cfg Config) (*Fleet, error) {
 	} else if cfg.Columns < 1 {
 		return nil, fmt.Errorf("fleet: need at least 1 column per shard, got %d", cfg.Columns)
 	}
-	if cfg.ShardAdmission != nil && len(cfg.ShardAdmission) != cfg.Shards {
-		return nil, fmt.Errorf("fleet: ShardAdmission has %d entries for %d shards", len(cfg.ShardAdmission), cfg.Shards)
-	}
 	if !validRoute(cfg.Route) {
 		return nil, fmt.Errorf("fleet: unknown route %d", int(cfg.Route))
-	}
-	if cfg.Workers < 0 {
-		return nil, fmt.Errorf("fleet: negative worker count %d", cfg.Workers)
-	}
-	if cfg.Workers == 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	f := &Fleet{
 		cfg:    cfg,
 		shards: make([]*fpga.OnlineScheduler, cfg.Shards),
 		cols:   make([]int, cfg.Shards),
-		adm:    make([]fpga.AdmissionConfig, cfg.Shards),
 	}
 	// Tenant partition: explicit list or the implicit all-shards default.
 	decl := cfg.Tenants
@@ -392,33 +369,15 @@ func New(cfg Config) (*Fleet, error) {
 			k = cfg.ShardCols[i]
 		}
 		f.cols[i] = k
-		ac := cfg.Admission
-		if ta := decl[f.tenantOf(i)].Admission; ta != nil {
-			ac = *ta
-		}
-		if cfg.ShardAdmission != nil {
-			ac = cfg.ShardAdmission[i]
-		}
-		f.adm[i] = ac
 		o, err := fpga.NewOnlineSchedulerAdmission(
 			&fpga.Device{Columns: k, ReconfigDelay: cfg.ReconfigDelay},
-			cfg.Policy, ac)
+			cfg.Policy, cfg.Admission)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: shard %d: %w", i, err)
 		}
 		f.shards[i] = o
 	}
 	return f, nil
-}
-
-// tenantOf returns the index of the tenant owning shard s.
-func (f *Fleet) tenantOf(s int) int {
-	for ti := range f.lanes {
-		if s < f.lanes[ti].first+f.lanes[ti].count {
-			return ti
-		}
-	}
-	return len(f.lanes) - 1
 }
 
 // Shards returns the shard count.
@@ -441,17 +400,8 @@ func (f *Fleet) Config() Config {
 	if cfg.ShardCols != nil {
 		cfg.ShardCols = append([]int(nil), cfg.ShardCols...)
 	}
-	if cfg.ShardAdmission != nil {
-		cfg.ShardAdmission = append([]fpga.AdmissionConfig(nil), cfg.ShardAdmission...)
-	}
 	if cfg.Tenants != nil {
 		cfg.Tenants = append([]Tenant(nil), cfg.Tenants...)
-		for i := range cfg.Tenants {
-			if a := cfg.Tenants[i].Admission; a != nil {
-				ac := *a
-				cfg.Tenants[i].Admission = &ac
-			}
-		}
 	}
 	return cfg
 }
@@ -582,8 +532,8 @@ func (f *Fleet) RestoreShardBytes(i int, b []byte) ([]byte, error) {
 		err = fmt.Errorf("snapshot reconfig delay %g, fleet %g", d.ReconfigDelay, f.cfg.ReconfigDelay)
 	case o.Policy() != f.cfg.Policy:
 		err = fmt.Errorf("snapshot policy %v, fleet %v", o.Policy(), f.cfg.Policy)
-	case o.Admission() != f.adm[i]:
-		err = fmt.Errorf("snapshot admission %+v, shard %+v", o.Admission(), f.adm[i])
+	case o.Admission() != f.cfg.Admission:
+		err = fmt.Errorf("snapshot admission %+v, fleet %+v", o.Admission(), f.cfg.Admission)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("fleet: restore shard %d: %w", i, err)
@@ -687,7 +637,7 @@ func (f *Fleet) SubmitBatch(specs []fpga.TaskSpec) ([]Placement, error) {
 
 // SubmitBatchTenant routes the batch within tenant ti's shard range
 // (sequentially, in input order), submits each shard's sub-batch through
-// the shard's own SubmitBatch (in parallel across the worker pool), and
+// the shard's own SubmitBatch (in parallel, with par.For), and
 // returns the placements merged in shard-index order, each shard's in its
 // own (release, index) submission order. Quotas are enforced before any
 // routing: a batch over the tenant's MaxTaskCols or MaxBacklog quota is
@@ -738,7 +688,7 @@ func (f *Fleet) SubmitBatchTenant(ti int, specs []fpga.TaskSpec) ([]Placement, e
 	for j := range t.placedBy {
 		t.placedBy[j] = t.placedBy[j][:0]
 	}
-	err := fanOut(t.count, f.cfg.Workers, func(j int) error {
+	err := par.For(t.count, func(_, j int) error {
 		if len(t.subs[j]) == 0 {
 			return nil
 		}
@@ -785,54 +735,12 @@ func (f *Fleet) DrainTenant(ti int) error {
 		return fmt.Errorf("fleet: tenant %d out of range [0, %d)", ti, len(f.lanes))
 	}
 	t := &f.lanes[ti]
-	return fanOut(t.count, f.cfg.Workers, func(j int) error {
+	return par.For(t.count, func(_, j int) error {
 		if err := f.shards[t.first+j].Drain(); err != nil {
 			return fmt.Errorf("fleet: shard %d: %w", t.first+j, err)
 		}
 		return nil
 	})
-}
-
-// fanOut runs fn(j) for every j in [0, n) on up to workers goroutines,
-// the caller's included, and returns the error of the lowest failing j —
-// the same min-index rule the experiment runner uses, so the surfaced
-// error never depends on goroutine interleaving. Every fn(j) runs even
-// when an earlier one fails. Workers claim indices from a shared atomic
-// counter, so a call costs one goroutine spawn per extra worker and no
-// per-index channel handoff.
-func fanOut(n, workers int, fn func(j int) error) error {
-	var (
-		next  atomic.Int64
-		mu    sync.Mutex
-		errAt = n
-		first error
-	)
-	work := func() {
-		for {
-			j := int(next.Add(1) - 1)
-			if j >= n {
-				return
-			}
-			if err := fn(j); err != nil {
-				mu.Lock()
-				if j < errAt {
-					errAt, first = j, err
-				}
-				mu.Unlock()
-			}
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < min(workers, n); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	return first
 }
 
 // Stats aggregates a fleet churn run. PerShard is indexed by shard.
@@ -863,7 +771,7 @@ func (f *Fleet) Finish() (*Stats, error) {
 		return nil, err
 	}
 	per := make([]fpga.ChurnStats, len(f.shards))
-	err := fanOut(len(f.shards), f.cfg.Workers, func(i int) error {
+	err := par.For(len(f.shards), func(_, i int) error {
 		o := f.shards[i]
 		sched := o.Schedule()
 		sim, simErr := sched.Simulate()
@@ -942,7 +850,7 @@ func Specs(tasks []workload.ChurnTask, base int) []fpga.TaskSpec {
 // RunChurn replays a churn trace through a fresh fleet in batches of
 // `chunk` tasks, then finishes and aggregates — the fleet counterpart of
 // fpga.RunChurn, and the driver the E15 experiment table uses. Results
-// are a pure function of (cfg minus Workers, tasks, chunk).
+// are a pure function of (cfg, tasks, chunk).
 func RunChurn(tasks []workload.ChurnTask, cfg Config, chunk int) (*Stats, error) {
 	if len(tasks) == 0 {
 		return nil, fmt.Errorf("fleet: empty churn workload")

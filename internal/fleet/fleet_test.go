@@ -2,10 +2,9 @@ package fleet
 
 import (
 	"encoding/json"
-	"fmt"
 	"math/rand"
 	"reflect"
-	"sync/atomic"
+	"runtime"
 	"testing"
 
 	"strippack/internal/fpga"
@@ -31,7 +30,7 @@ func TestReconfigDelayFinish(t *testing.T) {
 	const K = 32
 	tasks := churnTrace(t, 1, 5000, K, 0.8*16)
 	cfg := Config{Shards: 16, Columns: K, ReconfigDelay: 0.05,
-		Policy: fpga.ReclaimCompact, Route: RouteRR, Workers: 2}
+		Policy: fpga.ReclaimCompact, Route: RouteRR}
 	if _, err := RunChurn(tasks, cfg, 1024); err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +47,7 @@ func TestSingleShardMatchesScheduler(t *testing.T) {
 	for _, route := range []Route{RouteRR, RouteLeast, RouteP2C} {
 		f, err := New(Config{
 			Shards: 1, Columns: K, Policy: fpga.ReclaimCompact,
-			Admission: ac, Route: route, Seed: 7, Workers: 4,
+			Admission: ac, Route: route, Seed: 7,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -81,20 +80,22 @@ func TestSingleShardMatchesScheduler(t *testing.T) {
 }
 
 // TestWorkerCountInvariance is the determinism contract: identical Stats
-// and identical per-shard snapshots for Workers 1, 3 and 8, across every
-// route.
+// and identical per-shard snapshots at GOMAXPROCS 1, 3 and 8, across
+// every route.
 func TestWorkerCountInvariance(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	const K = 8
 	const shards = 5
 	tasks := churnTrace(t, 53, 6000, K, 0.8*shards)
 	for _, route := range []Route{RouteRR, RouteLeast, RouteP2C} {
 		var refStats *Stats
 		var refSnaps [][]byte
-		for _, workers := range []int{1, 3, 8} {
+		for _, procs := range []int{1, 3, 8} {
+			runtime.GOMAXPROCS(procs)
 			cfg := Config{
 				Shards: shards, Columns: K, Policy: fpga.ReclaimCompact,
 				Admission: fpga.AdmissionConfig{Policy: fpga.AdmitShed, MaxBacklog: 8},
-				Route:     route, Seed: 11, Workers: workers,
+				Route:     route, Seed: 11,
 			}
 			f, err := New(cfg)
 			if err != nil {
@@ -123,11 +124,11 @@ func TestWorkerCountInvariance(t *testing.T) {
 				continue
 			}
 			if !reflect.DeepEqual(st, refStats) {
-				t.Fatalf("route %v workers=%d: stats diverge\n%+v\nvs\n%+v", route, workers, st, refStats)
+				t.Fatalf("route %v GOMAXPROCS %d: stats diverge\n%+v\nvs\n%+v", route, procs, st, refStats)
 			}
 			for i := range snaps {
 				if string(snaps[i]) != string(refSnaps[i]) {
-					t.Fatalf("route %v workers=%d: shard %d snapshot diverges", route, workers, i)
+					t.Fatalf("route %v GOMAXPROCS %d: shard %d snapshot diverges", route, procs, i)
 				}
 			}
 		}
@@ -198,13 +199,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Shards: 2, Columns: 0}); err == nil {
 		t.Fatal("0 columns accepted")
 	}
-	if _, err := New(Config{Shards: 2, Columns: 4, Workers: -1}); err == nil {
-		t.Fatal("negative workers accepted")
-	}
-	if _, err := New(Config{Shards: 2, Columns: 4,
-		ShardAdmission: make([]fpga.AdmissionConfig, 3)}); err == nil {
-		t.Fatal("mis-sized ShardAdmission accepted")
-	}
 	if _, err := New(Config{Shards: 2, Columns: 4,
 		Admission: fpga.AdmissionConfig{Policy: fpga.AdmitBounded}}); err == nil {
 		t.Fatal("invalid shard admission accepted")
@@ -214,66 +208,5 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := RunChurn(make([]workload.ChurnTask, 1), Config{Shards: 1, Columns: 4}, 0); err == nil {
 		t.Fatal("chunk 0 accepted")
-	}
-}
-
-// TestPerShardAdmission: heterogeneous admission configs apply to their
-// own shard only.
-func TestPerShardAdmission(t *testing.T) {
-	const K = 4
-	f, err := New(Config{
-		Shards: 2, Columns: K, Route: RouteRR,
-		ShardAdmission: []fpga.AdmissionConfig{
-			{}, // shard 0 unbounded
-			{Policy: fpga.AdmitBounded, MaxBacklog: 1}, // shard 1 rejects
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Full-width tasks released together: everything beyond the first per
-	// shard must wait, so shard 1 rejects all but two (running + 1 backlog).
-	specs := make([]fpga.TaskSpec, 12)
-	for i := range specs {
-		specs[i] = fpga.TaskSpec{ID: i, Cols: K, Duration: 1}
-	}
-	if _, err := f.SubmitBatch(specs); err != nil {
-		t.Fatal(err)
-	}
-	if got := f.Shard(0).Load().Rejected; got != 0 {
-		t.Fatalf("unbounded shard rejected %d", got)
-	}
-	if got := f.Shard(1).Load().Rejected; got != 4 {
-		t.Fatalf("bounded shard rejected %d, want 4", got)
-	}
-}
-
-// TestFanOutLowestError: for any worker count, every index runs exactly
-// once and the error of the lowest failing index is the one returned.
-func TestFanOutLowestError(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 8, 100} {
-		for n := 1; n <= 40; n += 3 {
-			calls := make([]atomic.Int32, n)
-			fails := func(j int) bool { return j%7 == 5 || j == n-1 }
-			err := fanOut(n, workers, func(j int) error {
-				calls[j].Add(1)
-				if fails(j) {
-					return fmt.Errorf("index %d", j)
-				}
-				return nil
-			})
-			for j := range calls {
-				if c := calls[j].Load(); c != 1 {
-					t.Fatalf("workers %d, n %d: index %d ran %d times", workers, n, j, c)
-				}
-			}
-			want := n - 1
-			if n > 5 {
-				want = 5
-			}
-			if err == nil || err.Error() != fmt.Sprintf("index %d", want) {
-				t.Fatalf("workers %d, n %d: error %v, want index %d", workers, n, err, want)
-			}
-		}
 	}
 }

@@ -3,6 +3,7 @@ package fleet
 import (
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"strippack/internal/fpga"
@@ -97,17 +98,19 @@ func TestMixedColumnRouting(t *testing.T) {
 }
 
 // TestMixedColumnWorkerInvariance: the determinism contract holds on a
-// heterogeneous fleet too.
+// heterogeneous fleet too, at GOMAXPROCS 1 and 4.
 func TestMixedColumnWorkerInvariance(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	cols := []int{8, 16, 24, 32}
 	tasks := churnTrace(t, 67, 5000, 8, 0.8*4)
 	for _, route := range []Route{RouteRR, RouteLeast, RouteP2C} {
 		var ref *Stats
-		for _, workers := range []int{1, 4} {
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
 			st, err := RunChurn(tasks, Config{
 				Shards: 4, ShardCols: cols, Policy: fpga.ReclaimCompact,
 				Admission: fpga.AdmissionConfig{Policy: fpga.AdmitShed, MaxBacklog: 8},
-				Route:     route, Seed: 17, Workers: workers,
+				Route:     route, Seed: 17,
 			}, 250)
 			if err != nil {
 				t.Fatal(err)
@@ -117,7 +120,7 @@ func TestMixedColumnWorkerInvariance(t *testing.T) {
 				continue
 			}
 			if !reflect.DeepEqual(st, ref) {
-				t.Fatalf("route %v: mixed-K stats diverge across worker counts", route)
+				t.Fatalf("route %v: mixed-K stats diverge across GOMAXPROCS", route)
 			}
 		}
 	}
@@ -128,13 +131,12 @@ func TestMixedColumnWorkerInvariance(t *testing.T) {
 // range.
 func TestTenantIsolation(t *testing.T) {
 	const K = 8
-	shed := fpga.AdmissionConfig{Policy: fpga.AdmitShed, MaxBacklog: 4}
 	f, err := New(Config{
 		Shards: 6, Columns: K, Policy: fpga.ReclaimCompact,
 		Admission: fpga.AdmissionConfig{Policy: fpga.AdmitAll},
 		Tenants: []Tenant{
 			{Name: "alpha", Shards: 2, Route: RouteRR},
-			{Name: "beta", Shards: 3, Route: RouteLeast, Admission: &shed},
+			{Name: "beta", Shards: 3, Route: RouteLeast},
 			{Name: "gamma", Shards: 1, Route: RouteP2C},
 		},
 		Seed: 9,
@@ -168,17 +170,6 @@ func TestTenantIsolation(t *testing.T) {
 				t.Fatalf("tenant %d task %d routed to shard %d outside [%d, %d)",
 					ti, p.Task.ID, p.Shard, ranges[ti][0], ranges[ti][1])
 			}
-		}
-	}
-	// Tenant admission override: beta's shards shed, the others are
-	// unbounded.
-	for i := 0; i < 6; i++ {
-		want := fpga.AdmissionConfig{Policy: fpga.AdmitAll}
-		if i >= 2 && i < 5 {
-			want = shed
-		}
-		if got := f.Shard(i).Admission(); got != want {
-			t.Fatalf("shard %d admission %+v, want %+v", i, got, want)
 		}
 	}
 	if _, err := f.SubmitBatchTenant(3, []fpga.TaskSpec{{ID: 999, Cols: 1, Duration: 1}}); err == nil {
@@ -262,10 +253,6 @@ func TestTenantConfigValidation(t *testing.T) {
 		{"bad tenant route", func(c *Config) { c.Tenants = []Tenant{{Name: "a", Shards: 4, Route: Route(7)}} }},
 		{"partition short", func(c *Config) { c.Tenants = []Tenant{{Name: "a", Shards: 3}} }},
 		{"partition long", func(c *Config) { c.Tenants = []Tenant{{Name: "a", Shards: 5}} }},
-		{"bad tenant admission", func(c *Config) {
-			c.Tenants = []Tenant{{Name: "a", Shards: 4,
-				Admission: &fpga.AdmissionConfig{Policy: fpga.AdmitBounded}}}
-		}},
 	}
 	for _, tc := range cases {
 		cfg := base

@@ -1,10 +1,12 @@
 package fpga
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -204,9 +206,9 @@ func TestSubmitBatchValidation(t *testing.T) {
 	}
 }
 
-// TestShedIDsCopy is the regression test for ShedIDs returning the
-// internal slice: mutating the returned slice must not corrupt the
-// scheduler's eviction history.
+// TestShedIDsCopy is the regression test for Snapshot sharing the
+// scheduler's eviction history: mutating a snapshot's ShedIDs must leave
+// the next snapshot and the record encoder's bytes unchanged.
 func TestShedIDsCopy(t *testing.T) {
 	o, err := NewOnlineSchedulerAdmission(NewDevice(2), NoReclaim,
 		AdmissionConfig{Policy: AdmitShed, MaxBacklog: 1})
@@ -218,22 +220,20 @@ func TestShedIDsCopy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := o.ShedIDs()
+	wantBytes := o.AppendSnapshot(nil)
+	got := o.Snapshot().ShedIDs
 	if len(got) == 0 {
 		t.Fatal("expected sheds under a full backlog")
 	}
-	want := append([]int(nil), got...)
+	want := slices.Clone(got)
 	for i := range got {
 		got[i] = -1
 	}
-	again := o.ShedIDs()
-	for i := range want {
-		if again[i] != want[i] {
-			t.Fatalf("ShedIDs corrupted by caller mutation: %v vs %v", again, want)
-		}
+	if again := o.Snapshot().ShedIDs; !slices.Equal(again, want) {
+		t.Fatalf("shed history corrupted by a snapshot's caller: %v vs %v", again, want)
 	}
-	if snap := o.Snapshot(); snap.ShedIDs[0] != want[0] {
-		t.Fatalf("snapshot sees corrupted shed history: %v", snap.ShedIDs)
+	if b := o.AppendSnapshot(nil); !bytes.Equal(b, wantBytes) {
+		t.Fatal("snapshot bytes changed by a snapshot's caller")
 	}
 }
 

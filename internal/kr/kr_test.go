@@ -123,7 +123,7 @@ func TestRatioReasonableOnWideInstances(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		optf, err := release.FractionalLowerBound(in, release.CGOptions{})
+		optf, err := release.FractionalLowerBound(in)
 		if err != nil {
 			t.Fatal(err)
 		}

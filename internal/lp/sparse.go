@@ -164,11 +164,10 @@ func (r *Revised) AddColumn(cost float64, idx []int32, val []float64) (int, erro
 // the batch has cost costs[k] and sparse entries idx[starts[k]:starts[k+1]] /
 // val[starts[k]:starts[k+1]] (strictly ascending row indices, like
 // AddColumn). The whole batch is validated up front and the arenas grow at
-// most once, so bulk-loading N pooled columns costs one capacity check
-// instead of N — the seeding path of a warm-started column-generation
-// master. It returns the position of the batch's first column in
-// Solution.X; the batch occupies consecutive positions. On error nothing is
-// committed.
+// most once, so bulk-loading N columns costs one capacity check instead
+// of N — the path an enumerated configuration LP loads through. It
+// returns the position of the batch's first column in Solution.X; the
+// batch occupies consecutive positions. On error nothing is committed.
 func (r *Revised) AddColumns(costs []float64, starts []int32, idx []int32, val []float64) (int, error) {
 	n := len(costs)
 	if len(starts) != n+1 {

@@ -47,11 +47,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"strippack/internal/fleet"
+	"strippack/internal/par"
 )
 
 // checkpointVersion is the on-disk format version.
@@ -104,37 +102,23 @@ func CaptureCheckpoint(f *fleet.Fleet, epoch, seq uint64) (*Checkpoint, error) {
 	}
 	n := f.Shards()
 	off := make([]int, n+1) // shard i's bytes are buf[off[i]:off[i+1]]
-	forEachShard(n, func(i int) { off[i+1] = f.Shard(i).SnapshotLen() })
+	// Neither pass can fail.
+	_ = par.For(n, func(_, i int) error {
+		off[i+1] = f.Shard(i).SnapshotLen()
+		return nil
+	})
 	for i := range n {
 		off[i+1] += off[i]
 	}
 	buf := make([]byte, off[n])
 	ck.Shards = make([][]byte, n)
-	forEachShard(n, func(i int) {
+	_ = par.For(n, func(_, i int) error {
 		// The capacity stops at the shard's end, so an encoding longer
 		// than SnapshotLen would move out rather than overrun its neighbor.
 		ck.Shards[i] = f.Shard(i).AppendSnapshot(buf[off[i]:off[i]:off[i+1]])
+		return nil
 	})
 	return ck, nil
-}
-
-// forEachShard calls fn(i) for every i in [0, n) on up to GOMAXPROCS
-// goroutines, which claim indices from a shared counter. Each call must
-// touch only shard i's state.
-func forEachShard(n int, fn func(i int)) {
-	workers := min(runtime.GOMAXPROCS(0), n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // writeCheckpoint writes the checkpoint file to w: the manifest, every

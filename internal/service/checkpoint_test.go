@@ -380,7 +380,7 @@ func TestCheckpointCorruption(t *testing.T) {
 	}
 
 	// With several bad shards the reported one is the lowest, whatever
-	// the fleet's worker count.
+	// GOMAXPROCS is.
 	twoBad := remake(func(c *Checkpoint) {
 		for _, i := range []int{4, 1} {
 			corruptShard(t, c, i)
@@ -390,15 +390,15 @@ func TestCheckpointCorruption(t *testing.T) {
 	if err := os.WriteFile(twoBadPath, twoBad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 8} {
-		c := cfg
-		c.Workers = workers
-		got, ckGot, err := Recover(twoBadPath, c, 1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 8} {
+		runtime.GOMAXPROCS(procs)
+		got, ckGot, err := Recover(twoBadPath, cfg, 1)
 		if !errors.Is(err, ErrBadCheckpoint) || !strings.Contains(err.Error(), "restore shard 1:") {
-			t.Errorf("shards 1 and 4 invalid, workers %d: err = %v, want shard 1's ErrBadCheckpoint", workers, err)
+			t.Errorf("shards 1 and 4 invalid, GOMAXPROCS %d: err = %v, want shard 1's ErrBadCheckpoint", procs, err)
 		}
 		if got != nil || ckGot != nil {
-			t.Errorf("shards 1 and 4 invalid, workers %d: refused recovery returned state", workers)
+			t.Errorf("shards 1 and 4 invalid, GOMAXPROCS %d: refused recovery returned state", procs)
 		}
 	}
 

@@ -444,10 +444,10 @@ type TenantInfo struct {
 
 // Info is the service handshake: the fleet shape a client needs to
 // verify it is talking to the daemon it expects (everything that affects
-// results except Workers, which is execution-only by the fleet's
-// determinism contract), the tenant endpoints resolved by name, plus two
-// run-scoped fields — the daemon's Epoch (incremented on every restart;
-// 0 for an in-process Local) and the per-tenant metering counters.
+// results; GOMAXPROCS does not, by the fleet's determinism contract),
+// the tenant endpoints resolved by name, plus two run-scoped fields —
+// the daemon's Epoch (incremented on every restart; 0 for an in-process
+// Local) and the per-tenant metering counters.
 // Compare Shapes, not Infos, to decide whether two services are
 // interchangeable.
 type Info struct {

@@ -88,7 +88,7 @@ func TestLoopbackEquivalence(t *testing.T) {
 		cfg := fleet.Config{
 			Shards: shards, Columns: K, Policy: fpga.ReclaimCompact,
 			Admission: fpga.AdmissionConfig{Policy: fpga.AdmitShed, MaxBacklog: 16},
-			Route:     route, Seed: 3, Workers: 2,
+			Route:     route, Seed: 3,
 		}
 		lf, err := fleet.New(cfg)
 		if err != nil {

@@ -181,7 +181,7 @@ func LowerBoundPrecedence(in *Instance) (float64, error) { return precedence.Low
 // widths and release times, returning OPTf <= OPT. Exponential in the
 // number of distinct widths; intended for small or quantized instances.
 func FractionalLowerBound(in *Instance) (float64, error) {
-	return release.FractionalLowerBound(in, release.CGOptions{})
+	return release.FractionalLowerBound(in)
 }
 
 // ExactResult is the outcome of the exact solver.

@@ -3,6 +3,7 @@ package strippack
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"strippack/internal/core/precedence"
@@ -36,9 +37,9 @@ func TestPackDCFacade(t *testing.T) {
 // TestPackDCBoundsMatchOracles: PackDC derives its two bounds from the
 // F(S) its DC run reports instead of rebuilding the DAG. They must equal,
 // bit for bit, LowerBoundPrecedence and Theorem 2.3's bound computed from
-// a separate FValues pass, whatever DC's worker count.
+// a separate FValues pass, whatever GOMAXPROCS is.
 func TestPackDCBoundsMatchOracles(t *testing.T) {
-	defer func(w int) { precedence.DefaultWorkers = w }(precedence.DefaultWorkers)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 6; trial++ {
 		in := workload.DAGWorkload(rng, 200+rng.Intn(600), 2+rng.Intn(30), 0.2*rng.Float64())
@@ -51,15 +52,15 @@ func TestPackDCBoundsMatchOracles(t *testing.T) {
 			t.Fatal(err)
 		}
 		guarantee := math.Log2(float64(in.N())+1)*dag.MaxF(f) + 2*in.AreaLowerBound()
-		for _, w := range []int{1, 8} {
-			precedence.DefaultWorkers = w
+		for _, procs := range []int{1, 8} {
+			runtime.GOMAXPROCS(procs)
 			res, err := PackDC(in)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.LowerBound != lb || res.Guarantee != guarantee {
-				t.Fatalf("trial %d workers %d: bounds %v, %v; oracles %v, %v",
-					trial, w, res.LowerBound, res.Guarantee, lb, guarantee)
+				t.Fatalf("trial %d GOMAXPROCS %d: bounds %v, %v; oracles %v, %v",
+					trial, procs, res.LowerBound, res.Guarantee, lb, guarantee)
 			}
 		}
 	}
